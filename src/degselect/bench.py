@@ -11,14 +11,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .criteria import Criterion, NoApplicableModelError, select_argmin
-from .decisions import (
-    ArbitrationConfig,
-    HeuristicProvider,
-    ProviderPair,
-    RemoteTextGenProvider,
-    default_providers,
-)
+from .criteria import Criterion, FitTable, NoApplicableModelError, select_argmin
+from .decisions import ProviderPair, RemoteTextGenProvider, default_providers
 from .evidence import EvidenceBank, default_bank
 from .model_space import CandidateSet, Family, default_case_sets
 from .pipeline import Case, InferenceInput, PipelineConfig, run_inference
@@ -179,24 +173,18 @@ def generate_dataset(case: Case, per_class_count: int, seed: int) -> list[Trajec
 
 
 def correct_context(traj: Trajectory) -> str:
-    kind = _kind_of(traj)
-    return CONTEXT_BY_FAMILY[KIND_FAMILY[kind]]
+    return CONTEXT_BY_FAMILY[_family_of(traj)]
 
 
 def wrong_context(traj: Trajectory) -> str:
-    kind = _kind_of(traj)
-    family = KIND_FAMILY[kind]
-    other = Family.GAMMA if family is Family.WIENER else Family.WIENER
+    other = Family.GAMMA if _family_of(traj) is Family.WIENER else Family.WIENER
     return CONTEXT_BY_FAMILY[other]
 
 
-def _kind_of(traj: Trajectory) -> SimKind:
-    label = traj.true_model_id
-    if label in ("wiener_family",):
-        return SimKind.LINEAR_WIENER
-    if label in ("gamma_family",):
-        return SimKind.HOMOG_GAMMA
-    return SimKind(label)
+def _family_of(traj: Trajectory) -> Family:
+    """Generating family of a labelled unit; case-1 labels name the family."""
+    case1_kinds = {label: kind for kind, label in CASE1_LABEL_BY_KIND.items()}
+    return KIND_FAMILY[case1_kinds.get(traj.true_model_id) or SimKind(traj.true_model_id)]
 
 
 def perturb_input(
@@ -237,56 +225,62 @@ def _make_providers(cfg: ExperimentConfig) -> ProviderPair:
     return default_providers()
 
 
-def _classes(case: Case) -> list[str]:
+def _candidate_set(case: Case) -> CandidateSet:
     case1, case2 = default_case_sets()
-    return list((case1 if case is Case.CASE1 else case2).ids())
+    return case1 if case is Case.CASE1 else case2
+
+
+def _proposed_by_window(
+    cfg: ExperimentConfig, bank: Optional[EvidenceBank], modes: Sequence[Perturbation]
+):
+    """Build the dataset once; for each window n, yield the truncated test
+    units and the proposed pipeline's metrics under each perturbation mode."""
+    bank = bank or default_bank()
+    providers = _make_providers(cfg)
+    pipe_cfg = PipelineConfig(criterion=cfg.criterion)
+    classes = _candidate_set(cfg.case).ids()
+    per_class = cfg.per_class_count or DEFAULT_PER_CLASS[cfg.case]
+    split = split_dataset(generate_dataset(cfg.case, per_class, cfg.seed), seed=cfg.seed)
+    for n in cfg.n_values:
+        test = [truncate_at_progress(t, n) for t in split.test]
+        true_labels = [t.true_model_id for t in test]
+        by_mode = {}
+        for mode in modes:
+            start = time.perf_counter()
+            predictions = []
+            for idx, traj in enumerate(test):
+                inp = InferenceInput.for_case(cfg.case, traj, correct_context(traj))
+                if mode is not Perturbation.NONE:
+                    fam = _family_of(traj)
+                    pool = [t for t in test if _family_of(t) is not fam]
+                    inp = perturb_input(inp, mode, pool, rng_seed=cfg.seed + idx)
+                result = run_inference(inp, bank, providers, pipe_cfg)
+                predictions.append(result.chosen.id)
+            by_mode[mode] = compute_metrics(true_labels, predictions, classes)
+            by_mode[mode].runtime_seconds = time.perf_counter() - start
+        yield n, test, by_mode
 
 
 def run_experiment(
     cfg: ExperimentConfig, bank: Optional[EvidenceBank] = None
 ) -> MetricsReport:
     """Full protocol: generate, split, truncate, run all methods, score."""
-    bank = bank or default_bank()
-    per_class = cfg.per_class_count or DEFAULT_PER_CLASS[cfg.case]
-    trajs = generate_dataset(cfg.case, per_class, cfg.seed)
-    split = split_dataset(trajs, seed=cfg.seed)
-    candidates = _classes(cfg.case)
-    case1, case2 = default_case_sets()
-    cset = case1 if cfg.case is Case.CASE1 else case2
-    providers = _make_providers(cfg)
-    pipe_cfg = PipelineConfig(criterion=cfg.criterion)
+    cset = _candidate_set(cfg.case)
+    candidates = cset.ids()
     report = MetricsReport(case=cfg.case)
+    for n, test, proposed in _proposed_by_window(cfg, bank, (cfg.perturbation,)):
+        report.entries[(n, "proposed")] = proposed[cfg.perturbation]
 
-    for n in cfg.n_values:
-        test = [truncate_at_progress(t, n) for t in split.test]
+        # Statistical baselines over the full candidate set, no conditioning;
+        # the five criteria share one fit table per test unit.
         true_labels = [t.true_model_id for t in test]
-
-        # Proposed pipeline (with optional input perturbation).
-        start = time.perf_counter()
-        predictions = []
-        for idx, traj in enumerate(test):
-            inp = InferenceInput.for_case(cfg.case, traj, correct_context(traj))
-            if cfg.perturbation is not Perturbation.NONE:
-                fam = KIND_FAMILY[_kind_of(traj)]
-                pool = [
-                    t for t in test if KIND_FAMILY[_kind_of(t)] is not fam
-                ]
-                inp = perturb_input(
-                    inp, cfg.perturbation, pool, rng_seed=cfg.seed + idx
-                )
-            result = run_inference(inp, bank, providers, pipe_cfg)
-            predictions.append(result.chosen.id)
-        metrics = compute_metrics(true_labels, predictions, candidates)
-        metrics.runtime_seconds = time.perf_counter() - start
-        report.entries[(n, "proposed")] = metrics
-
-        # Statistical baselines over the full candidate set, no conditioning.
+        tables = [FitTable(t) for t in test]
         for crit in Criterion:
             start = time.perf_counter()
             predictions = []
-            for traj in test:
+            for traj, fits in zip(test, tables):
                 try:
-                    chosen, _ = select_argmin(cset, traj, crit)
+                    chosen, _ = select_argmin(cset, traj, crit, fits)
                     predictions.append(chosen.id)
                 except NoApplicableModelError:
                     predictions.append(candidates[0])
@@ -304,12 +298,9 @@ def run_robustness(
 ) -> MetricsReport:
     """Perturbation sweep: proposed pipeline under all four input modes."""
     report = MetricsReport(case=cfg.case)
-    for mode in Perturbation:
-        sub = replace(cfg, perturbation=mode, output_path=None)
-        partial = run_experiment(sub, bank=bank)
-        for (n, method), metrics in partial.entries.items():
-            if method == "proposed":
-                report.entries[(n, mode.value)] = metrics
+    for n, _, proposed in _proposed_by_window(cfg, bank, tuple(Perturbation)):
+        for mode, metrics in proposed.items():
+            report.entries[(n, mode.value)] = metrics
     if cfg.output_path:
         emit_report(report, cfg.output_path, "csv")
     return report

@@ -38,6 +38,18 @@ def _load_config_file(path) -> dict[str, str]:
     return out
 
 
+# Config-file key -> parser of its value, one per overridable ExperimentConfig field.
+_CONFIG_PARSERS = {
+    "case": Case,
+    "n_values": lambda v: tuple(int(x) for x in v.split(",")),
+    "per_class_count": int,
+    "seed": int,
+    "criterion": Criterion,
+    "provider_mode": ProviderMode,
+    "perturbation": Perturbation,
+}
+
+
 def _experiment_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig(
         case=Case(args.case),
@@ -51,22 +63,11 @@ def _experiment_config(args) -> ExperimentConfig:
     )
     if args.config:
         overrides = _load_config_file(args.config)
-        kw = {}
-        if "case" in overrides:
-            kw["case"] = Case(overrides["case"])
-        if "n_values" in overrides:
-            kw["n_values"] = tuple(int(v) for v in overrides["n_values"].split(","))
-        if "per_class_count" in overrides:
-            kw["per_class_count"] = int(overrides["per_class_count"])
-        if "seed" in overrides:
-            kw["seed"] = int(overrides["seed"])
-        if "criterion" in overrides:
-            kw["criterion"] = Criterion(overrides["criterion"])
-        if "provider_mode" in overrides:
-            kw["provider_mode"] = ProviderMode(overrides["provider_mode"])
-        if "perturbation" in overrides:
-            kw["perturbation"] = Perturbation(overrides["perturbation"])
-        cfg = replace(cfg, **kw)
+        unknown = sorted(set(overrides) - set(_CONFIG_PARSERS))
+        if unknown:
+            raise ValueError(f"unknown config key(s) {unknown}; known: {list(_CONFIG_PARSERS)}")
+        parsed = {key: _CONFIG_PARSERS[key](value) for key, value in overrides.items()}
+        cfg = replace(cfg, **parsed)
     return cfg
 
 

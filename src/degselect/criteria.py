@@ -14,8 +14,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .fitting import FitError, IncrementSeries, fit_model, increments, loglik
-from .model_space import CandidateModel, CandidateSet, FilteredSet
+from .fitting import FitError, FitResult, IncrementSeries, fit_model, increments, loglik
+from .model_space import CandidateModel, CandidateSet, Family, Trend
 from .simulate import Trajectory
 
 INF = float("inf")
@@ -40,6 +40,30 @@ class ScoreTable:
 
 class NoApplicableModelError(ValueError):
     pass
+
+
+class FitTable:
+    """Fits of one trajectory's increments, each (family, trend) run at most once.
+
+    Calls that score the same trajectory share one table; a failed fit is
+    remembered and re-raised.
+    """
+
+    def __init__(self, traj: Trajectory):
+        self.traj = traj
+        self.inc = increments(traj)
+        self._fits: dict[tuple[Family, Trend], FitResult | FitError] = {}
+
+    def fit(self, model: CandidateModel) -> FitResult:
+        key = (model.family, model.trend)
+        if key not in self._fits:
+            try:
+                self._fits[key] = fit_model(model, self.inc)
+            except FitError as exc:
+                self._fits[key] = exc
+        if isinstance(self._fits[key], FitError):
+            raise self._fits[key]
+        return self._fits[key]
 
 
 def _cv_score(model: CandidateModel, inc: IncrementSeries) -> float:
@@ -74,14 +98,21 @@ def score(
     traj: Trajectory,
     criterion: Criterion,
     notes: Optional[list[str]] = None,
+    fits: Optional[FitTable] = None,
 ) -> float:
-    """Score one candidate on one trajectory; +inf when the fit fails."""
-    inc = increments(traj)
-    n = len(inc)
+    """Score one candidate on one trajectory; +inf when the fit fails.
+
+    ``fits``, a table built for ``traj``, shares the fit with other calls.
+    """
+    if fits is None:
+        fits = FitTable(traj)
+    elif fits.traj != traj:
+        raise ValueError("fit table was built for a different trajectory")
+    n = len(fits.inc)
     if criterion is Criterion.CV:
-        return _cv_score(model, inc)
+        return _cv_score(model, fits.inc)
     try:
-        fit = fit_model(model, inc)
+        fit = fits.fit(model)
     except FitError as exc:
         if notes is not None:
             notes.append(f"{model.id}: {exc}")
@@ -101,14 +132,16 @@ def score(
 
 
 def select_argmin(
-    cset: CandidateSet | FilteredSet | Iterable[CandidateModel],
+    cset: CandidateSet | Iterable[CandidateModel],
     traj: Trajectory,
     criterion: Criterion,
+    fits: Optional[FitTable] = None,
 ) -> tuple[CandidateModel, ScoreTable]:
     """Minimum-score model over a candidate collection.
 
     A singleton collection short-circuits without scoring.  Ties break by
-    fewer parameters, then lexicographic id.
+    fewer parameters, then lexicographic id.  ``fits``, a table built for
+    ``traj``, shares fits with other calls; by default each call has its own.
     """
     models = list(cset)
     if not models:
@@ -116,8 +149,10 @@ def select_argmin(
     table = ScoreTable(criterion=criterion)
     if len(models) == 1:
         return models[0], table
+    if fits is None:
+        fits = FitTable(traj)
     for m in models:
-        table.entries[m.id] = score(m, traj, criterion, notes=table.notes)
+        table.entries[m.id] = score(m, traj, criterion, notes=table.notes, fits=fits)
     if all(v == INF for v in table.entries.values()):
         raise NoApplicableModelError(
             f"no applicable model among {[m.id for m in models]}"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Protocol
 
 import numpy as np
@@ -19,7 +19,6 @@ import numpy as np
 from .evidence import (
     DEFAULT_TOP_K,
     EvidenceBank,
-    Query,
     RetrievedSet,
     build_query,
     feature_summary,
@@ -33,7 +32,9 @@ from .fitting import (
     fit_nonlinear_wiener,
     increments,
 )
-from .model_space import Decision, Family, Hierarchy, Label, Trend, Uncertain, label_hierarchy
+from .model_space import (
+    Decision, Family, Hierarchy, Label, Trend, Uncertain, label_hierarchy, parse_label,
+)
 from .simulate import Trajectory
 
 log = logging.getLogger(__name__)
@@ -103,28 +104,29 @@ class HeuristicConfig:
 
 
 class HeuristicProvider:
-    """Deterministic trajectory-feature answers (no evidence consulted)."""
+    """Deterministic trajectory-feature answers (no evidence consulted).
+
+    An answer depends on the trajectory and hierarchy alone, so the last one
+    is kept for a repeat request, such as the contextual provider's.
+    """
 
     def __init__(self, cfg: HeuristicConfig = HeuristicConfig()):
         self.cfg = cfg
+        self._last: Optional[tuple[Trajectory, Hierarchy, Answer]] = None
 
     def _clamp(self, c: float) -> float:
         return min(max(c, self.cfg.conf_floor), self.cfg.conf_cap)
 
-    def favored_family(self, traj: Trajectory) -> Family:
-        feats = feature_summary(traj)
-        p = feats.neg_increment_fraction
-        return Family.GAMMA if p < self.cfg.gamma_neg_threshold else Family.WIENER
+    def _threshold_family(self, traj: Trajectory) -> tuple[Family, float]:
+        """Gamma below the negative-increment threshold, else Wiener; and the fraction."""
+        p = feature_summary(traj).neg_increment_fraction
+        return (Family.GAMMA if p < self.cfg.gamma_neg_threshold else Family.WIENER), p
 
     def _decide_family(self, traj: Trajectory) -> Answer:
         deltas = np.diff(np.asarray(traj.values))
         if np.max(np.abs(deltas)) < 1e-12:
             return Answer(Family.WIENER, self.cfg.conf_floor)  # flat: no signal
-        feats = feature_summary(traj)
-        p = feats.neg_increment_fraction
-        label = (
-            Family.GAMMA if p < self.cfg.gamma_neg_threshold else Family.WIENER
-        )
+        label, p = self._threshold_family(traj)
         conf = 0.5 + abs(p - self.cfg.gamma_neg_threshold) / self.cfg.conf_scale
         strictly_monotone = bool(np.all(deltas > 0))
         if (
@@ -138,12 +140,12 @@ class HeuristicProvider:
     def _decide_trend(self, traj: Trajectory) -> Answer:
         try:
             inc = increments(traj)
-            if self.favored_family(traj) is Family.GAMMA:
-                ll_lin = fit_homog_gamma(inc).loglik
-                ll_nl = fit_nonhomog_gamma(inc).loglik
+            if self._threshold_family(traj)[0] is Family.GAMMA:
+                fit_lin, fit_nl = fit_homog_gamma, fit_nonhomog_gamma
             else:
-                ll_lin = fit_linear_wiener(inc).loglik
-                ll_nl = fit_nonlinear_wiener(inc).loglik
+                fit_lin, fit_nl = fit_linear_wiener, fit_nonlinear_wiener
+            ll_lin = fit_lin(inc).loglik
+            ll_nl = fit_nl(inc).loglik
         except (FitError, ValueError):
             return Answer(Trend.LINEAR, self.cfg.conf_floor)
         lr = 2.0 * (ll_nl - ll_lin)
@@ -159,9 +161,11 @@ class HeuristicProvider:
         context: str = "",
         evidence: Optional[RetrievedSet] = None,
     ) -> Answer:
-        if hierarchy is Hierarchy.FAMILY:
-            return self._decide_family(traj)
-        return self._decide_trend(traj)
+        last = self._last
+        if last is None or last[0] is not traj or last[1] is not hierarchy:
+            decide = self._decide_family if hierarchy is Hierarchy.FAMILY else self._decide_trend
+            last = self._last = (traj, hierarchy, decide(traj))
+        return last[2]
 
 
 def _label_sign(label: Label) -> float:
@@ -260,9 +264,8 @@ class RemoteTextGenProvider:
         parts = first.split()
         if len(parts) < 2:
             return None
-        space = Family if hierarchy is Hierarchy.FAMILY else Trend
         try:
-            label = space(parts[0].upper())
+            label = parse_label(hierarchy, parts[0].upper())
             conf = float(parts[1])
         except ValueError:
             return None
@@ -281,27 +284,38 @@ class RemoteTextGenProvider:
         context: str = "",
         evidence: Optional[RetrievedSet] = None,
     ) -> Answer:
-        import requests
+        from http.client import HTTPException  # deferred, as in _post
 
         prompt = self._render_prompt(hierarchy, traj, context, evidence)
         for attempt in range(2):
             try:
-                resp = requests.post(
-                    self.endpoint,
-                    json={"prompt": prompt, "max_tokens": self.max_tokens},
-                    timeout=self.timeout,
-                )
-                resp.raise_for_status()
-                answer = self._parse(hierarchy, json.loads(resp.text)["text"])
-            except (requests.RequestException, KeyError, json.JSONDecodeError) as exc:
+                text = self._post(prompt)
+            except (OSError, HTTPException, ValueError) as exc:
                 self.diagnostics.append(f"remote request failed: {exc}")
                 log.warning("remote provider failed (%s); internal fallback", exc)
                 return self.fallback.decide(hierarchy, traj, context, evidence)
+            answer = self._parse(hierarchy, text)
             if answer is not None:
                 return answer
             self.diagnostics.append(f"malformed remote output (attempt {attempt + 1})")
         log.warning("remote output malformed twice; internal fallback")
         return self.fallback.decide(hierarchy, traj, context, evidence)
+
+    def _post(self, prompt: str) -> str:
+        """POST the prompt; return the body's string "text" field (ValueError if
+        absent).  Transport failures raise OSError or HTTPException."""
+        import urllib.request  # deferred: only runs with a remote endpoint load it
+
+        data = json.dumps({"prompt": prompt, "max_tokens": self.max_tokens}).encode()
+        request = urllib.request.Request(
+            self.endpoint, data=data, headers={"Content-Type": "application/json"}
+        )
+        with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+            body = json.loads(resp.read())
+        text = body.get("text") if isinstance(body, dict) else None
+        if not isinstance(text, str):
+            raise ValueError(f"response body has no string 'text' field: {body!r:.80}")
+        return text
 
 
 @dataclass(frozen=True)
@@ -333,11 +347,10 @@ def decide_all_hierarchies(
     hierarchies: tuple[Hierarchy, ...] = (Hierarchy.FAMILY, Hierarchy.TREND),
     top_k: int = DEFAULT_TOP_K,
 ) -> dict[Hierarchy, HierarchyDecisionRecord]:
-    """Query, retrieve, answer twice, and arbitrate for each hierarchy."""
+    """Query and retrieve once, then answer twice and arbitrate per hierarchy."""
+    retrieved = retrieve_top_k(bank, build_query(traj, context), top_k)
     records: dict[Hierarchy, HierarchyDecisionRecord] = {}
     for h in hierarchies:
-        query = build_query(traj, context)
-        retrieved = retrieve_top_k(bank, query, top_k)
         internal = providers.internal.decide(h, traj, context)
         contextual = providers.contextual.decide(h, traj, context, retrieved)
         final = arbitrate(internal, contextual, cfg)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Mapping, Optional
 
 import numpy as np
@@ -49,7 +48,7 @@ def _trigamma(x: np.ndarray) -> np.ndarray:
     return out
 
 from .model_space import CandidateModel, Family, Trend
-from .simulate import Trajectory, time_transform_increments
+from .simulate import Trajectory, time_transform_at
 
 NEG_INF = float("-inf")
 
@@ -108,12 +107,6 @@ def increments(traj: Trajectory) -> IncrementSeries:
     return IncrementSeries(
         deltas=tuple(float(d) for d in np.diff(vals)), step_indices=idx
     )
-
-
-def _d_steps(inc: IncrementSeries, beta: float) -> np.ndarray:
-    """Time-transform increment d_j for each (unit-interval) observed step."""
-    j = np.asarray(inc.step_indices, dtype=float)
-    return j**beta - (j - 1.0) ** beta
 
 
 def _golden_max(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
@@ -186,7 +179,7 @@ def fit_nonlinear_wiener(inc: IncrementSeries) -> FitResult:
     deltas = np.asarray(inc.deltas)
 
     def closed_form(beta: float) -> tuple[float, float, float]:
-        d = _d_steps(inc, beta)
+        d = time_transform_at(inc.step_indices, beta)
         m_hat = float(np.sum(deltas * d) / np.sum(d * d))
         s2 = float(np.mean((deltas - m_hat * d) ** 2))
         s2 = max(s2, VARIANCE_FLOOR)  # noise-free data stays scorable
@@ -226,31 +219,21 @@ def fit_homog_gamma(inc: IncrementSeries) -> FitResult:
         raise NonPositiveIncrementError("gamma model requires positive increments")
     mean = float(np.mean(d))
     s = math.log(mean) - float(np.mean(np.log(d)))
-    if s <= 0:
-        # Zero-dispersion limit: all increments (numerically) equal.
-        alpha = SHAPE_MAX
-        theta = mean / alpha
-        ll = _gamma_loglik(d, np.full_like(d, alpha), theta)
-        return FitResult(
-            model_id="homog_gamma",
-            params={"alpha": alpha, "theta": theta},
-            loglik=ll,
-            k=2,
-            converged=False,
-            iterations=0,
-        )
-    # Moment-matched closed-form initializer for the shape equation.
-    alpha = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
     converged = False
     iterations = 0
-    for iterations in range(1, 101):
-        g = math.log(alpha) - psi(alpha) - s
-        h = 1.0 / alpha - polygamma(1, alpha)
-        step = g / h
-        alpha = min(max(alpha - step, SHAPE_MIN), SHAPE_MAX)
-        if abs(step) < 1e-10:
-            converged = True
-            break
+    if s <= 0:
+        alpha = SHAPE_MAX  # zero-dispersion limit: all increments (numerically) equal
+    else:
+        # Moment-matched closed-form initializer for the shape equation.
+        alpha = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
+        for iterations in range(1, 101):
+            g = math.log(alpha) - psi(alpha) - s
+            h = 1.0 / alpha - polygamma(1, alpha)
+            step = g / h
+            alpha = min(max(alpha - step, SHAPE_MIN), SHAPE_MAX)
+            if abs(step) < 1e-10:
+                converged = True
+                break
     theta = mean / alpha
     ll = _gamma_loglik(d, np.full_like(d, alpha), theta)
     return FitResult(
@@ -272,7 +255,7 @@ def _fit_gamma_profile(
     the shape rate is solved by safeguarded Newton iteration.
     """
     deltas = np.asarray(inc.deltas)
-    d = _d_steps(inc, beta)
+    d = time_transform_at(inc.step_indices, beta)
     sum_d = float(np.sum(d))
     sum_dlog = float(np.sum(d * np.log(deltas)))
     c = float(np.sum(deltas)) / sum_d  # = alpha * theta at the optimum
@@ -354,7 +337,7 @@ def loglik(model: CandidateModel, params: Mapping[str, float], inc: IncrementSer
         if model.trend is Trend.NONLINEAR:
             if "beta" not in params:
                 raise ValueError("nonlinear Wiener params need beta")
-            mean = params["m"] * _d_steps(inc, params["beta"])
+            mean = params["m"] * time_transform_at(inc.step_indices, params["beta"])
         else:
             mean = np.full_like(deltas, params["m"])
         return _normal_loglik(deltas, mean, s2)
@@ -366,7 +349,7 @@ def loglik(model: CandidateModel, params: Mapping[str, float], inc: IncrementSer
     if model.trend is Trend.NONLINEAR:
         if "beta" not in params:
             raise ValueError("non-homogeneous gamma params need beta")
-        shape = params["alpha"] * _d_steps(inc, params["beta"])
+        shape = params["alpha"] * time_transform_at(inc.step_indices, params["beta"])
     else:
         shape = np.full_like(deltas, params["alpha"])
     return _gamma_loglik(deltas, shape, params["theta"])
@@ -380,11 +363,6 @@ _FITTERS = {
 }
 
 
-@lru_cache(maxsize=8192)
-def _fit_cached(family: Family, trend: Trend, inc: IncrementSeries) -> FitResult:
-    return _FITTERS[(family, trend)](inc)
-
-
 def fit_model(model: CandidateModel, inc: IncrementSeries) -> FitResult:
     """Dispatch to the fitter matching the model's structural labels."""
-    return _fit_cached(model.family, model.trend, inc)
+    return _FITTERS[(model.family, model.trend)](inc)

@@ -8,7 +8,7 @@ to the subset consistent with every confident decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Union
 
@@ -106,54 +106,37 @@ class CandidateSet:
         return tuple(m.id for m in self.models)
 
 
-@dataclass(frozen=True)
-class FilteredSet:
-    """Result of conditioning; may be empty, unlike CandidateSet."""
-
-    models: tuple[CandidateModel, ...]
-
-    def __len__(self) -> int:
-        return len(self.models)
-
-    def __iter__(self):
-        return iter(self.models)
-
-    def __contains__(self, model: CandidateModel) -> bool:
-        return model in self.models
-
-    def ids(self) -> tuple[str, ...]:
-        return tuple(m.id for m in self.models)
+class EmptyRetainedSetError(ValueError):
+    """Confident decisions that no candidate model satisfies together."""
 
 
-def subspace(cset: CandidateSet, h: Hierarchy, y: Label) -> FilteredSet:
+def subspace(cset: CandidateSet, h: Hierarchy, y: Label) -> CandidateSet:
     """Models whose label on hierarchy ``h`` equals ``y``; preserves order."""
-    if label_hierarchy(y) is not h:
-        raise ValueError(f"label {y} does not belong to hierarchy {h}")
-    return FilteredSet(tuple(m for m in cset if structural_label(m, h) == y))
+    return condition(cset, {h: y})
 
 
 def condition(
     cset: CandidateSet, decisions: Mapping[Hierarchy, Decision]
-) -> FilteredSet:
+) -> CandidateSet:
     """Intersection over confident hierarchies of their label subspaces.
 
     Hierarchies that are absent or decided Uncertain impose no constraint;
-    an all-uncertain decision map returns the full input set.
+    an all-uncertain decision map returns the full input set.  Raises
+    EmptyRetainedSetError when no model satisfies every confident decision.
     """
-    retained = []
-    for m in cset:
-        keep = True
-        for h, d in decisions.items():
-            if isinstance(d, Uncertain):
-                continue
-            if label_hierarchy(d) is not h:
-                raise ValueError(f"decision {d} does not belong to hierarchy {h}")
-            if structural_label(m, h) != d:
-                keep = False
-                break
-        if keep:
-            retained.append(m)
-    return FilteredSet(tuple(retained))
+    confident = {h: d for h, d in decisions.items() if not isinstance(d, Uncertain)}
+    for h, d in confident.items():
+        if label_hierarchy(d) is not h:
+            raise ValueError(f"decision {d} does not belong to hierarchy {h}")
+    retained = tuple(
+        m for m in cset if all(structural_label(m, h) == d for h, d in confident.items())
+    )
+    if not retained:
+        raise EmptyRetainedSetError(
+            f"decisions {[d.value for d in confident.values()]} "
+            f"leave none of {list(cset.ids())}"
+        )
+    return CandidateSet(retained)
 
 
 # Model ids shared with the simulator and the benchmark harness.

@@ -18,7 +18,7 @@ from .evidence import DEFAULT_TOP_K, EvidenceBank, RetrievedSet
 from .model_space import (
     CandidateModel,
     CandidateSet,
-    FilteredSet,
+    EmptyRetainedSetError,  # raised by condition; importable from here
     Hierarchy,
     condition,
     default_case_sets,
@@ -62,14 +62,10 @@ class PipelineConfig:
 class SelectionResult:
     chosen: CandidateModel
     decisions: dict[Hierarchy, HierarchyDecisionRecord]
-    retained: FilteredSet
+    retained: CandidateSet
     scores: Optional[ScoreTable]
     evidence_trail: dict[Hierarchy, RetrievedSet]
     diagnostics: list[str] = field(default_factory=list)
-
-
-class EmptyRetainedSetError(ValueError):
-    pass
 
 
 class LeakageError(ValueError):
@@ -119,10 +115,6 @@ def run_inference(
     retained = condition(
         input.candidates, {h: rec.final for h, rec in records.items()}
     )
-    if len(retained) == 0:
-        raise EmptyRetainedSetError(
-            "hierarchy decisions conditioned the candidate set to empty"
-        )
     if len(retained) == 1:
         chosen = next(iter(retained))
         scores = None

@@ -89,17 +89,22 @@ def default_params(kind: SimKind, seed: int = 0, **overrides) -> SimParams:
     return SimParams(kind=kind, seed=seed, **kw)
 
 
+def time_transform_at(steps, beta: float) -> np.ndarray:
+    """Power time-scale increments d_j = j**beta - (j-1)**beta at step indices j."""
+    j = np.asarray(steps, dtype=float)
+    return j**beta - (j - 1.0) ** beta
+
+
 def time_transform_increment(j: int, beta: float) -> float:
     """Per-step increment of the power time scale: j**beta - (j-1)**beta."""
     if j < 1:
         raise ValueError(f"step index must be >= 1, got {j}")
-    return float(j) ** beta - float(j - 1) ** beta
+    return float(time_transform_at(j, beta))
 
 
 def time_transform_increments(n: int, beta: float) -> np.ndarray:
     """Vectorized d_j for j = 1..n."""
-    j = np.arange(0, n + 1, dtype=float)
-    return np.diff(j**beta)
+    return time_transform_at(np.arange(1, n + 1), beta)
 
 
 @dataclass(frozen=True)

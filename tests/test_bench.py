@@ -19,6 +19,7 @@ from degselect.bench import (
     wrong_context,
 )
 from degselect.cli import main as cli_main
+from degselect.criteria import Criterion
 from degselect.model_space import Family
 from degselect.pipeline import Case, InferenceInput
 from degselect.simulate import SimKind
@@ -184,6 +185,16 @@ class TestRunRobustness:
         broken = report.entries[(50, "wrong_both")]
         assert clean.accuracy >= broken.accuracy
 
+    def test_runs_no_baselines(self, bank, monkeypatch):
+        import degselect.bench as bench
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_robustness scored a baseline")
+
+        monkeypatch.setattr(bench, "select_argmin", refuse)
+        report = run_robustness(SMALL, bank=bank)
+        assert len(report.entries) == len(SMALL.n_values) * len(Perturbation)
+
 
 class TestExperimentConfig:
     def test_validation(self):
@@ -276,13 +287,32 @@ class TestCli:
         out = capsys.readouterr().out
         assert "wrong_both" in out
 
-    def test_config_file_overrides(self, tmp_path, capsys):
+    def test_config_file_overrides(self, tmp_path, capsys, monkeypatch):
+        import degselect.cli as cli
+
+        seen = []
+        run = cli.run_experiment
+        monkeypatch.setattr(cli, "run_experiment", lambda c: seen.append(c) or run(c))
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text("per_class_count = 5  # small run\nseed = 9\n")
+        cfg.write_text(
+            "per_class_count = 5  # small run\nseed = 9\nn_values = 30,70\ncriterion = bic\n"
+        )
         rc = cli_main(
             ["bench", "--case", "case1", "--n-values", "50", "--config", str(cfg)]
         )
         assert rc == 0
+        (used,) = seen
+        assert (used.per_class_count, used.seed, used.n_values) == (5, 9, (30, 70))
+        assert used.criterion is Criterion.BIC
+        assert used.case is Case.CASE1  # from the flags, not overridden
+        out = capsys.readouterr().out
+        assert "n= 30" in out and "n= 70" in out and "n= 50" not in out
+
+    def test_unknown_config_key(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("seeds = 9\n")
+        with pytest.raises(ValueError, match="seeds"):
+            cli_main(["bench", "--case", "case1", "--config", str(cfg)])
 
     def test_bad_config_line(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

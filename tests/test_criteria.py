@@ -5,6 +5,7 @@ import pytest
 
 from degselect.criteria import (
     Criterion,
+    FitTable,
     NoApplicableModelError,
     score,
     select_argmin,
@@ -167,3 +168,34 @@ class TestSelectArgmin:
     def test_every_criterion_selects_something(self, criterion, case2_set, gamma_path):
         chosen, _ = select_argmin(case2_set, gamma_path, criterion)
         assert chosen in list(case2_set)
+
+
+class TestFitTable:
+    @pytest.mark.parametrize("path", ["gamma_path", "wiener_path"])
+    def test_each_fit_runs_once_per_table(self, path, case2_set, request, monkeypatch):
+        import degselect.criteria as crit
+
+        traj = request.getfixturevalue(path)
+        requested = []
+        fit_model_orig = crit.fit_model
+
+        def counting_fit_model(model, inc):
+            requested.append((model.family, model.trend))
+            return fit_model_orig(model, inc)
+
+        monkeypatch.setattr(crit, "fit_model", counting_fit_model)
+        fits = FitTable(traj)
+        for criterion in (Criterion.AIC, Criterion.BIC, Criterion.MDL, Criterion.EAL):
+            select_argmin(case2_set, traj, criterion, fits)
+        for model in case2_set:
+            try:
+                assert fits.fit(model) is fits.fit(model)
+            except crit.FitError:
+                pass  # gamma on a Wiener path: the failure is remembered too
+        assert sorted(requested, key=str) == sorted(
+            ((m.family, m.trend) for m in case2_set), key=str
+        )
+
+    def test_table_of_another_trajectory_rejected(self, case2_set, gamma_path, wiener_path):
+        with pytest.raises(ValueError, match="different trajectory"):
+            select_argmin(case2_set, gamma_path, Criterion.AIC, FitTable(wiener_path))

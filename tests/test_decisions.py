@@ -1,6 +1,7 @@
 import json
 import math
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
@@ -234,19 +235,24 @@ class TestEvidenceBlendProvider:
 class _StubHandler(BaseHTTPRequestHandler):
     responses: list = []
     requests_seen: list = []
+    delay = 0.0
 
     def do_POST(self):
         body = self.rfile.read(int(self.headers["Content-Length"]))
         type(self).requests_seen.append(json.loads(body))
+        time.sleep(type(self).delay)
         status, payload = (
             type(self).responses.pop(0) if type(self).responses else (200, {"text": "W 0.9"})
         )
         data = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the client timed out and closed the connection
 
     def log_message(self, *args):
         pass
@@ -259,6 +265,7 @@ def stub_server():
     thread.start()
     _StubHandler.responses = []
     _StubHandler.requests_seen = []
+    _StubHandler.delay = 0.0
     yield f"http://127.0.0.1:{server.server_port}", _StubHandler
     server.shutdown()
 
@@ -317,11 +324,30 @@ class TestRemoteProvider:
         assert ans == p.fallback.decide(Hierarchy.FAMILY, traj)
         assert any("failed" in d for d in p.diagnostics)
 
+    def test_timeout_falls_back(self, stub_server):
+        url, handler = stub_server
+        handler.delay = 0.5
+        p = RemoteTextGenProvider(url, timeout=0.1)
+        traj = make_path(SimKind.HOMOG_GAMMA, seed=11)
+        ans = p.decide(Hierarchy.FAMILY, traj)
+        assert ans == p.fallback.decide(Hierarchy.FAMILY, traj)
+        assert any("timed out" in d for d in p.diagnostics)
+
     def test_unreachable_endpoint_falls_back(self):
         p = RemoteTextGenProvider("http://127.0.0.1:1/nowhere", timeout=0.2)
         traj = make_path(SimKind.HOMOG_GAMMA, seed=11)
         ans = p.decide(Hierarchy.FAMILY, traj)
         assert ans == p.fallback.decide(Hierarchy.FAMILY, traj)
+
+    @pytest.mark.parametrize("body", [["G 0.9"], {"text": 5}, {"text": None}])
+    def test_body_without_string_text_falls_back(self, stub_server, body):
+        url, handler = stub_server
+        handler.responses = [(200, body)]
+        p = RemoteTextGenProvider(url)
+        traj = make_path(SimKind.HOMOG_GAMMA, seed=11)
+        ans = p.decide(Hierarchy.FAMILY, traj)
+        assert ans == p.fallback.decide(Hierarchy.FAMILY, traj)
+        assert any("'text'" in d for d in p.diagnostics)
 
     def test_wrong_hierarchy_label_is_malformed(self, stub_server):
         url, handler = stub_server
@@ -356,3 +382,33 @@ class TestDecideAllHierarchies:
         bare = decide_all_hierarchies(traj, "", bank, default_providers())
         bare_ids = {r.id for r in bare[Hierarchy.FAMILY].evidence.records()}
         assert ids != bare_ids
+
+    def test_one_retrieval_for_both_hierarchies(self, bank, monkeypatch):
+        import degselect.decisions as dec
+
+        calls = []
+        retrieve = dec.retrieve_top_k
+        monkeypatch.setattr(
+            dec, "retrieve_top_k", lambda *a, **kw: calls.append(a) or retrieve(*a, **kw)
+        )
+        traj = make_path(SimKind.HOMOG_GAMMA, seed=11)
+        out = decide_all_hierarchies(traj, "", bank, default_providers())
+        assert len(calls) == 1
+        assert out[Hierarchy.FAMILY].evidence == out[Hierarchy.TREND].evidence
+
+    def test_heuristic_answer_computed_once_per_hierarchy(self, bank, monkeypatch):
+        import degselect.decisions as dec
+
+        calls = []
+        summary = dec.feature_summary
+        monkeypatch.setattr(
+            dec, "feature_summary", lambda traj: calls.append(traj) or summary(traj)
+        )
+        traj = make_path(SimKind.HOMOG_GAMMA, seed=11)
+        pair = default_providers()
+        out = decide_all_hierarchies(traj, "", bank, pair)
+        # One feature pass per hierarchy, shared by the internal answer and
+        # the contextual provider's copy of it.
+        assert len(calls) == 2
+        for h, rec in out.items():
+            assert rec.internal == HeuristicProvider().decide(h, traj)

@@ -250,8 +250,3 @@ class TestDispatch:
         assert res.model_id == model_id
         assert res.k == model.param_count
         assert math.isfinite(res.loglik)
-
-    def test_fit_model_cached(self):
-        inc = long_run(SimKind.LINEAR_WIENER, seed=3, n=80)
-        model = next(m for m in CASE2 if m.id == "linear_wiener")
-        assert fit_model(model, inc) is fit_model(model, inc)

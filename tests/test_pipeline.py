@@ -176,3 +176,18 @@ class TestRunInference:
         out = run_inference(inp, bank, providers=opposing_pair())
         # Wiener path has negative steps, so the gamma fits fail and get noted.
         assert any("gamma" in d for d in out.diagnostics)
+
+
+class TestSinglePass:
+    def test_one_nonhomog_gamma_fit_per_inference(self, bank, monkeypatch):
+        import degselect.decisions as dec
+
+        calls = []
+        fit = dec.fit_nonhomog_gamma
+        monkeypatch.setattr(
+            dec, "fit_nonhomog_gamma", lambda inc: calls.append(inc) or fit(inc)
+        )
+        traj = make_path(SimKind.HOMOG_GAMMA, seed=11, n_percent=70)
+        out = run_inference(InferenceInput.for_case(Case.CASE2, traj), bank)
+        assert out.decisions[Hierarchy.FAMILY].final is Family.GAMMA
+        assert len(calls) == 1
