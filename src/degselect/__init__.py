@@ -6,6 +6,7 @@ from .decisions import (
     ArbitrationConfig,
     EvidenceBlendProvider,
     HeuristicProvider,
+    Observation,
     ProviderPair,
     RemoteTextGenProvider,
     arbitrate,

@@ -44,6 +44,7 @@ CASE1_LABEL_BY_KIND = {
     SimKind.LINEAR_WIENER: "wiener_family",
     SimKind.HOMOG_GAMMA: "gamma_family",
 }
+_KIND_BY_CASE1_LABEL = {label: kind for kind, label in CASE1_LABEL_BY_KIND.items()}
 
 CASE_KINDS = {
     Case.CASE1: (SimKind.LINEAR_WIENER, SimKind.HOMOG_GAMMA),
@@ -183,8 +184,7 @@ def wrong_context(traj: Trajectory) -> str:
 
 def _family_of(traj: Trajectory) -> Family:
     """Generating family of a labelled unit; case-1 labels name the family."""
-    case1_kinds = {label: kind for kind, label in CASE1_LABEL_BY_KIND.items()}
-    return KIND_FAMILY[case1_kinds.get(traj.true_model_id) or SimKind(traj.true_model_id)]
+    return KIND_FAMILY[_KIND_BY_CASE1_LABEL.get(traj.true_model_id) or SimKind(traj.true_model_id)]
 
 
 def perturb_input(
@@ -244,6 +244,8 @@ def _proposed_by_window(
     for n in cfg.n_values:
         test = [truncate_at_progress(t, n) for t in split.test]
         true_labels = [t.true_model_id for t in test]
+        # Substitute pools: the units of the other family, in test order.
+        opposite = {fam: [t for t in test if _family_of(t) is not fam] for fam in Family}
         by_mode = {}
         for mode in modes:
             start = time.perf_counter()
@@ -251,8 +253,7 @@ def _proposed_by_window(
             for idx, traj in enumerate(test):
                 inp = InferenceInput.for_case(cfg.case, traj, correct_context(traj))
                 if mode is not Perturbation.NONE:
-                    fam = _family_of(traj)
-                    pool = [t for t in test if _family_of(t) is not fam]
+                    pool = opposite[_family_of(traj)]
                     inp = perturb_input(inp, mode, pool, rng_seed=cfg.seed + idx)
                 result = run_inference(inp, bank, providers, pipe_cfg)
                 predictions.append(result.chosen.id)

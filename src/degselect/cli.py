@@ -8,6 +8,7 @@ import sys
 from dataclasses import replace
 
 from .bench import (
+    DEFAULT_PER_CLASS,
     ExperimentConfig,
     Perturbation,
     ProviderMode,
@@ -78,7 +79,8 @@ def _decision_str(d) -> str:
 
 
 def cmd_generate(args) -> int:
-    trajs = generate_dataset(Case(args.case), args.per_class_count or 60, args.seed)
+    case = Case(args.case)
+    trajs = generate_dataset(case, args.per_class_count or DEFAULT_PER_CLASS[case], args.seed)
     save_trajectories(args.output, trajs)
     print(f"wrote {len(trajs)} trajectories to {args.output}")
     return 0

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -46,13 +47,18 @@ class FitTable:
     """Fits of one trajectory's increments, each (family, trend) run at most once.
 
     Calls that score the same trajectory share one table; a failed fit is
-    remembered and re-raised.
+    remembered and re-raised.  A table never asked for a fit accepts time
+    stamps that ``increments`` rejects.
     """
 
     def __init__(self, traj: Trajectory):
         self.traj = traj
-        self.inc = increments(traj)
         self._fits: dict[tuple[Family, Trend], FitResult | FitError] = {}
+
+    @cached_property
+    def inc(self) -> IncrementSeries:
+        """The increments, formed at the first fit, not at construction."""
+        return increments(self.traj)
 
     def fit(self, model: CandidateModel) -> FitResult:
         key = (model.family, model.trend)

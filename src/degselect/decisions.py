@@ -11,29 +11,23 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Protocol
 
 import numpy as np
 
+from .criteria import FitTable
 from .evidence import (
     DEFAULT_TOP_K,
     EvidenceBank,
+    Query,
     RetrievedSet,
     build_query,
-    feature_summary,
     retrieve_top_k,
 )
-from .fitting import (
-    FitError,
-    fit_homog_gamma,
-    fit_linear_wiener,
-    fit_nonhomog_gamma,
-    fit_nonlinear_wiener,
-    increments,
-)
 from .model_space import (
-    Decision, Family, Hierarchy, Label, Trend, Uncertain, label_hierarchy, parse_label,
+    Decision, Family, Hierarchy, Label, Trend, Uncertain, default_case_sets, label_hierarchy,
+    parse_label, subspace,
 )
 from .simulate import Trajectory
 
@@ -80,13 +74,27 @@ def arbitrate(internal: Answer, contextual: Answer, cfg: ArbitrationConfig) -> D
     return Uncertain(internal.hierarchy)
 
 
+@dataclass(frozen=True)
+class Observation:
+    """One inference's view of the trajectory, shared by every provider call.
+
+    The query (text and features) is built once; ``fits`` serves the trend
+    decision and the scoring alike; providers record faults in ``diagnostics``.
+    """
+
+    traj: Trajectory
+    query: Query
+    fits: FitTable
+    diagnostics: list[str] = field(default_factory=list)
+
+    @classmethod
+    def of(cls, traj: Trajectory, context: str = "") -> "Observation":
+        return cls(traj, build_query(traj, context), FitTable(traj))
+
+
 class DecisionProvider(Protocol):
     def decide(
-        self,
-        hierarchy: Hierarchy,
-        traj: Trajectory,
-        context: str,
-        evidence: Optional[RetrievedSet] = None,
+        self, hierarchy: Hierarchy, obs: Observation, evidence: Optional[RetrievedSet] = None
     ) -> Answer:
         ...
 
@@ -104,29 +112,24 @@ class HeuristicConfig:
 
 
 class HeuristicProvider:
-    """Deterministic trajectory-feature answers (no evidence consulted).
-
-    An answer depends on the trajectory and hierarchy alone, so the last one
-    is kept for a repeat request, such as the contextual provider's.
-    """
+    """Deterministic trajectory-feature answers (no evidence consulted)."""
 
     def __init__(self, cfg: HeuristicConfig = HeuristicConfig()):
         self.cfg = cfg
-        self._last: Optional[tuple[Trajectory, Hierarchy, Answer]] = None
 
     def _clamp(self, c: float) -> float:
         return min(max(c, self.cfg.conf_floor), self.cfg.conf_cap)
 
-    def _threshold_family(self, traj: Trajectory) -> tuple[Family, float]:
+    def _threshold_family(self, obs: Observation) -> tuple[Family, float]:
         """Gamma below the negative-increment threshold, else Wiener; and the fraction."""
-        p = feature_summary(traj).neg_increment_fraction
+        p = obs.query.features.neg_increment_fraction
         return (Family.GAMMA if p < self.cfg.gamma_neg_threshold else Family.WIENER), p
 
-    def _decide_family(self, traj: Trajectory) -> Answer:
-        deltas = np.diff(np.asarray(traj.values))
+    def _decide_family(self, obs: Observation) -> Answer:
+        deltas = np.diff(np.asarray(obs.traj.values))
         if np.max(np.abs(deltas)) < 1e-12:
             return Answer(Family.WIENER, self.cfg.conf_floor)  # flat: no signal
-        label, p = self._threshold_family(traj)
+        label, p = self._threshold_family(obs)
         conf = 0.5 + abs(p - self.cfg.gamma_neg_threshold) / self.cfg.conf_scale
         strictly_monotone = bool(np.all(deltas > 0))
         if (
@@ -137,16 +140,14 @@ class HeuristicProvider:
             conf += self.cfg.monotone_bonus
         return Answer(label, self._clamp(conf))
 
-    def _decide_trend(self, traj: Trajectory) -> Answer:
+    def _decide_trend(self, obs: Observation) -> Answer:
+        # The linear and nonlinear case-2 models of the threshold family.
+        family = self._threshold_family(obs)[0]
+        linear, nonlinear = subspace(default_case_sets()[1], Hierarchy.FAMILY, family)
         try:
-            inc = increments(traj)
-            if self._threshold_family(traj)[0] is Family.GAMMA:
-                fit_lin, fit_nl = fit_homog_gamma, fit_nonhomog_gamma
-            else:
-                fit_lin, fit_nl = fit_linear_wiener, fit_nonlinear_wiener
-            ll_lin = fit_lin(inc).loglik
-            ll_nl = fit_nl(inc).loglik
-        except (FitError, ValueError):
+            ll_lin = obs.fits.fit(linear).loglik
+            ll_nl = obs.fits.fit(nonlinear).loglik
+        except ValueError:  # a FitError, or time stamps that round to one step
             return Answer(Trend.LINEAR, self.cfg.conf_floor)
         lr = 2.0 * (ll_nl - ll_lin)
         label = Trend.NONLINEAR if lr > self.cfg.lr_threshold else Trend.LINEAR
@@ -155,17 +156,10 @@ class HeuristicProvider:
         return Answer(label, self._clamp(conf))
 
     def decide(
-        self,
-        hierarchy: Hierarchy,
-        traj: Trajectory,
-        context: str = "",
-        evidence: Optional[RetrievedSet] = None,
+        self, hierarchy: Hierarchy, obs: Observation, evidence: Optional[RetrievedSet] = None
     ) -> Answer:
-        last = self._last
-        if last is None or last[0] is not traj or last[1] is not hierarchy:
-            decide = self._decide_family if hierarchy is Hierarchy.FAMILY else self._decide_trend
-            last = self._last = (traj, hierarchy, decide(traj))
-        return last[2]
+        decide = self._decide_family if hierarchy is Hierarchy.FAMILY else self._decide_trend
+        return decide(obs)
 
 
 def _label_sign(label: Label) -> float:
@@ -180,19 +174,16 @@ def _sign_label(hierarchy: Hierarchy, positive: bool) -> Label:
 
 
 class EvidenceBlendProvider:
-    """Blends retrieved evidence hints with the feature-based answer."""
+    """Blends retrieved evidence hints with the heuristic answer, re-derived
+    from the observation (its fits are table hits after the internal answer)."""
 
     def __init__(self, internal: Optional[HeuristicProvider] = None):
         self.internal = internal or HeuristicProvider()
 
     def decide(
-        self,
-        hierarchy: Hierarchy,
-        traj: Trajectory,
-        context: str = "",
-        evidence: Optional[RetrievedSet] = None,
+        self, hierarchy: Hierarchy, obs: Observation, evidence: Optional[RetrievedSet] = None
     ) -> Answer:
-        base = self.internal.decide(hierarchy, traj, context)
+        base = self.internal.decide(hierarchy, obs)
         f = _label_sign(base.label) * (2.0 * base.confidence - 1.0)
         weights, votes = [], []
         for record, s in evidence or ():
@@ -218,7 +209,7 @@ class RemoteTextGenProvider:
 
     Request body {"prompt", "max_tokens"}; response body {"text"} whose first
     line must read "<LABEL> <confidence>".  Malformed output is retried once,
-    then the internal provider answers with a diagnostic.
+    then the internal provider answers; each fault is noted in ``obs.diagnostics``.
     """
 
     def __init__(
@@ -232,22 +223,16 @@ class RemoteTextGenProvider:
         self.timeout = timeout
         self.max_tokens = max_tokens
         self.fallback = fallback or HeuristicProvider()
-        self.diagnostics: list[str] = []
 
     def _render_prompt(
-        self,
-        hierarchy: Hierarchy,
-        traj: Trajectory,
-        context: str,
-        evidence: Optional[RetrievedSet],
+        self, hierarchy: Hierarchy, obs: Observation, evidence: Optional[RetrievedSet]
     ) -> str:
-        query = build_query(traj, context)
         labels = (
             ("W", "G") if hierarchy is Hierarchy.FAMILY else ("L", "NL")
         )
         lines = [
             "You are selecting the structure of a degradation model.",
-            f"Observed trajectory characteristics: {query.text}.",
+            f"Observed trajectory characteristics: {obs.query.text}.",
         ]
         if evidence:
             lines.append("Evidence:")
@@ -259,7 +244,7 @@ class RemoteTextGenProvider:
         )
         return "\n".join(lines)
 
-    def _parse(self, hierarchy: Hierarchy, text: str) -> Optional[Answer]:
+    def _parse(self, hierarchy: Hierarchy, text: str, diagnostics: list[str]) -> Optional[Answer]:
         first = text.strip().splitlines()[0] if text.strip() else ""
         parts = first.split()
         if len(parts) < 2:
@@ -272,34 +257,30 @@ class RemoteTextGenProvider:
         if not math.isfinite(conf):
             return None
         if not 0.0 <= conf <= 1.0:
-            self.diagnostics.append(f"confidence {conf} clamped to [0, 1]")
+            diagnostics.append(f"confidence {conf} clamped to [0, 1]")
             log.warning("remote confidence %s out of range; clamped", conf)
             conf = min(max(conf, 0.0), 1.0)
         return Answer(label, conf)
 
     def decide(
-        self,
-        hierarchy: Hierarchy,
-        traj: Trajectory,
-        context: str = "",
-        evidence: Optional[RetrievedSet] = None,
+        self, hierarchy: Hierarchy, obs: Observation, evidence: Optional[RetrievedSet] = None
     ) -> Answer:
         from http.client import HTTPException  # deferred, as in _post
 
-        prompt = self._render_prompt(hierarchy, traj, context, evidence)
+        prompt = self._render_prompt(hierarchy, obs, evidence)
         for attempt in range(2):
             try:
                 text = self._post(prompt)
             except (OSError, HTTPException, ValueError) as exc:
-                self.diagnostics.append(f"remote request failed: {exc}")
+                obs.diagnostics.append(f"remote request failed: {exc}")
                 log.warning("remote provider failed (%s); internal fallback", exc)
-                return self.fallback.decide(hierarchy, traj, context, evidence)
-            answer = self._parse(hierarchy, text)
+                return self.fallback.decide(hierarchy, obs, evidence)
+            answer = self._parse(hierarchy, text, obs.diagnostics)
             if answer is not None:
                 return answer
-            self.diagnostics.append(f"malformed remote output (attempt {attempt + 1})")
+            obs.diagnostics.append(f"malformed remote output (attempt {attempt + 1})")
         log.warning("remote output malformed twice; internal fallback")
-        return self.fallback.decide(hierarchy, traj, context, evidence)
+        return self.fallback.decide(hierarchy, obs, evidence)
 
     def _post(self, prompt: str) -> str:
         """POST the prompt; return the body's string "text" field (ValueError if
@@ -339,20 +320,19 @@ class HierarchyDecisionRecord:
 
 
 def decide_all_hierarchies(
-    traj: Trajectory,
-    context: str,
+    obs: Observation,
     bank: EvidenceBank,
     providers: ProviderPair,
     cfg: ArbitrationConfig = ArbitrationConfig(),
     hierarchies: tuple[Hierarchy, ...] = (Hierarchy.FAMILY, Hierarchy.TREND),
     top_k: int = DEFAULT_TOP_K,
 ) -> dict[Hierarchy, HierarchyDecisionRecord]:
-    """Query and retrieve once, then answer twice and arbitrate per hierarchy."""
-    retrieved = retrieve_top_k(bank, build_query(traj, context), top_k)
+    """Retrieve once, then answer twice and arbitrate per hierarchy."""
+    retrieved = retrieve_top_k(bank, obs.query, top_k)
     records: dict[Hierarchy, HierarchyDecisionRecord] = {}
     for h in hierarchies:
-        internal = providers.internal.decide(h, traj, context)
-        contextual = providers.contextual.decide(h, traj, context, retrieved)
+        internal = providers.internal.decide(h, obs)
+        contextual = providers.contextual.decide(h, obs, retrieved)
         final = arbitrate(internal, contextual, cfg)
         records[h] = HierarchyDecisionRecord(
             hierarchy=h,

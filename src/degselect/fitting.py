@@ -248,11 +248,12 @@ def fit_homog_gamma(inc: IncrementSeries) -> FitResult:
 
 def _fit_gamma_profile(
     inc: IncrementSeries, beta: float, init: Optional[float] = None
-) -> tuple[float, float, float, int]:
+) -> tuple[float, float, float, int, bool]:
     """MLE of (shape rate, scale) for gamma increments at a fixed exponent.
 
     The scale is profiled out analytically; the remaining score equation in
-    the shape rate is solved by safeguarded Newton iteration.
+    the shape rate is solved by safeguarded Newton iteration.  Returns
+    (shape rate, scale, loglik, iterations, converged before the cap).
     """
     deltas = np.asarray(inc.deltas)
     d = time_transform_at(inc.step_indices, beta)
@@ -276,7 +277,7 @@ def _fit_gamma_profile(
     alpha = min(max(alpha, SHAPE_MIN), SHAPE_MAX)
 
     lo, hi = SHAPE_MIN, SHAPE_MAX
-    iterations = 0
+    converged = False
     for iterations in range(1, 101):
         g = score(alpha)
         # score decreases in alpha: keep a shrinking root bracket as safeguard
@@ -289,11 +290,11 @@ def _fit_gamma_profile(
         if not (lo < nxt < hi):
             nxt = 0.5 * (lo + hi)
         if abs(nxt - alpha) < 1e-10 * max(1.0, alpha):
-            alpha = nxt
+            alpha, converged = nxt, True
             break
         alpha = nxt
     theta = c / alpha
-    return alpha, theta, _gamma_loglik(deltas, alpha * d, theta), iterations
+    return alpha, theta, _gamma_loglik(deltas, alpha * d, theta), iterations, converged
 
 
 def fit_nonhomog_gamma(inc: IncrementSeries) -> FitResult:
@@ -309,12 +310,12 @@ def fit_nonhomog_gamma(inc: IncrementSeries) -> FitResult:
     warm: dict[str, Optional[float]] = {"alpha": None}
 
     def profile_ll(beta: float) -> float:
-        alpha, _, ll, _ = _fit_gamma_profile(inc, beta, init=warm["alpha"])
+        alpha, _, ll, _, _ = _fit_gamma_profile(inc, beta, init=warm["alpha"])
         warm["alpha"] = alpha  # shape varies smoothly with the exponent
         return ll
 
     beta_hat = _profile_beta(profile_ll)
-    alpha, theta, ll, iterations = _fit_gamma_profile(inc, beta_hat)
+    alpha, theta, ll, iterations, converged = _fit_gamma_profile(inc, beta_hat)
     if not math.isfinite(ll):
         raise FitError("non-finite profile likelihood")
     return FitResult(
@@ -322,7 +323,7 @@ def fit_nonhomog_gamma(inc: IncrementSeries) -> FitResult:
         params={"alpha": alpha, "theta": theta, "beta": beta_hat},
         loglik=ll,
         k=3,
-        converged=True,
+        converged=converged,
         iterations=iterations,
     )
 

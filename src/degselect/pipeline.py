@@ -10,6 +10,7 @@ from .criteria import Criterion, ScoreTable, select_argmin
 from .decisions import (
     ArbitrationConfig,
     HierarchyDecisionRecord,
+    Observation,
     ProviderPair,
     decide_all_hierarchies,
     default_providers,
@@ -103,15 +104,11 @@ def run_inference(
     if cfg.strict_leakage and any("leak" in w for w in diagnostics):
         raise LeakageError("; ".join(diagnostics))
 
+    obs = Observation.of(input.trajectory, input.context)
     records = decide_all_hierarchies(
-        input.trajectory,
-        input.context,
-        bank,
-        providers,
-        cfg.arbitration,
-        hierarchies=input.hierarchies,
-        top_k=cfg.top_k,
+        obs, bank, providers, cfg.arbitration, hierarchies=input.hierarchies, top_k=cfg.top_k
     )
+    diagnostics.extend(obs.diagnostics)
     retained = condition(
         input.candidates, {h: rec.final for h, rec in records.items()}
     )
@@ -119,7 +116,7 @@ def run_inference(
         chosen = next(iter(retained))
         scores = None
     else:
-        chosen, scores = select_argmin(retained, input.trajectory, cfg.criterion)
+        chosen, scores = select_argmin(retained, input.trajectory, cfg.criterion, obs.fits)
         diagnostics.extend(scores.notes)
     return SelectionResult(
         chosen=chosen,

@@ -458,7 +458,7 @@ class _FixedProvider:
     def __init__(self, answers):
         self.answers = answers
 
-    def decide(self, hierarchy, traj, context="", evidence=None):
+    def decide(self, hierarchy, obs, evidence=None):
         return self.answers[hierarchy]
 
 

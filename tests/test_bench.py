@@ -248,6 +248,11 @@ class TestCli:
         )
         assert set(out["decisions"]) <= {"F", "T"} or len(out["decisions"]) == 2
 
+        # Without --per-class-count, case 2 uses its protocol size, 120 per class.
+        rc = cli_main(["generate", "--case", "case2", "--seed", "3", "--output", str(data)])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("wrote 480 trajectories")
+
     def test_bench_subcommand(self, tmp_path, capsys):
         csv_path = tmp_path / "rep.csv"
         rc = cli_main(

@@ -15,6 +15,8 @@ from degselect.decisions import (
     EvidenceBlendProvider,
     HeuristicConfig,
     HeuristicProvider,
+    Observation,
+    ProviderPair,
     RemoteTextGenProvider,
     arbitrate,
     decide_all_hierarchies,
@@ -27,6 +29,7 @@ from degselect.evidence import (
     RetrievedSet,
 )
 from degselect.model_space import Family, Hierarchy, Trend, Uncertain
+from degselect.pipeline import Case, InferenceInput, run_inference
 from degselect.simulate import SimKind, Trajectory
 
 from conftest import make_path
@@ -120,13 +123,13 @@ class TestHeuristicProvider:
 
     def test_monotone_path_is_confident_gamma(self):
         traj = make_path(SimKind.HOMOG_GAMMA, seed=11)
-        ans = self.p.decide(Hierarchy.FAMILY, traj)
+        ans = self.p.decide(Hierarchy.FAMILY, Observation.of(traj))
         assert ans.label is Family.GAMMA
         assert ans.confidence > 0.7
 
     def test_fluctuating_path_is_wiener(self):
         traj = make_path(SimKind.LINEAR_WIENER, seed=11)
-        ans = self.p.decide(Hierarchy.FAMILY, traj)
+        ans = self.p.decide(Hierarchy.FAMILY, Observation.of(traj))
         assert ans.label is Family.WIENER
         assert 0.5 <= ans.confidence <= 0.99
 
@@ -135,7 +138,7 @@ class TestHeuristicProvider:
         vals = [float(i) for i in range(21)]
         vals[10] = vals[9] - 0.5
         traj = Trajectory("u", tuple(map(float, range(21))), tuple(vals))
-        ans = self.p.decide(Hierarchy.FAMILY, traj)
+        ans = self.p.decide(Hierarchy.FAMILY, Observation.of(traj))
         assert ans.label is Family.WIENER
         assert ans.confidence == pytest.approx(0.5 + abs(0.05 - 0.02) / 0.15)
 
@@ -143,35 +146,35 @@ class TestHeuristicProvider:
         short = Trajectory(
             "u", tuple(map(float, range(6))), (0.0, 0.5, 1.1, 1.6, 2.3, 2.9)
         )
-        ans = self.p.decide(Hierarchy.FAMILY, short)
+        ans = self.p.decide(Hierarchy.FAMILY, Observation.of(short))
         # p = 0 -> 0.5 + 0.02/0.15 without the bonus (too few steps).
         assert ans.confidence == pytest.approx(0.5 + 0.02 / 0.15)
 
     def test_flat_path_defaults_to_wiener_half(self):
         traj = Trajectory("u", (0.0, 1.0, 2.0, 3.0), (1.0, 1.0, 1.0, 1.0))
-        ans = self.p.decide(Hierarchy.FAMILY, traj)
+        ans = self.p.decide(Hierarchy.FAMILY, Observation.of(traj))
         assert (ans.label, ans.confidence) == (Family.WIENER, 0.5)
 
     def test_trend_nonlinear_on_accelerating_path(self):
         traj = make_path(SimKind.NONHOMOG_GAMMA, seed=11)
-        ans = self.p.decide(Hierarchy.TREND, traj)
+        ans = self.p.decide(Hierarchy.TREND, Observation.of(traj))
         assert ans.label is Trend.NONLINEAR
         assert ans.confidence > 0.6
 
     def test_trend_linear_on_steady_path(self):
         traj = make_path(SimKind.LINEAR_WIENER, seed=11)
-        ans = self.p.decide(Hierarchy.TREND, traj)
+        ans = self.p.decide(Hierarchy.TREND, Observation.of(traj))
         assert ans.label is Trend.LINEAR
 
     def test_trend_fit_failure_falls_back(self):
         traj = Trajectory("u", (0.0, 1.0, 2.0), (0.0, 0.5, 1.0))
-        ans = self.p.decide(Hierarchy.TREND, traj)
+        ans = self.p.decide(Hierarchy.TREND, Observation.of(traj))
         assert (ans.label, ans.confidence) == (Trend.LINEAR, 0.5)
 
     def test_confidence_cap(self):
         cfg = HeuristicConfig(conf_scale=0.001)
         traj = make_path(SimKind.LINEAR_WIENER, seed=11)
-        ans = HeuristicProvider(cfg).decide(Hierarchy.FAMILY, traj)
+        ans = HeuristicProvider(cfg).decide(Hierarchy.FAMILY, Observation.of(traj))
         assert ans.confidence == 0.99
 
 
@@ -181,15 +184,15 @@ class TestEvidenceBlendProvider:
         self.traj = make_path(SimKind.HOMOG_GAMMA, seed=11)
 
     def test_no_evidence_equals_internal_direction(self):
-        internal = self.p.internal.decide(Hierarchy.FAMILY, self.traj)
-        blended = self.p.decide(Hierarchy.FAMILY, self.traj, evidence=retrieved())
+        internal = self.p.internal.decide(Hierarchy.FAMILY, Observation.of(self.traj))
+        blended = self.p.decide(Hierarchy.FAMILY, Observation.of(self.traj), evidence=retrieved())
         assert blended.label == internal.label
         f = 2.0 * internal.confidence - 1.0
         assert blended.confidence == pytest.approx(0.5 + 0.49 * f)
 
     def test_agreeing_hints_keep_label(self):
         ev = retrieved((EvidenceHint(family=Family.GAMMA), 3.0))
-        out = self.p.decide(Hierarchy.FAMILY, self.traj, evidence=ev)
+        out = self.p.decide(Hierarchy.FAMILY, Observation.of(self.traj), evidence=ev)
         assert out.label is Family.GAMMA
 
     def test_strong_opposing_hints_flip_weak_internal(self):
@@ -197,13 +200,13 @@ class TestEvidenceBlendProvider:
         # unanimous gamma evidence can overturn.
         vals = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 4.9, 6.0, 7.0, 8.0, 9.0]
         traj = Trajectory("u", tuple(map(float, range(11))), tuple(vals))
-        internal = self.p.internal.decide(Hierarchy.FAMILY, traj)
+        internal = self.p.internal.decide(Hierarchy.FAMILY, Observation.of(traj))
         assert internal.label is Family.WIENER
         ev = retrieved(
             (EvidenceHint(family=Family.GAMMA), 5.0),
             (EvidenceHint(family=Family.GAMMA), 4.0),
         )
-        out = self.p.decide(Hierarchy.FAMILY, traj, evidence=ev)
+        out = self.p.decide(Hierarchy.FAMILY, Observation.of(traj), evidence=ev)
         assert out.label is Family.GAMMA
 
     def test_score_weighted_average(self):
@@ -211,24 +214,24 @@ class TestEvidenceBlendProvider:
             (EvidenceHint(family=Family.WIENER), 3.0),
             (EvidenceHint(family=Family.GAMMA), 1.0),
         )
-        internal = self.p.internal.decide(Hierarchy.FAMILY, self.traj)
+        internal = self.p.internal.decide(Hierarchy.FAMILY, Observation.of(self.traj))
         f = -(2.0 * internal.confidence - 1.0)  # gamma sign is negative
         v = (3.0 * 1.0 + 1.0 * -1.0) / 4.0
         u = 0.5 * v + 0.5 * f
-        out = self.p.decide(Hierarchy.FAMILY, self.traj, evidence=ev)
+        out = self.p.decide(Hierarchy.FAMILY, Observation.of(self.traj), evidence=ev)
         assert out.confidence == pytest.approx(0.5 + 0.49 * abs(u))
 
     def test_hints_for_other_hierarchy_ignored(self):
         ev = retrieved((EvidenceHint(trend=Trend.NONLINEAR), 9.0))
-        out = self.p.decide(Hierarchy.FAMILY, self.traj, evidence=ev)
-        base = self.p.decide(Hierarchy.FAMILY, self.traj, evidence=retrieved())
+        out = self.p.decide(Hierarchy.FAMILY, Observation.of(self.traj), evidence=ev)
+        base = self.p.decide(Hierarchy.FAMILY, Observation.of(self.traj), evidence=retrieved())
         assert out == base
 
     def test_confidence_always_valid(self):
         for kind in SimKind:
             traj = make_path(kind, seed=13)
             for h in Hierarchy:
-                out = self.p.decide(h, traj, evidence=retrieved())
+                out = self.p.decide(h, Observation.of(traj), evidence=retrieved())
                 assert 0.0 <= out.confidence <= 0.99
 
 
@@ -276,7 +279,7 @@ class TestRemoteProvider:
         handler.responses = [(200, {"text": "G 0.85\nextra prose"})]
         p = RemoteTextGenProvider(url)
         traj = make_path(SimKind.HOMOG_GAMMA, seed=11)
-        ans = p.decide(Hierarchy.FAMILY, traj)
+        ans = p.decide(Hierarchy.FAMILY, Observation.of(traj))
         assert (ans.label, ans.confidence) == (Family.GAMMA, 0.85)
 
     def test_prompt_contains_query_and_evidence(self, stub_server):
@@ -284,7 +287,7 @@ class TestRemoteProvider:
         p = RemoteTextGenProvider(url)
         traj = make_path(SimKind.HOMOG_GAMMA, seed=11)
         ev = retrieved((EvidenceHint(family=Family.GAMMA), 2.0))
-        p.decide(Hierarchy.FAMILY, traj, evidence=ev)
+        p.decide(Hierarchy.FAMILY, Observation.of(traj), evidence=ev)
         prompt = handler.requests_seen[0]["prompt"]
         assert "monotonic increase" in prompt
         assert "proposition 1" in prompt
@@ -294,73 +297,92 @@ class TestRemoteProvider:
         url, handler = stub_server
         handler.responses = [(200, {"text": "W 1.7"})]
         p = RemoteTextGenProvider(url)
-        ans = p.decide(Hierarchy.FAMILY, make_path(SimKind.LINEAR_WIENER, seed=11))
+        obs = Observation.of(make_path(SimKind.LINEAR_WIENER, seed=11))
+        ans = p.decide(Hierarchy.FAMILY, obs)
         assert ans.confidence == 1.0
-        assert any("clamped" in d for d in p.diagnostics)
+        assert any("clamped" in d for d in obs.diagnostics)
 
     def test_malformed_retries_once_then_falls_back(self, stub_server):
         url, handler = stub_server
         handler.responses = [(200, {"text": "nonsense"}), (200, {"text": "???"})]
         p = RemoteTextGenProvider(url)
-        traj = make_path(SimKind.HOMOG_GAMMA, seed=11)
-        ans = p.decide(Hierarchy.FAMILY, traj)
+        obs = Observation.of(make_path(SimKind.HOMOG_GAMMA, seed=11))
+        ans = p.decide(Hierarchy.FAMILY, obs)
         assert len(handler.requests_seen) == 2
-        assert ans == p.fallback.decide(Hierarchy.FAMILY, traj)
-        assert len(p.diagnostics) == 2
+        assert ans == p.fallback.decide(Hierarchy.FAMILY, obs)
+        assert len(obs.diagnostics) == 2
 
     def test_malformed_then_valid_succeeds(self, stub_server):
         url, handler = stub_server
         handler.responses = [(200, {"text": ""}), (200, {"text": "NL 0.7"})]
         p = RemoteTextGenProvider(url)
-        ans = p.decide(Hierarchy.TREND, make_path(SimKind.NONHOMOG_GAMMA, seed=11))
+        ans = p.decide(Hierarchy.TREND, Observation.of(make_path(SimKind.NONHOMOG_GAMMA, seed=11)))
         assert (ans.label, ans.confidence) == (Trend.NONLINEAR, 0.7)
 
     def test_http_error_falls_back(self, stub_server):
         url, handler = stub_server
         handler.responses = [(500, {"error": "boom"})]
         p = RemoteTextGenProvider(url)
-        traj = make_path(SimKind.HOMOG_GAMMA, seed=11)
-        ans = p.decide(Hierarchy.FAMILY, traj)
-        assert ans == p.fallback.decide(Hierarchy.FAMILY, traj)
-        assert any("failed" in d for d in p.diagnostics)
+        obs = Observation.of(make_path(SimKind.HOMOG_GAMMA, seed=11))
+        ans = p.decide(Hierarchy.FAMILY, obs)
+        assert ans == p.fallback.decide(Hierarchy.FAMILY, obs)
+        assert any("failed" in d for d in obs.diagnostics)
 
     def test_timeout_falls_back(self, stub_server):
         url, handler = stub_server
         handler.delay = 0.5
         p = RemoteTextGenProvider(url, timeout=0.1)
-        traj = make_path(SimKind.HOMOG_GAMMA, seed=11)
-        ans = p.decide(Hierarchy.FAMILY, traj)
-        assert ans == p.fallback.decide(Hierarchy.FAMILY, traj)
-        assert any("timed out" in d for d in p.diagnostics)
+        obs = Observation.of(make_path(SimKind.HOMOG_GAMMA, seed=11))
+        ans = p.decide(Hierarchy.FAMILY, obs)
+        assert ans == p.fallback.decide(Hierarchy.FAMILY, obs)
+        assert any("timed out" in d for d in obs.diagnostics)
 
     def test_unreachable_endpoint_falls_back(self):
         p = RemoteTextGenProvider("http://127.0.0.1:1/nowhere", timeout=0.2)
-        traj = make_path(SimKind.HOMOG_GAMMA, seed=11)
-        ans = p.decide(Hierarchy.FAMILY, traj)
-        assert ans == p.fallback.decide(Hierarchy.FAMILY, traj)
+        obs = Observation.of(make_path(SimKind.HOMOG_GAMMA, seed=11))
+        ans = p.decide(Hierarchy.FAMILY, obs)
+        assert ans == p.fallback.decide(Hierarchy.FAMILY, obs)
 
     @pytest.mark.parametrize("body", [["G 0.9"], {"text": 5}, {"text": None}])
     def test_body_without_string_text_falls_back(self, stub_server, body):
         url, handler = stub_server
         handler.responses = [(200, body)]
         p = RemoteTextGenProvider(url)
-        traj = make_path(SimKind.HOMOG_GAMMA, seed=11)
-        ans = p.decide(Hierarchy.FAMILY, traj)
-        assert ans == p.fallback.decide(Hierarchy.FAMILY, traj)
-        assert any("'text'" in d for d in p.diagnostics)
+        obs = Observation.of(make_path(SimKind.HOMOG_GAMMA, seed=11))
+        ans = p.decide(Hierarchy.FAMILY, obs)
+        assert ans == p.fallback.decide(Hierarchy.FAMILY, obs)
+        assert any("'text'" in d for d in obs.diagnostics)
+
+    def test_run_inference_returns_each_inference_diagnostics(self, stub_server, bank):
+        url, handler = stub_server
+        handler.responses = [(500, {"error": "boom"}), (200, {"text": "G 1.5"})]
+        remote = RemoteTextGenProvider(url)
+        pair = ProviderPair(internal=remote, contextual=remote)
+        traj = make_path(SimKind.HOMOG_GAMMA, seed=11, n_percent=70)
+        inp = InferenceInput.for_case(Case.CASE1, traj)
+        first = run_inference(inp, bank, pair)
+        assert len(handler.requests_seen) == 2
+        assert [d.split(":")[0] for d in first.diagnostics] == [
+            "remote request failed",
+            "confidence 1.5 clamped to [0, 1]",
+        ]
+        # The next inference starts clean; the provider keeps no record.
+        second = run_inference(inp, bank, pair)
+        assert second.diagnostics == []
+        assert not hasattr(remote, "diagnostics")
 
     def test_wrong_hierarchy_label_is_malformed(self, stub_server):
         url, handler = stub_server
         handler.responses = [(200, {"text": "NL 0.9"}), (200, {"text": "W 0.9"})]
         p = RemoteTextGenProvider(url)
-        ans = p.decide(Hierarchy.FAMILY, make_path(SimKind.LINEAR_WIENER, seed=11))
+        ans = p.decide(Hierarchy.FAMILY, Observation.of(make_path(SimKind.LINEAR_WIENER, seed=11)))
         assert ans.label is Family.WIENER
 
 
 class TestDecideAllHierarchies:
     def test_produces_record_per_hierarchy(self, bank):
         traj = make_path(SimKind.HOMOG_GAMMA, seed=11)
-        out = decide_all_hierarchies(traj, "", bank, default_providers())
+        out = decide_all_hierarchies(Observation.of(traj), bank, default_providers())
         assert set(out) == {Hierarchy.FAMILY, Hierarchy.TREND}
         rec = out[Hierarchy.FAMILY]
         assert rec.final == arbitrate(rec.internal, rec.contextual, CFG)
@@ -369,17 +391,17 @@ class TestDecideAllHierarchies:
     def test_restricted_hierarchies(self, bank):
         traj = make_path(SimKind.HOMOG_GAMMA, seed=11)
         out = decide_all_hierarchies(
-            traj, "", bank, default_providers(), hierarchies=(Hierarchy.FAMILY,)
+            Observation.of(traj), bank, default_providers(), hierarchies=(Hierarchy.FAMILY,)
         )
         assert set(out) == {Hierarchy.FAMILY}
 
     def test_context_steers_retrieval(self, bank):
         traj = make_path(SimKind.HOMOG_GAMMA, seed=11)
         corr = decide_all_hierarchies(
-            traj, "pipeline wall corrosion inspections", bank, default_providers()
+            Observation.of(traj, "pipeline wall corrosion inspections"), bank, default_providers()
         )
         ids = {r.id for r in corr[Hierarchy.FAMILY].evidence.records()}
-        bare = decide_all_hierarchies(traj, "", bank, default_providers())
+        bare = decide_all_hierarchies(Observation.of(traj), bank, default_providers())
         bare_ids = {r.id for r in bare[Hierarchy.FAMILY].evidence.records()}
         assert ids != bare_ids
 
@@ -392,23 +414,21 @@ class TestDecideAllHierarchies:
             dec, "retrieve_top_k", lambda *a, **kw: calls.append(a) or retrieve(*a, **kw)
         )
         traj = make_path(SimKind.HOMOG_GAMMA, seed=11)
-        out = decide_all_hierarchies(traj, "", bank, default_providers())
+        out = decide_all_hierarchies(Observation.of(traj), bank, default_providers())
         assert len(calls) == 1
         assert out[Hierarchy.FAMILY].evidence == out[Hierarchy.TREND].evidence
 
     def test_heuristic_answer_computed_once_per_hierarchy(self, bank, monkeypatch):
-        import degselect.decisions as dec
+        import degselect.evidence as ev
 
         calls = []
-        summary = dec.feature_summary
+        summary = ev.feature_summary
         monkeypatch.setattr(
-            dec, "feature_summary", lambda traj: calls.append(traj) or summary(traj)
+            ev, "feature_summary", lambda traj: calls.append(traj) or summary(traj)
         )
         traj = make_path(SimKind.HOMOG_GAMMA, seed=11)
-        pair = default_providers()
-        out = decide_all_hierarchies(traj, "", bank, pair)
-        # One feature pass per hierarchy, shared by the internal answer and
-        # the contextual provider's copy of it.
-        assert len(calls) == 2
+        out = decide_all_hierarchies(Observation.of(traj), bank, default_providers())
+        # The query's features serve both hierarchies and both providers.
+        assert len(calls) == 1
         for h, rec in out.items():
-            assert rec.internal == HeuristicProvider().decide(h, traj)
+            assert rec.internal == HeuristicProvider().decide(h, Observation.of(traj))

@@ -191,6 +191,20 @@ class TestNonhomogGamma:
         res = fit_nonhomog_gamma(inc)
         assert res.params["beta"] == pytest.approx(1.5, abs=0.1)
         assert res.params["alpha"] == pytest.approx(0.6, rel=0.2)
+        assert res.converged is True
+
+    def test_capped_profile_solve_reports_not_converged(self, monkeypatch):
+        import degselect.fitting as fitting
+
+        solve = fitting._fit_gamma_profile
+
+        def capped(inc, beta, init=None):
+            alpha, theta, ll, _, _ = solve(inc, beta, init)
+            return alpha, theta, ll, 100, False
+
+        monkeypatch.setattr(fitting, "_fit_gamma_profile", capped)
+        res = fit_nonhomog_gamma(long_run(SimKind.NONHOMOG_GAMMA, seed=4, n=300))
+        assert (res.converged, res.iterations) == (False, 100)
 
     def test_nests_homogeneous_fit(self):
         inc = long_run(SimKind.HOMOG_GAMMA, seed=12, n=150)

@@ -1,7 +1,15 @@
-import pytest
+from collections import Counter
+from contextlib import ExitStack, contextmanager
+from dataclasses import replace
+from unittest.mock import patch
 
-from degselect.criteria import Criterion
-from degselect.decisions import Answer, ProviderPair
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from degselect.criteria import Criterion, NoApplicableModelError
+from degselect.decisions import Answer, HeuristicProvider, ProviderPair, default_providers
 from degselect.model_space import Family, Hierarchy, Trend, Uncertain
 from degselect.pipeline import (
     Case,
@@ -23,7 +31,7 @@ class FixedProvider:
     def __init__(self, answers):
         self.answers = answers
 
-    def decide(self, hierarchy, traj, context="", evidence=None):
+    def decide(self, hierarchy, obs, evidence=None):
         return self.answers[hierarchy]
 
 
@@ -37,6 +45,25 @@ def fixed_pair(family=None, trend=None, conf=0.9, conf2=None):
     if conf2 is not None:
         second = {h: Answer(a.label, conf2) for h, a in answers.items()}
     return ProviderPair(internal=FixedProvider(answers), contextual=FixedProvider(second))
+
+
+class ContraryProvider:
+    """The heuristic answer with the other label at the same confidence, so
+    arbitration is uncertain and scoring follows the heuristic's fits."""
+
+    FLIP = {
+        Family.WIENER: Family.GAMMA,
+        Family.GAMMA: Family.WIENER,
+        Trend.LINEAR: Trend.NONLINEAR,
+        Trend.NONLINEAR: Trend.LINEAR,
+    }
+
+    def __init__(self):
+        self.heuristic = HeuristicProvider()
+
+    def decide(self, hierarchy, obs, evidence=None):
+        answer = self.heuristic.decide(hierarchy, obs)
+        return Answer(self.FLIP[answer.label], answer.confidence)
 
 
 def opposing_pair(conf=0.7):
@@ -178,16 +205,132 @@ class TestRunInference:
         assert any("gamma" in d for d in out.diagnostics)
 
 
-class TestSinglePass:
-    def test_one_nonhomog_gamma_fit_per_inference(self, bank, monkeypatch):
-        import degselect.decisions as dec
+@contextmanager
+def counting_fits():
+    """Count fits per (family, trend): requests through ``criteria.fit_model``
+    and calls of any fitter ``decisions`` binds, so that a trend decision
+    bypassing the fit table is counted too."""
+    import degselect.criteria as crit
+    import degselect.decisions as dec
+    from degselect.fitting import _FITTERS
 
-        calls = []
-        fit = dec.fit_nonhomog_gamma
-        monkeypatch.setattr(
-            dec, "fit_nonhomog_gamma", lambda inc: calls.append(inc) or fit(inc)
-        )
+    counts = Counter()
+    fit_model = crit.fit_model
+
+    def counted_fit_model(model, inc):
+        counts[(model.family, model.trend)] += 1
+        return fit_model(model, inc)
+
+    def counted_fitter(fitter, key):
+        return lambda inc: counts.update([key]) or fitter(inc)
+
+    with ExitStack() as stack:
+        stack.enter_context(patch.object(crit, "fit_model", counted_fit_model))
+        for key, fitter in _FITTERS.items():
+            if getattr(dec, fitter.__name__, None) is fitter:
+                stack.enter_context(
+                    patch.object(dec, fitter.__name__, counted_fitter(fitter, key))
+                )
+        yield counts
+
+
+@contextmanager
+def counting_feature_passes():
+    """Count ``feature_summary`` calls through ``evidence`` and, if bound
+    there, ``decisions``."""
+    import degselect.decisions as dec
+    import degselect.evidence as ev
+
+    calls = []
+    with ExitStack() as stack:
+        for module in (ev, dec):
+            summary = getattr(module, "feature_summary", None)
+            if summary is not None:
+                stack.enter_context(patch.object(
+                    module, "feature_summary",
+                    lambda traj, summary=summary: calls.append(traj) or summary(traj),
+                ))
+        yield calls
+
+
+@st.composite
+def integer_time_paths(draw):
+    """4-200 points at times 0, 1, 2, ...: mixed-sign or positive steps
+    interleaved with flat runs."""
+    n = draw(st.integers(3, 199))
+    low = draw(st.sampled_from([-1.0, 1e-3]))
+    deltas: list[float] = []
+    while len(deltas) < n:
+        if draw(st.booleans()):
+            deltas += [0.0] * draw(st.integers(1, 10))
+        else:
+            deltas += draw(st.lists(st.floats(low, 2.0), min_size=1, max_size=30))
+    values = np.concatenate([[1.0], 1.0 + np.cumsum(deltas[:n])])
+    return Trajectory("u", tuple(float(t) for t in range(n + 1)), tuple(map(float, values)))
+
+
+class TestSinglePass:
+    def test_one_nonhomog_gamma_fit_per_inference(self, bank):
         traj = make_path(SimKind.HOMOG_GAMMA, seed=11, n_percent=70)
-        out = run_inference(InferenceInput.for_case(Case.CASE2, traj), bank)
+        with counting_fits() as counts:
+            out = run_inference(InferenceInput.for_case(Case.CASE2, traj), bank)
         assert out.decisions[Hierarchy.FAMILY].final is Family.GAMMA
+        assert counts[(Family.GAMMA, Trend.NONLINEAR)] == 1
+
+    @pytest.mark.parametrize("case", [Case.CASE1, Case.CASE2])
+    def test_one_feature_pass_per_inference(self, bank, case):
+        traj = make_path(SimKind.HOMOG_GAMMA, seed=11, n_percent=70)
+        with counting_feature_passes() as calls:
+            run_inference(InferenceInput.for_case(case, traj), bank)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind", [SimKind.HOMOG_GAMMA, SimKind.LINEAR_WIENER])
+    def test_trend_decision_and_scoring_share_fits(self, bank, kind):
+        # Seed 8 at 50% leaves the trend uncertain, so the family's two
+        # models are scored after the trend decision fitted them.
+        traj = make_path(kind, seed=8, n_percent=50)
+        with counting_fits() as counts:
+            out = run_inference(InferenceInput.for_case(Case.CASE2, traj), bank)
+        assert out.scores is not None and len(out.retained) == 2
+        assert set(counts.values()) == {1}
+        assert {(m.family, m.trend) for m in out.retained} == set(counts)
+
+    @settings(max_examples=40, deadline=None)
+    @given(traj=integer_time_paths(), contrary=st.booleans())
+    def test_each_fit_at_most_once_per_inference(self, bank, traj, contrary):
+        pair = default_providers()
+        if contrary:
+            pair = ProviderPair(internal=HeuristicProvider(), contextual=ContraryProvider())
+        with counting_fits() as counts:
+            try:
+                run_inference(InferenceInput.for_case(Case.CASE2, traj), bank, pair)
+            except NoApplicableModelError:
+                pass  # every retained model inapplicable: a typed error
+        assert all(c == 1 for c in counts.values()), counts
+
+
+class TestNonWholeStepTimes:
+    # Picks at half-step spacing: the trend decision cannot form increments
+    # and falls back to linear, and every pick is a singleton.
+    EXPECTED = {
+        (SimKind.LINEAR_WIENER, 11): "linear_wiener",
+        (SimKind.LINEAR_WIENER, 29): "linear_wiener",
+        (SimKind.NONLINEAR_WIENER, 11): "linear_wiener",
+        (SimKind.NONLINEAR_WIENER, 29): "nonlinear_wiener",
+        (SimKind.HOMOG_GAMMA, 11): "homog_gamma",
+        (SimKind.HOMOG_GAMMA, 29): "homog_gamma",
+        (SimKind.NONHOMOG_GAMMA, 11): "nonhomog_gamma",
+        (SimKind.NONHOMOG_GAMMA, 29): "nonhomog_gamma",
+    }
+
+    @pytest.mark.parametrize("kind, seed", list(EXPECTED))
+    def test_half_step_picks(self, bank, kind, seed):
+        traj = make_path(kind, seed=seed, n_percent=70)
+        half = replace(traj, times=tuple(0.5 * t for t in traj.times))
+        case1 = run_inference(InferenceInput.for_case(Case.CASE1, half), bank)
+        case2 = run_inference(InferenceInput.for_case(Case.CASE2, half), bank)
+        expected = self.EXPECTED[(kind, seed)]
+        family = "gamma_family" if "gamma" in expected else "wiener_family"
+        assert (case1.chosen.id, case2.chosen.id) == (family, expected)
+        assert case1.scores is None and case2.scores is None
+        assert case2.decisions[Hierarchy.TREND].internal == Answer(Trend.LINEAR, 0.5)
