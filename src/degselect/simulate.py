@@ -38,6 +38,8 @@ class Trajectory:
         if len(self.times) < 2:
             raise ValueError("trajectory needs at least 2 observations")
         t = np.asarray(self.times)
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(self.values))):
+            raise ValueError("times and values must be finite")
         if np.any(np.diff(t) <= 0):
             raise ValueError("times must be strictly increasing")
 

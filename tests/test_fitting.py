@@ -1,17 +1,27 @@
+import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import polygamma
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import norm
 
 from degselect.fitting import (
+    _BETA_GRID,
+    BETA_BOUNDS,
     DegenerateVarianceError,
     FitError,
     IncrementSeries,
     NonPositiveIncrementError,
+    _gamma_profile_rows,
     _trigamma,
+    _wiener_profile_rows,
     fit_homog_gamma,
     fit_linear_wiener,
     fit_model,
@@ -24,8 +34,10 @@ from degselect.model_space import default_case_sets
 from degselect.simulate import (
     SimKind,
     SimParams,
+    default_params,
     generate,
     time_transform_increments,
+    truncate_at_progress,
 )
 
 _, CASE2 = default_case_sets()
@@ -39,9 +51,38 @@ def series(deltas, start=1):
 def long_run(kind, seed=0, n=5000, **overrides):
     params_kw = dict(failure_threshold=1e18, max_steps=n, seed=seed)
     params_kw.update(overrides)
-    from degselect.simulate import default_params
-
     return increments(generate(default_params(kind, **params_kw)).trajectory)
+
+
+def pinned_inputs():
+    """The increment series whose profile fits are pinned in fit_pins.json.
+
+    Windows of 30/50/70% of default paths for every kind and seeds 1-5, one
+    CV training fold (a gap in its step indices), and two 2k-step paths.
+    """
+    out = {}
+    for kind in SimKind:
+        for seed in range(1, 6):
+            traj = generate(default_params(kind, seed=seed)).trajectory
+            for pct in (30, 50, 70):
+                out[f"{kind.value}-{seed}-{pct}"] = increments(truncate_at_progress(traj, pct))
+    full = out["nonhomog_gamma-3-70"]
+    lo, hi = 2 * len(full) // 5, 3 * len(full) // 5
+    out["cv-fold-nonhomog_gamma-3-70"] = IncrementSeries(
+        full.deltas[:lo] + full.deltas[hi:], full.step_indices[:lo] + full.step_indices[hi:]
+    )
+    out["nonhomog_gamma-2k"] = long_run(SimKind.NONHOMOG_GAMMA, seed=4, n=2000)
+    out["nonlinear_wiener-2k"] = long_run(SimKind.NONLINEAR_WIENER, seed=4, n=2000)
+    return out
+
+
+def profile_fit_outcome(fitter, inc):
+    """(beta, loglik, converged) of a profile fit, or the name of its FitError."""
+    try:
+        res = fitter(inc)
+    except FitError as exc:
+        return {"error": type(exc).__name__}
+    return {"beta": res.params["beta"], "loglik": res.loglik, "converged": res.converged}
 
 
 class TestTrigamma:
@@ -264,3 +305,103 @@ class TestDispatch:
         assert res.model_id == model_id
         assert res.k == model.param_count
         assert math.isfinite(res.loglik)
+
+
+PINS = json.loads((Path(__file__).parent / "data" / "fit_pins.json").read_text())
+
+
+class TestPinnedProfileFits:
+    """Profile fits agree with outcomes recorded at commit 2956c2c.
+
+    That commit solved the exponent grid one exponent at a time and refined
+    it by golden-section search; ``fit_pins.json`` holds
+    ``profile_fit_outcome`` of both profile fitters on ``pinned_inputs()``.
+    """
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        return pinned_inputs()
+
+    @pytest.mark.parametrize("fitter", [fit_nonlinear_wiener, fit_nonhomog_gamma])
+    def test_matches_recorded_outcomes(self, inputs, fitter):
+        key = fitter.__name__.removeprefix("fit_")
+        assert inputs.keys() == PINS.keys()
+        for name, inc in inputs.items():
+            pin, got = PINS[name][key], profile_fit_outcome(fitter, inc)
+            assert len(inc) == PINS[name]["n"], name
+            if "error" in pin:
+                assert got == pin, name
+                continue
+            assert got.get("converged") == pin["converged"], name
+            assert abs(got["loglik"] - pin["loglik"]) <= 1e-9 * max(1.0, abs(pin["loglik"])), name
+            assert abs(got["beta"] - pin["beta"]) <= 1e-5, name
+
+
+class TestNonFiniteIncrements:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("fitter", [fit_nonlinear_wiener, fit_nonhomog_gamma])
+    def test_profile_fitters_raise_fit_error(self, fitter, bad):
+        with pytest.raises(FitError, match="finite"):
+            fitter(series((0.3, bad, 0.5, 0.4, 0.6)))
+
+
+positive_increments = st.lists(
+    st.floats(min_value=1e-3, max_value=10.0), min_size=4, max_size=300
+)
+signed_increments = st.lists(
+    st.floats(min_value=-10.0, max_value=10.0), min_size=4, max_size=300
+)
+
+
+class TestProfileProperties:
+    """Invariants of the batched profile fitters over random increment series."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(deltas=positive_increments, gamma=st.booleans())
+    def test_batched_rows_equal_one_row_evaluations(self, deltas, gamma):
+        x = np.asarray(deltas)
+        steps = np.arange(1.0, x.size + 1)
+        rows = _gamma_profile_rows if gamma else _wiener_profile_rows
+        batched = rows(x, steps, _BETA_GRID)[2]  # profile log-likelihoods
+        for beta, ll in zip(_BETA_GRID, batched):
+            single = rows(x, steps, np.array([beta]))[2][0]
+            assert abs(ll - single) <= 1e-10 * max(1.0, abs(single)), (beta, ll, single)
+
+    @settings(max_examples=40, deadline=None)
+    @given(deltas=positive_increments)
+    def test_nonhomog_gamma_nests_homog_and_keeps_beta_in_bounds(self, deltas):
+        inc = series(deltas)
+        try:
+            non = fit_nonhomog_gamma(inc)
+        except FitError:
+            assume(False)  # zero dispersion: the profile is unbounded
+        assert BETA_BOUNDS[0] <= non.params["beta"] <= BETA_BOUNDS[1]
+        assert non.loglik >= fit_homog_gamma(inc).loglik - 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(deltas=st.one_of(signed_increments, positive_increments))
+    def test_nonlinear_wiener_nests_linear_and_keeps_beta_in_bounds(self, deltas):
+        inc = series(deltas)
+        non = fit_nonlinear_wiener(inc)
+        assert BETA_BOUNDS[0] <= non.params["beta"] <= BETA_BOUNDS[1]
+        try:
+            lin = fit_linear_wiener(inc)
+        except DegenerateVarianceError:
+            assume(False)
+        assert non.loglik >= lin.loglik - 1e-9
+
+
+def test_profile_fits_leave_scipy_optimize_unimported():
+    # scipy.optimize alone adds ~23 MB of resident memory to every process.
+    code = (
+        "import sys, degselect\n"
+        "from degselect.fitting import fit_nonhomog_gamma, fit_nonlinear_wiener, increments\n"
+        "from degselect.simulate import SimKind, default_params, generate\n"
+        "inc = increments(generate(default_params(SimKind.NONHOMOG_GAMMA, seed=3)).trajectory)\n"
+        "fit_nonhomog_gamma(inc), fit_nonlinear_wiener(inc)\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120
+    )
+    assert out.stdout.strip() == "False"

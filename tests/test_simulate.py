@@ -130,6 +130,19 @@ class TestTrajectoryType:
         with pytest.raises(ValueError):
             Trajectory("u", (0.0, 1.0), (0.0,))
 
+    @pytest.mark.parametrize(
+        "times,values",
+        [
+            ((0.0, 1.0, 2.0), (0.0, math.nan, 1.0)),
+            ((0.0, 1.0, 2.0), (0.0, 0.5, math.inf)),
+            ((0.0, 1.0, math.inf), (0.0, 0.5, 1.0)),
+            ((0.0, math.nan, 2.0), (0.0, 0.5, 1.0)),
+        ],
+    )
+    def test_rejects_non_finite(self, times, values):
+        with pytest.raises(ValueError, match="finite"):
+            Trajectory("u", times, values)
+
 
 class TestFirstHittingTime:
     def test_first_index_reaching_threshold(self):
