@@ -103,7 +103,7 @@ def cmd_select(args) -> int:
         "retained": list(result.retained.ids()),
         "scores": dict(result.scores.entries) if result.scores else None,
         "evidence": {
-            h.value: [r.id for r, _ in ev] for h, ev in result.evidence_trail.items()
+            h.value: [r.id for r, _ in rec.evidence] for h, rec in result.decisions.items()
         },
         "diagnostics": result.diagnostics,
     }

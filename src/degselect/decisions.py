@@ -18,7 +18,6 @@ import numpy as np
 
 from .criteria import FitTable
 from .evidence import (
-    DEFAULT_TOP_K,
     EvidenceBank,
     Query,
     RetrievedSet,
@@ -32,6 +31,16 @@ from .model_space import (
 from .simulate import Trajectory
 
 log = logging.getLogger(__name__)
+
+# The heuristic provider's constants.
+GAMMA_NEG_THRESHOLD = 0.02  # below: monotone enough for gamma
+CONF_SCALE = 0.15
+MONOTONE_BONUS = 0.2
+MONOTONE_MIN_STEPS = 30
+LR_THRESHOLD = 3.84  # chi-square(1) at 5%
+LR_SCALE = 4.0
+CONF_FLOOR = 0.5
+CONF_CAP = 0.99
 
 
 @dataclass(frozen=True)
@@ -99,46 +108,32 @@ class DecisionProvider(Protocol):
         ...
 
 
-@dataclass(frozen=True)
-class HeuristicConfig:
-    gamma_neg_threshold: float = 0.02  # below: monotone enough for gamma
-    conf_scale: float = 0.15
-    monotone_bonus: float = 0.2
-    monotone_min_steps: int = 30
-    lr_threshold: float = 3.84  # chi-square(1) at 5%
-    lr_scale: float = 4.0
-    conf_floor: float = 0.5
-    conf_cap: float = 0.99
+def _clamp(c: float) -> float:
+    return min(max(c, CONF_FLOOR), CONF_CAP)
 
 
 class HeuristicProvider:
     """Deterministic trajectory-feature answers (no evidence consulted)."""
 
-    def __init__(self, cfg: HeuristicConfig = HeuristicConfig()):
-        self.cfg = cfg
-
-    def _clamp(self, c: float) -> float:
-        return min(max(c, self.cfg.conf_floor), self.cfg.conf_cap)
-
     def _threshold_family(self, obs: Observation) -> tuple[Family, float]:
         """Gamma below the negative-increment threshold, else Wiener; and the fraction."""
         p = obs.query.features.neg_increment_fraction
-        return (Family.GAMMA if p < self.cfg.gamma_neg_threshold else Family.WIENER), p
+        return (Family.GAMMA if p < GAMMA_NEG_THRESHOLD else Family.WIENER), p
 
     def _decide_family(self, obs: Observation) -> Answer:
         deltas = np.diff(np.asarray(obs.traj.values))
         if np.max(np.abs(deltas)) < 1e-12:
-            return Answer(Family.WIENER, self.cfg.conf_floor)  # flat: no signal
+            return Answer(Family.WIENER, CONF_FLOOR)  # flat: no signal
         label, p = self._threshold_family(obs)
-        conf = 0.5 + abs(p - self.cfg.gamma_neg_threshold) / self.cfg.conf_scale
+        conf = 0.5 + abs(p - GAMMA_NEG_THRESHOLD) / CONF_SCALE
         strictly_monotone = bool(np.all(deltas > 0))
         if (
             label is Family.GAMMA
             and strictly_monotone
-            and len(deltas) >= self.cfg.monotone_min_steps
+            and len(deltas) >= MONOTONE_MIN_STEPS
         ):
-            conf += self.cfg.monotone_bonus
-        return Answer(label, self._clamp(conf))
+            conf += MONOTONE_BONUS
+        return Answer(label, _clamp(conf))
 
     def _decide_trend(self, obs: Observation) -> Answer:
         # The linear and nonlinear case-2 models of the threshold family.
@@ -148,12 +143,12 @@ class HeuristicProvider:
             ll_lin = obs.fits.fit(linear).loglik
             ll_nl = obs.fits.fit(nonlinear).loglik
         except ValueError:  # a FitError, or time stamps that round to one step
-            return Answer(Trend.LINEAR, self.cfg.conf_floor)
+            return Answer(Trend.LINEAR, CONF_FLOOR)
         lr = 2.0 * (ll_nl - ll_lin)
-        label = Trend.NONLINEAR if lr > self.cfg.lr_threshold else Trend.LINEAR
-        t = 1.0 / (1.0 + math.exp(-(lr - self.cfg.lr_threshold) / self.cfg.lr_scale))
+        label = Trend.NONLINEAR if lr > LR_THRESHOLD else Trend.LINEAR
+        t = 1.0 / (1.0 + math.exp(-(lr - LR_THRESHOLD) / LR_SCALE))
         conf = 0.5 + 0.49 * abs(2.0 * t - 1.0)
-        return Answer(label, self._clamp(conf))
+        return Answer(label, _clamp(conf))
 
     def decide(
         self, hierarchy: Hierarchy, obs: Observation, evidence: Optional[RetrievedSet] = None
@@ -177,8 +172,8 @@ class EvidenceBlendProvider:
     """Blends retrieved evidence hints with the heuristic answer, re-derived
     from the observation (its fits are table hits after the internal answer)."""
 
-    def __init__(self, internal: Optional[HeuristicProvider] = None):
-        self.internal = internal or HeuristicProvider()
+    def __init__(self):
+        self.internal = HeuristicProvider()
 
     def decide(
         self, hierarchy: Hierarchy, obs: Observation, evidence: Optional[RetrievedSet] = None
@@ -207,22 +202,16 @@ class EvidenceBlendProvider:
 class RemoteTextGenProvider:
     """One-shot prompt to an HTTP text-generation endpoint.
 
-    Request body {"prompt", "max_tokens"}; response body {"text"} whose first
-    line must read "<LABEL> <confidence>".  Malformed output is retried once,
-    then the internal provider answers; each fault is noted in ``obs.diagnostics``.
+    Request body {"prompt", "max_tokens": 64}; response body {"text"} whose
+    first line must read "<LABEL> <confidence>".  Malformed output is retried
+    once; then, as after a failed request, the heuristic provider answers.
+    Each fault is noted in ``obs.diagnostics``.
     """
 
-    def __init__(
-        self,
-        endpoint: str,
-        timeout: float = 30.0,
-        max_tokens: int = 64,
-        fallback: Optional[HeuristicProvider] = None,
-    ):
+    def __init__(self, endpoint: str, timeout: float = 30.0):
         self.endpoint = endpoint
         self.timeout = timeout
-        self.max_tokens = max_tokens
-        self.fallback = fallback or HeuristicProvider()
+        self.fallback = HeuristicProvider()
 
     def _render_prompt(
         self, hierarchy: Hierarchy, obs: Observation, evidence: Optional[RetrievedSet]
@@ -287,7 +276,7 @@ class RemoteTextGenProvider:
         absent).  Transport failures raise OSError or HTTPException."""
         import urllib.request  # deferred: only runs with a remote endpoint load it
 
-        data = json.dumps({"prompt": prompt, "max_tokens": self.max_tokens}).encode()
+        data = json.dumps({"prompt": prompt, "max_tokens": 64}).encode()
         request = urllib.request.Request(
             self.endpoint, data=data, headers={"Content-Type": "application/json"}
         )
@@ -306,8 +295,7 @@ class ProviderPair:
 
 
 def default_providers() -> ProviderPair:
-    internal = HeuristicProvider()
-    return ProviderPair(internal=internal, contextual=EvidenceBlendProvider(internal))
+    return ProviderPair(internal=HeuristicProvider(), contextual=EvidenceBlendProvider())
 
 
 @dataclass(frozen=True)
@@ -323,17 +311,16 @@ def decide_all_hierarchies(
     obs: Observation,
     bank: EvidenceBank,
     providers: ProviderPair,
-    cfg: ArbitrationConfig = ArbitrationConfig(),
     hierarchies: tuple[Hierarchy, ...] = (Hierarchy.FAMILY, Hierarchy.TREND),
-    top_k: int = DEFAULT_TOP_K,
 ) -> dict[Hierarchy, HierarchyDecisionRecord]:
-    """Retrieve once, then answer twice and arbitrate per hierarchy."""
-    retrieved = retrieve_top_k(bank, obs.query, top_k)
+    """Retrieve the top ``DEFAULT_TOP_K`` records once, then answer twice and
+    arbitrate at the default margin per hierarchy."""
+    retrieved = retrieve_top_k(bank, obs.query)
     records: dict[Hierarchy, HierarchyDecisionRecord] = {}
     for h in hierarchies:
         internal = providers.internal.decide(h, obs)
         contextual = providers.contextual.decide(h, obs, retrieved)
-        final = arbitrate(internal, contextual, cfg)
+        final = arbitrate(internal, contextual, ArbitrationConfig())
         records[h] = HierarchyDecisionRecord(
             hierarchy=h,
             internal=internal,

@@ -110,6 +110,14 @@ def increments(traj: Trajectory) -> IncrementSeries:
     )
 
 
+def _finite_deltas(inc: IncrementSeries) -> np.ndarray:
+    """The increments as an array; FitError unless every one is finite."""
+    d = np.asarray(inc.deltas)
+    if not np.isfinite(d).all():
+        raise FitError("increments must be finite")
+    return d
+
+
 def _brent_max(f: Callable[[float], float], a: float, b: float, tol: float) -> tuple[float, float]:
     """Maximizer of f on [a, b] and its value, by Brent's method.
 
@@ -205,7 +213,7 @@ def fit_linear_wiener(inc: IncrementSeries) -> FitResult:
     """Closed-form MLE for Gaussian increments with constant drift."""
     if len(inc) < 3:
         raise FitError("linear Wiener fit needs at least 3 increments")
-    d = np.asarray(inc.deltas)
+    d = _finite_deltas(inc)
     m_hat = float(np.mean(d))
     s2 = float(np.mean((d - m_hat) ** 2))
     if s2 < VARIANCE_FLOOR:
@@ -237,7 +245,7 @@ def fit_nonlinear_wiener(inc: IncrementSeries) -> FitResult:
     """Profile-likelihood MLE for Gaussian increments with power drift."""
     if len(inc) < 4:
         raise FitError("nonlinear Wiener fit needs at least 4 increments")
-    deltas = np.asarray(inc.deltas)
+    deltas = _finite_deltas(inc)
     steps = np.asarray(inc.step_indices, dtype=float)
 
     beta_hat = _profile_beta(lambda b: _wiener_profile_rows(deltas, steps, b)[2], len(inc))
@@ -266,7 +274,7 @@ def fit_homog_gamma(inc: IncrementSeries) -> FitResult:
     """Newton MLE for i.i.d. gamma increments (shape, scale)."""
     if len(inc) < 3:
         raise FitError("homogeneous gamma fit needs at least 3 increments")
-    d = np.asarray(inc.deltas)
+    d = _finite_deltas(inc)
     if np.any(d <= 0):
         raise NonPositiveIncrementError("gamma model requires positive increments")
     mean = float(np.mean(d))
@@ -383,7 +391,7 @@ def fit_nonhomog_gamma(inc: IncrementSeries) -> FitResult:
     """Profile-likelihood MLE for gamma increments with power shape rate."""
     if len(inc) < 4:
         raise FitError("non-homogeneous gamma fit needs at least 4 increments")
-    deltas = np.asarray(inc.deltas)
+    deltas = _finite_deltas(inc)
     if np.any(deltas <= 0):
         raise NonPositiveIncrementError("gamma model requires positive increments")
     if math.log(float(np.mean(deltas))) - float(np.mean(np.log(deltas))) <= 0:

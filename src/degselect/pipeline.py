@@ -8,14 +8,13 @@ from typing import Optional
 
 from .criteria import Criterion, ScoreTable, select_argmin
 from .decisions import (
-    ArbitrationConfig,
     HierarchyDecisionRecord,
     Observation,
     ProviderPair,
     decide_all_hierarchies,
     default_providers,
 )
-from .evidence import DEFAULT_TOP_K, EvidenceBank, RetrievedSet
+from .evidence import EvidenceBank
 from .model_space import (
     CandidateModel,
     CandidateSet,
@@ -27,6 +26,7 @@ from .model_space import (
 from .simulate import Trajectory
 
 DEFAULT_BANNED_TOKENS = ("rul", "failure time", "remaining life")
+MIN_POINTS = 4  # below: too short for the linear fitters
 
 
 class Case(Enum):
@@ -52,11 +52,7 @@ class InferenceInput:
 @dataclass(frozen=True)
 class PipelineConfig:
     criterion: Criterion = Criterion.EAL
-    arbitration: ArbitrationConfig = ArbitrationConfig()
-    top_k: int = DEFAULT_TOP_K
     strict_leakage: bool = False
-    banned_tokens: tuple[str, ...] = DEFAULT_BANNED_TOKENS
-    min_points: int = 4  # below: too short for the linear fitters
 
 
 @dataclass
@@ -65,7 +61,6 @@ class SelectionResult:
     decisions: dict[Hierarchy, HierarchyDecisionRecord]
     retained: CandidateSet
     scores: Optional[ScoreTable]
-    evidence_trail: dict[Hierarchy, RetrievedSet]
     diagnostics: list[str] = field(default_factory=list)
 
 
@@ -73,21 +68,19 @@ class LeakageError(ValueError):
     pass
 
 
-def validate_input(
-    input: InferenceInput, cfg: PipelineConfig = PipelineConfig()
-) -> list[str]:
+def validate_input(input: InferenceInput) -> list[str]:
     """Leakage and short-window checks; returns warnings, raises nothing."""
     warnings = []
     lowered = input.context.lower()
-    for token in cfg.banned_tokens:
+    for token in DEFAULT_BANNED_TOKENS:
         if token in lowered:
             warnings.append(
                 f"context may leak post-inspection information: contains {token!r}"
             )
-    if len(input.trajectory) < cfg.min_points:
+    if len(input.trajectory) < MIN_POINTS:
         warnings.append(
             f"trajectory has {len(input.trajectory)} points; "
-            f"fitters need at least {cfg.min_points}"
+            f"fitters need at least {MIN_POINTS}"
         )
     return warnings
 
@@ -100,14 +93,12 @@ def run_inference(
 ) -> SelectionResult:
     """Decide each in-scope hierarchy, condition the space, pick the model."""
     providers = providers or default_providers()
-    diagnostics = validate_input(input, cfg)
+    diagnostics = validate_input(input)
     if cfg.strict_leakage and any("leak" in w for w in diagnostics):
         raise LeakageError("; ".join(diagnostics))
 
     obs = Observation.of(input.trajectory, input.context)
-    records = decide_all_hierarchies(
-        obs, bank, providers, cfg.arbitration, hierarchies=input.hierarchies, top_k=cfg.top_k
-    )
+    records = decide_all_hierarchies(obs, bank, providers, hierarchies=input.hierarchies)
     diagnostics.extend(obs.diagnostics)
     retained = condition(
         input.candidates, {h: rec.final for h, rec in records.items()}
@@ -123,6 +114,5 @@ def run_inference(
         decisions=records,
         retained=retained,
         scores=scores,
-        evidence_trail={h: rec.evidence for h, rec in records.items()},
         diagnostics=diagnostics,
     )

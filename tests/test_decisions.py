@@ -13,7 +13,6 @@ from degselect.decisions import (
     Answer,
     ArbitrationConfig,
     EvidenceBlendProvider,
-    HeuristicConfig,
     HeuristicProvider,
     Observation,
     ProviderPair,
@@ -172,10 +171,13 @@ class TestHeuristicProvider:
         assert (ans.label, ans.confidence) == (Trend.LINEAR, 0.5)
 
     def test_confidence_cap(self):
-        cfg = HeuristicConfig(conf_scale=0.001)
         traj = make_path(SimKind.LINEAR_WIENER, seed=11)
-        ans = HeuristicProvider(cfg).decide(Hierarchy.FAMILY, Observation.of(traj))
-        assert ans.confidence == 0.99
+        obs = Observation.of(traj)
+        p = obs.query.features.neg_increment_fraction
+        assert p == pytest.approx(0.133, abs=1e-3)
+        # Unclamped, 0.5 + |p - 0.02| / 0.15 is about 1.25.
+        assert 0.5 + abs(p - 0.02) / 0.15 > 0.99
+        assert self.p.decide(Hierarchy.FAMILY, obs).confidence == 0.99
 
 
 class TestEvidenceBlendProvider:

@@ -339,7 +339,9 @@ class TestPinnedProfileFits:
 
 class TestNonFiniteIncrements:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    @pytest.mark.parametrize("fitter", [fit_nonlinear_wiener, fit_nonhomog_gamma])
+    @pytest.mark.parametrize(
+        "fitter", [fit_nonlinear_wiener, fit_nonhomog_gamma, fit_linear_wiener, fit_homog_gamma]
+    )
     def test_profile_fitters_raise_fit_error(self, fitter, bad):
         with pytest.raises(FitError, match="finite"):
             fitter(series((0.3, bad, 0.5, 0.4, 0.6)))

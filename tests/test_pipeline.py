@@ -1,6 +1,8 @@
+import json
 from collections import Counter
 from contextlib import ExitStack, contextmanager
 from dataclasses import replace
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from degselect.bench import correct_context
 from degselect.criteria import Criterion, NoApplicableModelError
 from degselect.decisions import Answer, HeuristicProvider, ProviderPair, default_providers
 from degselect.model_space import Family, Hierarchy, Trend, Uncertain
@@ -162,8 +165,8 @@ class TestRunInference:
         traj = make_path(SimKind.HOMOG_GAMMA, seed=11, n_percent=70)
         inp = InferenceInput.for_case(Case.CASE2, traj, context="pump impeller erosion")
         out = run_inference(inp, bank)
-        assert set(out.evidence_trail) == {Hierarchy.FAMILY, Hierarchy.TREND}
-        assert all(len(ev) > 0 for ev in out.evidence_trail.values())
+        assert set(out.decisions) == {Hierarchy.FAMILY, Hierarchy.TREND}
+        assert all(len(rec.evidence) > 0 for rec in out.decisions.values())
 
     def test_end_to_end_defaults_recover_each_kind(self, bank):
         for kind, expected in [
@@ -334,3 +337,57 @@ class TestNonWholeStepTimes:
         assert (case1.chosen.id, case2.chosen.id) == (family, expected)
         assert case1.scores is None and case2.scores is None
         assert case2.decisions[Hierarchy.TREND].internal == Answer(Trend.LINEAR, 0.5)
+
+
+def answer_pin_inputs():
+    """The inferences whose answers are pinned in answer_pins.json.
+
+    Windows of 30/50/70% of default paths for every kind and seeds 1-5, each
+    as case 1 and case 2, with the correct context and with none.
+    """
+    out = {}
+    for kind in SimKind:
+        for seed in range(1, 6):
+            for pct in (30, 50, 70):
+                traj = make_path(kind, seed=seed, n_percent=pct)
+                for case in Case:
+                    for name, context in (("correct", correct_context(traj)), ("none", "")):
+                        key = f"{kind.value}-{seed}-{pct}-{case.value}-{name}"
+                        out[key] = InferenceInput.for_case(case, traj, context)
+    return out
+
+
+def answer_record(result):
+    """Each hierarchy's two answers and final decision, the retained ids and the pick."""
+
+    def answer(a):
+        return [a.label.value, a.confidence]
+
+    return {
+        "decisions": {
+            h.value: {
+                "internal": answer(rec.internal),
+                "contextual": answer(rec.contextual),
+                "final": "uncertain" if isinstance(rec.final, Uncertain) else rec.final.value,
+            }
+            for h, rec in result.decisions.items()
+        },
+        "retained": list(result.retained.ids()),
+        "chosen": result.chosen.id,
+    }
+
+
+ANSWER_PINS = json.loads((Path(__file__).parent / "data" / "answer_pins.json").read_text())
+
+
+class TestPinnedAnswers:
+    """The default providers' answers agree exactly with outcomes recorded at
+    commit 256c22e, when the heuristic's constants were fields of a config
+    object; ``answer_pins.json`` holds ``answer_record`` of ``run_inference``
+    on ``answer_pin_inputs()``."""
+
+    def test_matches_recorded_answers(self, bank):
+        inputs = answer_pin_inputs()
+        assert inputs.keys() == ANSWER_PINS.keys()
+        for name, inp in inputs.items():
+            assert answer_record(run_inference(inp, bank)) == ANSWER_PINS[name], name
