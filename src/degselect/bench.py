@@ -100,6 +100,15 @@ class ExperimentConfig:
 
 @dataclass
 class MethodMetrics:
+    """Label metrics of one method on one window's test units.
+
+    ``runtime_seconds`` is the method's wall time over those units.  Each
+    unit's fits are made once and shared, so the proposed method pays for
+    its trend decision's and its scoring's fits, the first baseline
+    criterion (AIC) for the other fits the baselines need, and CV for its
+    own fold fits.
+    """
+
     accuracy: float
     macro_precision: float
     macro_recall: float
@@ -234,7 +243,8 @@ def _proposed_by_window(
     cfg: ExperimentConfig, bank: Optional[EvidenceBank], modes: Sequence[Perturbation]
 ):
     """Build the dataset once; for each window n, yield the truncated test
-    units and the proposed pipeline's metrics under each perturbation mode."""
+    units and, under each perturbation mode, the proposed pipeline's metrics
+    and each unit's fit table."""
     bank = bank or default_bank()
     providers = _make_providers(cfg)
     pipe_cfg = PipelineConfig(criterion=cfg.criterion)
@@ -246,10 +256,10 @@ def _proposed_by_window(
         true_labels = [t.true_model_id for t in test]
         # Substitute pools: the units of the other family, in test order.
         opposite = {fam: [t for t in test if _family_of(t) is not fam] for fam in Family}
-        by_mode = {}
+        by_mode, fits = {}, {}
         for mode in modes:
             start = time.perf_counter()
-            predictions = []
+            predictions, fits[mode] = [], []
             for idx, traj in enumerate(test):
                 inp = InferenceInput.for_case(cfg.case, traj, correct_context(traj))
                 if mode is not Perturbation.NONE:
@@ -257,9 +267,10 @@ def _proposed_by_window(
                     inp = perturb_input(inp, mode, pool, rng_seed=cfg.seed + idx)
                 result = run_inference(inp, bank, providers, pipe_cfg)
                 predictions.append(result.chosen.id)
+                fits[mode].append(result.fits)
             by_mode[mode] = compute_metrics(true_labels, predictions, classes)
             by_mode[mode].runtime_seconds = time.perf_counter() - start
-        yield n, test, by_mode
+        yield n, test, by_mode, fits
 
 
 def run_experiment(
@@ -269,13 +280,17 @@ def run_experiment(
     cset = _candidate_set(cfg.case)
     candidates = cset.ids()
     report = MetricsReport(case=cfg.case)
-    for n, test, proposed in _proposed_by_window(cfg, bank, (cfg.perturbation,)):
+    for n, test, proposed, fits in _proposed_by_window(cfg, bank, (cfg.perturbation,)):
         report.entries[(n, "proposed")] = proposed[cfg.perturbation]
 
         # Statistical baselines over the full candidate set, no conditioning;
-        # the five criteria share one fit table per test unit.
+        # the five criteria share one fit table per test unit: the proposed
+        # method's, unless a perturbation gave it another trajectory.
         true_labels = [t.true_model_id for t in test]
-        tables = [FitTable(t) for t in test]
+        tables = [
+            table if table.traj is traj else FitTable(traj)
+            for traj, table in zip(test, fits[cfg.perturbation])
+        ]
         for crit in Criterion:
             start = time.perf_counter()
             predictions = []
@@ -299,7 +314,7 @@ def run_robustness(
 ) -> MetricsReport:
     """Perturbation sweep: proposed pipeline under all four input modes."""
     report = MetricsReport(case=cfg.case)
-    for n, _, proposed in _proposed_by_window(cfg, bank, tuple(Perturbation)):
+    for n, _, proposed, _ in _proposed_by_window(cfg, bank, tuple(Perturbation)):
         for mode, metrics in proposed.items():
             report.entries[(n, mode.value)] = metrics
     if cfg.output_path:

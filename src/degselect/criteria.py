@@ -15,7 +15,15 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .fitting import FitError, FitResult, IncrementSeries, fit_model, increments, loglik
+from .fitting import (
+    FitError,
+    FitResult,
+    IncrementSeries,
+    fit_folds,
+    fit_model,
+    increments,
+    loglik,
+)
 from .model_space import CandidateModel, CandidateSet, Family, Trend
 from .simulate import Trajectory
 
@@ -60,42 +68,42 @@ class FitTable:
         """The increments, formed at the first fit, not at construction."""
         return increments(self.traj)
 
+    def release_increments(self) -> None:
+        """Drop the cached increments and keep the fits; a later fit forms
+        the increments again.  A table kept after its last fit then holds no
+        second copy of the trajectory's data."""
+        vars(self).pop("inc", None)
+
     def fit(self, model: CandidateModel) -> FitResult:
         key = (model.family, model.trend)
         if key not in self._fits:
             try:
                 self._fits[key] = fit_model(model, self.inc)
             except FitError as exc:
-                self._fits[key] = exc
+                # Kept without the fitter's frames, which hold its arrays.
+                self._fits[key] = exc.with_traceback(None)
         if isinstance(self._fits[key], FitError):
             raise self._fits[key]
         return self._fits[key]
 
 
 def _cv_score(model: CandidateModel, inc: IncrementSeries) -> float:
-    """Mean held-out negative log-likelihood over contiguous folds."""
+    """Mean held-out negative log-likelihood over contiguous folds.
+
+    The folds are fitted as one batched problem; FitError, naming the fold,
+    when one cannot be fitted or scores a non-finite held-out likelihood.
+    """
     n = len(inc)
     if n < 2 * CV_FOLDS:
-        return INF
+        raise FitError(f"cross-validation needs at least {2 * CV_FOLDS} increments, got {n}")
     bounds = np.linspace(0, n, CV_FOLDS + 1).astype(int)
     fold_means = []
-    for f in range(CV_FOLDS):
+    for f, fit in enumerate(fit_folds(model, inc, bounds)):
         lo, hi = bounds[f], bounds[f + 1]
-        train = IncrementSeries(
-            deltas=inc.deltas[:lo] + inc.deltas[hi:],
-            step_indices=inc.step_indices[:lo] + inc.step_indices[hi:],
-        )
-        held = IncrementSeries(
-            deltas=inc.deltas[lo:hi], step_indices=inc.step_indices[lo:hi]
-        )
-        try:
-            fit = fit_model(model, train)
-        except FitError:
-            return INF
-        ll = loglik(model, fit.params, held)
+        ll = loglik(model, fit.params, inc, slice(lo, hi))
         if not math.isfinite(ll):
-            return INF
-        fold_means.append(-ll / len(held))
+            raise FitError(f"fold {f + 1}: non-finite held-out log-likelihood")
+        fold_means.append(-ll / (hi - lo))
     return float(np.mean(fold_means))
 
 
@@ -115,9 +123,9 @@ def score(
     elif fits.traj != traj:
         raise ValueError("fit table was built for a different trajectory")
     n = len(fits.inc)
-    if criterion is Criterion.CV:
-        return _cv_score(model, fits.inc)
     try:
+        if criterion is Criterion.CV:
+            return _cv_score(model, fits.inc)
         fit = fits.fit(model)
     except FitError as exc:
         if notes is not None:

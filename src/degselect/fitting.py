@@ -4,14 +4,16 @@ All fitters consume increment series.  The Wiener fits are closed-form; the
 gamma fits use Newton iteration on the shape score equation; the two
 nonlinear kinds profile the time-transform exponent over a bounded grid,
 evaluated as row blocks of one exponents-by-increments array, refined by
-Brent's method.
+Brent's method.  Each fitter also fits several training subsets of one series
+at once, as rows of a mask over its increments; ``fit_folds`` fits the
+cross-validation folds that way.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Callable, Generator, Mapping, Optional
 
 import numpy as np
 from scipy.special import gammaln, polygamma, psi
@@ -110,24 +112,18 @@ def increments(traj: Trajectory) -> IncrementSeries:
     )
 
 
-def _finite_deltas(inc: IncrementSeries) -> np.ndarray:
-    """The increments as an array; FitError unless every one is finite."""
-    d = np.asarray(inc.deltas)
-    if not np.isfinite(d).all():
-        raise FitError("increments must be finite")
-    return d
-
-
-def _brent_max(f: Callable[[float], float], a: float, b: float, tol: float) -> tuple[float, float]:
-    """Maximizer of f on [a, b] and its value, by Brent's method.
+def _brent_max(a: float, b: float, tol: float) -> Generator[float, float, tuple[float, float]]:
+    """Maximizer of a function on [a, b] and its value, by Brent's method.
 
     Parabolic steps through the three best points, with a golden-section step
     whenever the parabola is unsafe (Brent 1973, ch. 5); stops when the
-    maximizer is located to within ``tol``.
+    maximizer is located to within ``tol``.  A coroutine: it yields each
+    abscissa to evaluate, is sent the function's value there, and returns
+    (maximizer, value), so one driver can step many searches in lockstep.
     """
     golden = 0.5 * (3.0 - math.sqrt(5.0))
     x = w = v = a + golden * (b - a)
-    fx = fw = fv = -f(x)
+    fx = fw = fv = -(yield x)
     d = e = 0.0
     while True:
         mid = 0.5 * (a + b)
@@ -153,7 +149,7 @@ def _brent_max(f: Callable[[float], float], a: float, b: float, tol: float) -> t
             e = (a if x >= mid else b) - x
             d = golden * e
         u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        fu = -f(u)
+        fu = -(yield u)
         if fu <= fx:
             if u < x:
                 b = x
@@ -171,139 +167,185 @@ def _brent_max(f: Callable[[float], float], a: float, b: float, tol: float) -> t
                 v, fv = u, fu
 
 
-def _profile_beta(profile_ll: Callable[[np.ndarray], np.ndarray], n: int) -> float:
-    """Maximize a profile log-likelihood over the bounded exponent range.
+def _profile_beta(
+    profile_ll: Callable[[np.ndarray, np.ndarray], np.ndarray], n: int, problems: int
+) -> np.ndarray:
+    """Maximize ``problems`` profile log-likelihoods over the bounded exponent range.
 
-    ``profile_ll`` maps a vector of exponents to their profile
-    log-likelihoods; the grid goes to it in blocks of at most
-    ``PROFILE_BLOCK`` exponents x ``n`` increments, each refinement step as
-    one exponent.
+    ``profile_ll(rows, betas)`` maps problem indices and exponents, one pair
+    per row, to profile log-likelihoods.  Each problem's grid, and then one
+    Brent step of every problem still refining, go to it in blocks of at most
+    ``PROFILE_BLOCK`` rows x ``n`` increments.  Returns each problem's
+    maximizer, NaN where no grid exponent gives a finite profile likelihood.
     """
-    rows = max(1, PROFILE_BLOCK // n)
-    vals = np.concatenate(
-        [profile_ll(_BETA_GRID[k : k + rows]) for k in range(0, _BETA_GRID.size, rows)]
-    )
-    finite = np.isfinite(vals)
-    if not finite.any():
-        raise FitError("no exponent on the grid gives a finite profile likelihood")
-    vals = np.where(finite, vals, NEG_INF)
-    i = int(np.argmax(vals))
+    per_block = max(1, PROFILE_BLOCK // n)
 
-    def refine_ll(beta: float) -> float:
-        ll = float(profile_ll(np.array([beta]))[0])
-        return ll if math.isfinite(ll) else NEG_INF
+    def evaluate(rows: np.ndarray, betas: np.ndarray) -> np.ndarray:
+        vals = np.concatenate(
+            [
+                profile_ll(rows[k : k + per_block], betas[k : k + per_block])
+                for k in range(0, rows.size, per_block)
+            ]
+        )
+        return np.where(np.isfinite(vals), vals, NEG_INF)
 
-    a = _BETA_GRID[max(i - 1, 0)]
-    b = _BETA_GRID[min(i + 1, _BETA_GRID.size - 1)]
-    beta, best = _brent_max(refine_ll, a, b, BETA_TOL)
+    size = _BETA_GRID.size
+    grid = evaluate(np.repeat(np.arange(problems), size), np.tile(_BETA_GRID, problems))
+    grid = grid.reshape(problems, size)
+    top = grid.argmax(axis=1)
+    beta, best = np.full(problems, math.nan), np.full(problems, NEG_INF)
+    searches = {
+        p: _brent_max(_BETA_GRID[max(i - 1, 0)], _BETA_GRID[min(i + 1, size - 1)], BETA_TOL)
+        for p, i in enumerate(top)
+        if grid[p, i] > NEG_INF
+    }
+    pending = {p: next(search) for p, search in searches.items()}
+    while pending:
+        rows = np.fromiter(pending, dtype=int, count=len(pending))
+        lls = evaluate(rows, np.fromiter(pending.values(), dtype=float, count=len(pending)))
+        stepped = {}
+        for p, ll in zip(rows.tolist(), lls.tolist()):
+            try:
+                stepped[p] = searches[p].send(ll)
+            except StopIteration as stop:
+                beta[p], best[p] = stop.value
+        pending = stepped
     # Guard the nested case: never do worse than the grid maximum or beta = 1.
-    for j in (i, _BETA_ONE):
-        if vals[j] > best:
-            beta, best = _BETA_GRID[j], vals[j]
-    return float(beta)
+    every = np.arange(problems)
+    for j in (top, _BETA_ONE):
+        better = grid[every, j] > best
+        beta = np.where(better, _BETA_GRID[j], beta)
+        best = np.where(better, grid[every, j], best)
+    return beta
 
 
-def _normal_loglik(resid: np.ndarray, var) -> np.ndarray:
-    """Gaussian log-likelihood of each row of residuals (last axis: increments)."""
-    n = resid.shape[-1]
+def _masked(x: np.ndarray, mask: Optional[np.ndarray]) -> np.ndarray:
+    """``x`` with each row's held-out columns zeroed; ``mask`` None holds none out."""
+    return x if mask is None else x * mask
+
+
+def _counts(n: int, mask: Optional[np.ndarray]):
+    """Training increments per row: ``n``, or each mask row's sum."""
+    return n if mask is None else mask.sum(axis=1)
+
+
+def _take(mask: Optional[np.ndarray], rows: np.ndarray) -> Optional[np.ndarray]:
+    return None if mask is None else mask[rows]
+
+
+def _normal_loglik(resid: np.ndarray, var, n=None) -> np.ndarray:
+    """Gaussian log-likelihood of each row of residuals (last axis: increments).
+
+    ``n`` counts each row's increments when held-out residuals are zeroed.
+    """
+    n = resid.shape[-1] if n is None else n
     return -0.5 * n * np.log(2.0 * math.pi * var) - 0.5 * (resid * resid).sum(axis=-1) / var
 
 
-def fit_linear_wiener(inc: IncrementSeries) -> FitResult:
-    """Closed-form MLE for Gaussian increments with constant drift."""
-    if len(inc) < 3:
-        raise FitError("linear Wiener fit needs at least 3 increments")
-    d = _finite_deltas(inc)
-    m_hat = float(np.mean(d))
-    s2 = float(np.mean((d - m_hat) ** 2))
-    if s2 < VARIANCE_FLOOR:
-        raise DegenerateVarianceError(f"increment variance {s2} below floor")
-    ll = float(_normal_loglik(d - m_hat, s2))
-    return FitResult(
-        model_id="linear_wiener",
-        params={"m": m_hat, "s": math.sqrt(s2)},
-        loglik=ll,
-        k=2,
-        converged=True,
-        iterations=0,
-    )
+def _profile_failure(beta: float, ll: float) -> Optional[FitError]:
+    if math.isnan(beta):
+        return FitError("no exponent on the grid gives a finite profile likelihood")
+    if not math.isfinite(ll):
+        return FitError("non-finite profile likelihood")
+    return None
+
+
+def _solved(beta: np.ndarray) -> np.ndarray:
+    """The exponents to evaluate fits at; a failed row (NaN) takes beta = 1."""
+    return np.where(np.isnan(beta), 1.0, beta)
+
+
+def _linear_wiener_rows(deltas, steps, mask) -> list:
+    x = deltas[None, :]
+    count = _counts(deltas.size, mask)
+    m_hat = _masked(x, mask).sum(axis=1) / count
+    resid = _masked(x - m_hat[:, None], mask)
+    s2 = (resid * resid).sum(axis=1) / count
+    ll = _normal_loglik(resid, np.maximum(s2, VARIANCE_FLOOR), count)
+    return [
+        DegenerateVarianceError(f"increment variance {v} below floor")
+        if v < VARIANCE_FLOOR
+        else FitResult("linear_wiener", {"m": float(m), "s": math.sqrt(v)}, float(l), 2, True, 0)
+        for m, v, l in zip(m_hat, s2, ll)
+    ]
 
 
 def _wiener_profile_rows(
-    deltas: np.ndarray, steps: np.ndarray, betas: np.ndarray
+    deltas: np.ndarray, steps: np.ndarray, betas: np.ndarray, mask: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form (drift, variance, loglik) at each exponent in ``betas``."""
-    d = time_transform_at(steps, betas[:, None])
+    """Closed-form (drift, variance, loglik) at each exponent in ``betas``.
+
+    ``mask`` (rows x increments, 1 = training) fits each row to its own
+    training increments, at their real step indices.
+    """
+    d = _masked(time_transform_at(steps, betas[:, None]), mask)
+    count = _counts(deltas.size, mask)
     m_hat = (d @ deltas) / (d * d).sum(axis=1)
-    resid = deltas - m_hat[:, None] * d
-    s2 = (resid * resid).sum(axis=1) / deltas.size
+    resid = _masked(deltas - m_hat[:, None] * d, mask)
+    s2 = (resid * resid).sum(axis=1) / count
     s2 = np.maximum(s2, VARIANCE_FLOOR)  # noise-free data stays scorable
-    return m_hat, s2, _normal_loglik(resid, s2)
+    return m_hat, s2, _normal_loglik(resid, s2, count)
 
 
-def fit_nonlinear_wiener(inc: IncrementSeries) -> FitResult:
-    """Profile-likelihood MLE for Gaussian increments with power drift."""
-    if len(inc) < 4:
-        raise FitError("nonlinear Wiener fit needs at least 4 increments")
-    deltas = _finite_deltas(inc)
-    steps = np.asarray(inc.step_indices, dtype=float)
-
-    beta_hat = _profile_beta(lambda b: _wiener_profile_rows(deltas, steps, b)[2], len(inc))
-    m_hat, s2, ll = (float(v[0]) for v in _wiener_profile_rows(deltas, steps, np.array([beta_hat])))
-    if not math.isfinite(ll):
-        raise FitError("non-finite profile likelihood")
-    return FitResult(
-        model_id="nonlinear_wiener",
-        params={"m": m_hat, "s": math.sqrt(s2), "beta": beta_hat},
-        loglik=ll,
-        k=3,
-        converged=True,
-        iterations=0,
+def _nonlinear_wiener_rows(deltas, steps, mask) -> list:
+    steps = np.asarray(steps, dtype=float)
+    beta = _profile_beta(
+        lambda rows, b: _wiener_profile_rows(deltas, steps, b, _take(mask, rows))[2],
+        deltas.size,
+        1 if mask is None else mask.shape[0],
     )
+    m_hat, s2, ll = _wiener_profile_rows(deltas, steps, _solved(beta), mask)
+    return [
+        _profile_failure(b, l)
+        or FitResult(
+            "nonlinear_wiener",
+            {"m": float(m), "s": math.sqrt(v), "beta": float(b)},
+            float(l),
+            3,
+            True,
+            0,
+        )
+        for b, m, v, l in zip(beta, m_hat, s2, ll)
+    ]
 
 
-def _gamma_loglik(deltas: np.ndarray, shape: np.ndarray, scale) -> np.ndarray:
+def _gamma_loglik(deltas: np.ndarray, shape: np.ndarray, scale, mask=None) -> np.ndarray:
     """Gamma log-likelihood of each row of ``shape`` (last axis: increments)."""
-    return np.sum(
-        (shape - 1.0) * np.log(deltas) - deltas / scale - shape * np.log(scale) - gammaln(shape),
-        axis=-1,
+    terms = (
+        (shape - 1.0) * np.log(deltas) - deltas / scale - shape * np.log(scale) - gammaln(shape)
     )
+    return _masked(terms, mask).sum(axis=-1)
 
 
-def fit_homog_gamma(inc: IncrementSeries) -> FitResult:
-    """Newton MLE for i.i.d. gamma increments (shape, scale)."""
-    if len(inc) < 3:
-        raise FitError("homogeneous gamma fit needs at least 3 increments")
-    d = _finite_deltas(inc)
-    if np.any(d <= 0):
-        raise NonPositiveIncrementError("gamma model requires positive increments")
-    mean = float(np.mean(d))
-    s = math.log(mean) - float(np.mean(np.log(d)))
-    converged = False
-    iterations = 0
+def _gamma_shape(s: float) -> tuple[float, int, bool]:
+    """Newton solve of log(alpha) - psi(alpha) = s: (shape, iterations, converged)."""
     if s <= 0:
-        alpha = SHAPE_MAX  # zero-dispersion limit: all increments (numerically) equal
-    else:
-        # Moment-matched closed-form initializer for the shape equation.
-        alpha = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
-        for iterations in range(1, 101):
-            g = math.log(alpha) - psi(alpha) - s
-            h = 1.0 / alpha - polygamma(1, alpha)
-            step = g / h
-            alpha = min(max(alpha - step, SHAPE_MIN), SHAPE_MAX)
-            if abs(step) < 1e-10:
-                converged = True
-                break
+        return SHAPE_MAX, 0, False  # zero-dispersion limit: all increments (numerically) equal
+    # Moment-matched closed-form initializer for the shape equation.
+    alpha = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
+    for iterations in range(1, 101):
+        g = math.log(alpha) - psi(alpha) - s
+        h = 1.0 / alpha - polygamma(1, alpha)
+        step = g / h
+        alpha = min(max(alpha - step, SHAPE_MIN), SHAPE_MAX)
+        if abs(step) < 1e-10:
+            return alpha, iterations, True
+    return alpha, iterations, False
+
+
+def _homog_gamma_rows(deltas, steps, mask) -> list:
+    x = deltas[None, :]
+    count = _counts(deltas.size, mask)
+    mean = _masked(x, mask).sum(axis=1) / count
+    mean_log = _masked(np.log(x), mask).sum(axis=1) / count
+    shapes = [_gamma_shape(math.log(m) - float(ml)) for m, ml in zip(mean, mean_log)]
+    alpha = np.array([a for a, _, _ in shapes])
     theta = mean / alpha
-    ll = float(_gamma_loglik(d, np.full_like(d, alpha), theta))
-    return FitResult(
-        model_id="homog_gamma",
-        params={"alpha": alpha, "theta": theta},
-        loglik=ll,
-        k=2,
-        converged=converged,
-        iterations=iterations,
-    )
+    ll = _gamma_loglik(x, alpha[:, None], theta[:, None], mask)
+    return [
+        FitResult("homog_gamma", {"alpha": a, "theta": float(t)}, float(l), 2, c, i)
+        for (a, i, c), t, l in zip(shapes, theta, ll)
+    ]
 
 
 def _gamma_profile_rows(
@@ -311,29 +353,35 @@ def _gamma_profile_rows(
     steps: np.ndarray,
     betas: np.ndarray,
     init: Optional[np.ndarray] = None,
+    mask: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """MLE of (shape rate, scale) for gamma increments at each exponent in ``betas``.
 
     The scale is profiled out analytically; the remaining score equation in
     the shape rate is solved for all rows at once by safeguarded Newton
     iteration, a row leaving the loop once its step falls below 1e-10
-    (relative).  Returns per-row (shape rate, scale, loglik, iterations,
-    converged before the 100-iteration cap).
+    (relative).  A row starts from ``init`` or, where that is None or NaN,
+    from a moment estimate.  ``mask`` (rows x increments, 1 = training) fits
+    each row to its own training increments at their real step indices.
+    Returns per-row (shape rate, scale, loglik, iterations, converged before
+    the 100-iteration cap).
     """
-    d = time_transform_at(steps, betas[:, None])
+    d = _masked(time_transform_at(steps, betas[:, None]), mask)
+    # Held-out columns see shape 1 with weight 0: finite psi, trigamma, gammaln.
+    hole = np.zeros((betas.size, 1)) if mask is None else 1.0 - mask
     sum_d = d.sum(axis=1)
     sum_dlog = d @ np.log(deltas)
-    c = deltas.sum() / sum_d  # = alpha * theta at the optimum
+    c = (deltas.sum() if mask is None else mask @ deltas) / sum_d  # = alpha * theta at the optimum
 
-    if init is not None:
-        alpha = np.asarray(init, dtype=float)
-    else:
+    alpha = np.full(betas.size, math.nan) if init is None else np.asarray(init, dtype=float)
+    fresh = np.isnan(alpha)
+    if fresh.any():
         # Moment init: slope ~ alpha*theta, residual scale ~ alpha*theta^2.
         a_mom = (d @ deltas) / (d * d).sum(axis=1)
-        resid = deltas - a_mom[:, None] * d
+        resid = _masked(deltas - a_mom[:, None] * d, mask)
         w = (resid * resid).sum(axis=1) / sum_d
         with np.errstate(divide="ignore", invalid="ignore"):
-            alpha = np.where(w > 0, a_mom * a_mom / w, SHAPE_MAX)
+            alpha = np.where(fresh, np.where(w > 0, a_mom * a_mom / w, SHAPE_MAX), alpha)
     alpha = np.clip(alpha, SHAPE_MIN, SHAPE_MAX)
 
     rows = betas.size
@@ -343,11 +391,11 @@ def _gamma_profile_rows(
     # The loop runs on the rows not yet converged; ``idx`` maps them back.
     idx = np.arange(rows)
     lo, hi = np.full(rows, SHAPE_MIN), np.full(rows, SHAPE_MAX)
-    dd, dd2, sd, sdl, cc = d, d * d, sum_d, sum_dlog, c
+    dd, dd2, hh, sd, sdl, cc = d, d * d, hole, sum_d, sum_dlog, c
     # A zero slope gives a non-finite step, which the bracket test rejects.
     with np.errstate(divide="ignore", invalid="ignore"):
         for it in range(1, 101):
-            shape = alpha[:, None] * dd
+            shape = alpha[:, None] * dd + hh
             g = sdl - sd * np.log(cc / alpha) - (dd * psi(shape)).sum(axis=1)
             # score decreases in alpha: keep a shrinking root bracket as safeguard
             up = g > 0
@@ -364,70 +412,121 @@ def _gamma_profile_rows(
                 converged[idx[done]] = True
                 keep = ~done
                 idx, alpha, lo, hi = idx[keep], alpha[keep], lo[keep], hi[keep]
-                dd, dd2, sd, sdl, cc = dd[keep], dd2[keep], sd[keep], sdl[keep], cc[keep]
+                dd, dd2, hh = dd[keep], dd2[keep], hh[keep]
+                sd, sdl, cc = sd[keep], sdl[keep], cc[keep]
                 if not idx.size:
                     break
     out_alpha[idx] = alpha
     theta = c / out_alpha
-    ll = _gamma_loglik(deltas, out_alpha[:, None] * d, theta[:, None])
+    ll = _gamma_loglik(deltas, out_alpha[:, None] * d + hole, theta[:, None], mask)
     return out_alpha, theta, ll, iterations, converged
 
 
-def _fit_gamma_profile(
-    inc: IncrementSeries, beta: float, init: Optional[float] = None
-) -> tuple[float, float, float, int, bool]:
-    """One-exponent ``_gamma_profile_rows``: (shape rate, scale, loglik, iterations, converged)."""
-    rows = _gamma_profile_rows(
-        np.asarray(inc.deltas),
-        np.asarray(inc.step_indices, dtype=float),
-        np.array([beta], dtype=float),
-        None if init is None else np.array([init], dtype=float),
+def _nonhomog_gamma_rows(deltas, steps, mask) -> list:
+    steps = np.asarray(steps, dtype=float)
+    problems = 1 if mask is None else mask.shape[0]
+    # Per problem, the exponents and shape rates solved so far.
+    solved = [([], []) for _ in range(problems)]
+
+    def profile_ll(rows: np.ndarray, betas: np.ndarray) -> np.ndarray:
+        # shape varies smoothly with the exponent: start each row from its own
+        # problem's rows solved so far
+        init = np.full(betas.size, math.nan)
+        for p in set(rows.tolist()):
+            known_b, known_a = solved[p]
+            if known_b:
+                at = rows == p
+                order = np.argsort(known_b)
+                init[at] = np.interp(betas[at], np.take(known_b, order), np.take(known_a, order))
+        alpha, _, ll, _, _ = _gamma_profile_rows(deltas, steps, betas, init, _take(mask, rows))
+        for p, b, a in zip(rows.tolist(), betas.tolist(), alpha.tolist()):
+            solved[p][0].append(b)
+            solved[p][1].append(a)
+        return ll
+
+    beta = _profile_beta(profile_ll, deltas.size, problems)
+    alpha, theta, ll, iterations, converged = _gamma_profile_rows(
+        deltas, steps, _solved(beta), None, mask
     )
-    alpha, theta, ll, iterations, converged = (v[0] for v in rows)
-    return float(alpha), float(theta), float(ll), int(iterations), bool(converged)
+    return [
+        _profile_failure(b, l)
+        or FitResult(
+            "nonhomog_gamma",
+            {"alpha": float(a), "theta": float(t), "beta": float(b)},
+            float(l),
+            3,
+            bool(c),
+            int(i),
+        )
+        for b, a, t, l, i, c in zip(beta, alpha, theta, ll, iterations, converged)
+    ]
+
+
+# Per (family, trend): the fitter's name, its fewest increments, and the
+# function that fits each row of a training mask (None: the whole series)
+# to increments at step indices (a sequence; only the profile fits read it).
+_ROW_FITTERS = {
+    (Family.WIENER, Trend.LINEAR): ("linear Wiener", 3, _linear_wiener_rows),
+    (Family.WIENER, Trend.NONLINEAR): ("nonlinear Wiener", 4, _nonlinear_wiener_rows),
+    (Family.GAMMA, Trend.LINEAR): ("homogeneous gamma", 3, _homog_gamma_rows),
+    (Family.GAMMA, Trend.NONLINEAR): ("non-homogeneous gamma", 4, _nonhomog_gamma_rows),
+}
+
+
+def _training_error(key: tuple[Family, Trend], d: np.ndarray) -> Optional[FitError]:
+    """Why the fitter for ``key`` cannot use training increments ``d``, or None."""
+    name, least, _ = _ROW_FITTERS[key]
+    if d.size < least:
+        return FitError(f"{name} fit needs at least {least} increments")
+    if not np.isfinite(d).all():
+        return FitError("increments must be finite")
+    if key[0] is Family.GAMMA:
+        if np.any(d <= 0):
+            return NonPositiveIncrementError("gamma model requires positive increments")
+        if key[1] is Trend.NONLINEAR:
+            if math.log(float(np.mean(d))) - float(np.mean(np.log(d))) <= 0:
+                return FitError("zero-dispersion increments: gamma profile is unbounded")
+    return None
+
+
+def _fit_series(key: tuple[Family, Trend], inc: IncrementSeries) -> FitResult:
+    deltas = np.asarray(inc.deltas)
+    out = _training_error(key, deltas) or _ROW_FITTERS[key][2](deltas, inc.step_indices, None)[0]
+    if isinstance(out, FitError):
+        raise out
+    return out
+
+
+def fit_linear_wiener(inc: IncrementSeries) -> FitResult:
+    """Closed-form MLE for Gaussian increments with constant drift."""
+    return _fit_series((Family.WIENER, Trend.LINEAR), inc)
+
+
+def fit_nonlinear_wiener(inc: IncrementSeries) -> FitResult:
+    """Profile-likelihood MLE for Gaussian increments with power drift."""
+    return _fit_series((Family.WIENER, Trend.NONLINEAR), inc)
+
+
+def fit_homog_gamma(inc: IncrementSeries) -> FitResult:
+    """Newton MLE for i.i.d. gamma increments (shape, scale)."""
+    return _fit_series((Family.GAMMA, Trend.LINEAR), inc)
 
 
 def fit_nonhomog_gamma(inc: IncrementSeries) -> FitResult:
     """Profile-likelihood MLE for gamma increments with power shape rate."""
-    if len(inc) < 4:
-        raise FitError("non-homogeneous gamma fit needs at least 4 increments")
-    deltas = _finite_deltas(inc)
-    if np.any(deltas <= 0):
-        raise NonPositiveIncrementError("gamma model requires positive increments")
-    if math.log(float(np.mean(deltas))) - float(np.mean(np.log(deltas))) <= 0:
-        raise FitError("zero-dispersion increments: gamma profile is unbounded")
-    steps = np.asarray(inc.step_indices, dtype=float)
-    solved_betas: list[float] = []
-    solved_alphas: list[float] = []
-
-    def profile_ll(betas: np.ndarray) -> np.ndarray:
-        init = None
-        if solved_betas:
-            # shape varies smoothly with the exponent: start from the rows solved so far
-            order = np.argsort(solved_betas)
-            init = np.interp(betas, np.take(solved_betas, order), np.take(solved_alphas, order))
-        alpha, _, ll, _, _ = _gamma_profile_rows(deltas, steps, betas, init)
-        solved_betas.extend(betas)
-        solved_alphas.extend(alpha)
-        return ll
-
-    beta_hat = _profile_beta(profile_ll, len(inc))
-    alpha, theta, ll, iterations, converged = _fit_gamma_profile(inc, beta_hat)
-    if not math.isfinite(ll):
-        raise FitError("non-finite profile likelihood")
-    return FitResult(
-        model_id="nonhomog_gamma",
-        params={"alpha": alpha, "theta": theta, "beta": beta_hat},
-        loglik=ll,
-        k=3,
-        converged=converged,
-        iterations=iterations,
-    )
+    return _fit_series((Family.GAMMA, Trend.NONLINEAR), inc)
 
 
-def loglik(model: CandidateModel, params: Mapping[str, float], inc: IncrementSeries) -> float:
-    """Sum of per-increment log densities; -inf when gamma is inapplicable."""
-    deltas = np.asarray(inc.deltas)
+def loglik(
+    model: CandidateModel,
+    params: Mapping[str, float],
+    inc: IncrementSeries,
+    span: slice = slice(None),
+) -> float:
+    """Sum of the log densities of the increments ``inc[span]``; -inf when gamma
+    is inapplicable."""
+    deltas = np.asarray(inc.deltas[span])
+    steps = inc.step_indices[span]
     if model.family is Family.WIENER:
         if "m" not in params or "s" not in params:
             raise ValueError(f"Wiener params need m and s, got {dict(params)}")
@@ -435,7 +534,7 @@ def loglik(model: CandidateModel, params: Mapping[str, float], inc: IncrementSer
         if model.trend is Trend.NONLINEAR:
             if "beta" not in params:
                 raise ValueError("nonlinear Wiener params need beta")
-            mean = params["m"] * time_transform_at(inc.step_indices, params["beta"])
+            mean = params["m"] * time_transform_at(steps, params["beta"])
         else:
             mean = np.full_like(deltas, params["m"])
         return float(_normal_loglik(deltas - mean, s2))
@@ -447,7 +546,7 @@ def loglik(model: CandidateModel, params: Mapping[str, float], inc: IncrementSer
     if model.trend is Trend.NONLINEAR:
         if "beta" not in params:
             raise ValueError("non-homogeneous gamma params need beta")
-        shape = params["alpha"] * time_transform_at(inc.step_indices, params["beta"])
+        shape = params["alpha"] * time_transform_at(steps, params["beta"])
     else:
         shape = np.full_like(deltas, params["alpha"])
     return float(_gamma_loglik(deltas, shape, params["theta"]))
@@ -464,3 +563,26 @@ _FITTERS = {
 def fit_model(model: CandidateModel, inc: IncrementSeries) -> FitResult:
     """Dispatch to the fitter matching the model's structural labels."""
     return _FITTERS[(model.family, model.trend)](inc)
+
+
+def fit_folds(model: CandidateModel, inc: IncrementSeries, bounds: np.ndarray) -> list[FitResult]:
+    """Fit ``model`` once per fold f, to the increments outside ``bounds[f]:bounds[f + 1]``.
+
+    The folds are one batched problem: rows of a training mask over the whole
+    series, so the step indices keep each held-out gap.  Each fold's training
+    increments pass the fitter's checks before any fold is fitted; the first
+    fold that fails raises the fitter's FitError, naming the fold.
+    """
+    key = (model.family, model.trend)
+    deltas = np.asarray(inc.deltas)
+    cols = np.arange(deltas.size)
+    train = (cols < bounds[:-1, None]) | (cols >= bounds[1:, None])
+    checks = [_training_error(key, deltas[keep]) for keep in train]
+    if any(checks):
+        outcomes = checks
+    else:
+        outcomes = _ROW_FITTERS[key][2](deltas, inc.step_indices, train.astype(float))
+    for f, out in enumerate(outcomes):
+        if isinstance(out, FitError):
+            raise type(out)(f"fold {f + 1}: {out}")
+    return outcomes

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .criteria import Criterion, ScoreTable, select_argmin
+from .criteria import Criterion, FitTable, ScoreTable, select_argmin
 from .decisions import (
     HierarchyDecisionRecord,
     Observation,
@@ -26,6 +27,10 @@ from .model_space import (
 from .simulate import Trajectory
 
 DEFAULT_BANNED_TOKENS = ("rul", "failure time", "remaining life")
+# Whole words only: "rule-based" and "unruly" do not contain the token "rul".
+_BANNED_WORDS = tuple(
+    (token, re.compile(rf"\b{re.escape(token)}\b")) for token in DEFAULT_BANNED_TOKENS
+)
 MIN_POINTS = 4  # below: too short for the linear fitters
 
 
@@ -61,6 +66,7 @@ class SelectionResult:
     decisions: dict[Hierarchy, HierarchyDecisionRecord]
     retained: CandidateSet
     scores: Optional[ScoreTable]
+    fits: FitTable  # the fits this inference made, for other scorings of the trajectory
     diagnostics: list[str] = field(default_factory=list)
 
 
@@ -72,8 +78,8 @@ def validate_input(input: InferenceInput) -> list[str]:
     """Leakage and short-window checks; returns warnings, raises nothing."""
     warnings = []
     lowered = input.context.lower()
-    for token in DEFAULT_BANNED_TOKENS:
-        if token in lowered:
+    for token, word in _BANNED_WORDS:
+        if word.search(lowered):
             warnings.append(
                 f"context may leak post-inspection information: contains {token!r}"
             )
@@ -109,10 +115,12 @@ def run_inference(
     else:
         chosen, scores = select_argmin(retained, input.trajectory, cfg.criterion, obs.fits)
         diagnostics.extend(scores.notes)
+    obs.fits.release_increments()  # a kept result pins its fits, not a copy of the data
     return SelectionResult(
         chosen=chosen,
         decisions=records,
         retained=retained,
         scores=scores,
+        fits=obs.fits,
         diagnostics=diagnostics,
     )

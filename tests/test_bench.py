@@ -1,4 +1,6 @@
 import json
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -174,6 +176,33 @@ class TestRunExperiment:
     def test_unknown_format_rejected(self, small_report, tmp_path):
         with pytest.raises(ValueError):
             emit_report(small_report, tmp_path / "x", "yaml")
+
+
+class TestSharedFits:
+    CASE2_SMALL = ExperimentConfig(case=Case.CASE2, n_values=(50,), per_class_count=5, seed=5)
+
+    def test_each_unit_fitted_once_across_methods(self, bank, monkeypatch):
+        import degselect.criteria as crit
+
+        requests = Counter()
+        fit_model = crit.fit_model
+
+        def counted(model, inc):
+            requests[(model.id, inc)] += 1
+            return fit_model(model, inc)
+
+        monkeypatch.setattr(crit, "fit_model", counted)
+        run_experiment(self.CASE2_SMALL, bank=bank)
+        assert requests and set(requests.values()) == {1}
+
+    def test_baselines_ignore_a_perturbed_proposed_input(self, bank):
+        clean = run_experiment(self.CASE2_SMALL, bank=bank)
+        swapped = run_experiment(
+            replace(self.CASE2_SMALL, perturbation=Perturbation.WRONG_HI), bank=bank
+        )
+        for crit in Criterion:
+            key = (50, crit.value)
+            assert swapped.entries[key].confusion == clean.entries[key].confusion
 
 
 class TestRunRobustness:

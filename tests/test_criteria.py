@@ -1,18 +1,27 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from degselect.criteria import (
     Criterion,
+    FitError,
     FitTable,
     NoApplicableModelError,
     score,
     select_argmin,
 )
-from degselect.fitting import fit_model, increments
+from degselect.fitting import IncrementSeries, fit_model, increments, loglik
 from degselect.model_space import CandidateModel, CandidateSet, Family, Trend
-from degselect.simulate import SimKind, Trajectory, default_params, generate
+from degselect.simulate import (
+    SimKind,
+    Trajectory,
+    default_params,
+    generate,
+    truncate_at_progress,
+)
 
 from conftest import make_path
 
@@ -79,20 +88,38 @@ class TestInapplicableFits:
         assert notes and "homog_gamma" in notes[0]
 
 
+def cv_pin_inputs():
+    """The trajectories whose CV scores and picks are pinned in cv_pins.json:
+    windows of 30/50/70% of default paths for every kind and seeds 1-5."""
+    out = {}
+    for kind in SimKind:
+        for seed in range(1, 6):
+            traj = generate(default_params(kind, seed=seed)).trajectory
+            for pct in (30, 50, 70):
+                out[f"{kind.value}-{seed}-{pct}"] = truncate_at_progress(traj, pct)
+    return out
+
+
+CV_PINS = json.loads((Path(__file__).parent / "data" / "cv_pins.json").read_text())
+
+
 class TestCrossValidation:
     def test_too_few_increments_is_inf(self, case2_set):
         traj = Trajectory("u", tuple(map(float, range(6))), (0.0, 0.4, 1.1, 1.4, 2.2, 2.5))
-        assert score(by_id(case2_set, "linear_wiener"), traj, Criterion.CV) == math.inf
+        notes = []
+        assert score(by_id(case2_set, "linear_wiener"), traj, Criterion.CV, notes) == math.inf
+        assert notes == ["linear_wiener: cross-validation needs at least 10 increments, got 5"]
 
-    def test_matches_manual_fold_computation(self, case2_set):
-        traj = make_path(SimKind.LINEAR_WIENER, seed=33, n_percent=70)
-        model = by_id(case2_set, "linear_wiener")
+    @pytest.mark.parametrize("model_id", [k.value for k in SimKind])
+    def test_matches_manual_fold_computation(self, case2_set, model_id):
+        # Each fold fitted on its own compacted training series, as the folds
+        # were before they became one batched problem.
+        traj = make_path(SimKind(model_id), seed=33, n_percent=70)
+        model = by_id(case2_set, model_id)
         inc = increments(traj)
         n = len(inc)
         bounds = np.linspace(0, n, 6).astype(int)
         expected = []
-        from degselect.fitting import IncrementSeries, loglik
-
         for f in range(5):
             lo, hi = bounds[f], bounds[f + 1]
             train = IncrementSeries(
@@ -103,8 +130,29 @@ class TestCrossValidation:
             fit = fit_model(model, train)
             expected.append(-loglik(model, fit.params, held) / len(held))
         assert score(model, traj, Criterion.CV) == pytest.approx(
-            float(np.mean(expected))
+            float(np.mean(expected)), rel=1e-5
         )
+
+    def test_matches_recorded_scores_and_picks(self, case2_set):
+        """CV scores within 1e-5 relative, and the CV baseline's picks exactly,
+        of those recorded at commit bed3a56, which fitted every fold as its own
+        compacted series; ``None`` records an infinite score or no pick."""
+        inputs = cv_pin_inputs()
+        assert inputs.keys() == CV_PINS.keys()
+        for name, traj in inputs.items():
+            pin = CV_PINS[name]
+            assert len(traj) - 1 == pin["n"], name
+            for model in case2_set:
+                got, want = score(model, traj, Criterion.CV), pin["scores"][model.id]
+                if want is None:
+                    assert got == math.inf, (name, model.id)
+                else:
+                    assert abs(got - want) <= 1e-5 * abs(want), (name, model.id, got, want)
+            try:
+                pick = select_argmin(case2_set, traj, Criterion.CV)[0].id
+            except NoApplicableModelError:
+                pick = None
+            assert pick == pin["pick"], name
 
     def test_gamma_cv_inf_on_negative_increments(self, case2_set):
         traj = make_path(SimKind.LINEAR_WIENER, seed=21, n_percent=70)
@@ -113,6 +161,30 @@ class TestCrossValidation:
     def test_cv_finite_on_gamma_path(self, case2_set, gamma_path):
         val = score(by_id(case2_set, "homog_gamma"), gamma_path, Criterion.CV)
         assert math.isfinite(val)
+
+    @pytest.mark.parametrize("model_id", ["homog_gamma", "nonhomog_gamma"])
+    def test_note_names_the_first_failing_fold(self, case2_set, model_id):
+        # 20 increments, 4 per fold; the one negative increment lies in the
+        # first fold's held-out block, so the first fold trains on positive
+        # increments and the second fold is the first that cannot.
+        deltas = [-0.1] + [0.3 + 0.05 * (i % 3) for i in range(19)]
+        traj = Trajectory("u", tuple(map(float, range(21))), tuple(np.cumsum([1.0] + deltas)))
+        notes = []
+        assert score(by_id(case2_set, model_id), traj, Criterion.CV, notes) == math.inf
+        assert notes == [f"{model_id}: fold 2: gamma model requires positive increments"]
+
+    def test_note_on_non_finite_held_out_likelihood(self, case2_set, wiener_path, monkeypatch):
+        import degselect.criteria as crit
+
+        monkeypatch.setattr(crit, "loglik", lambda *args: -math.inf)
+        notes = []
+        model = by_id(case2_set, "linear_wiener")
+        assert score(model, wiener_path, Criterion.CV, notes) == math.inf
+        assert notes == ["linear_wiener: fold 1: non-finite held-out log-likelihood"]
+
+    def test_select_argmin_notes_cv_failures(self, case2_set, wiener_path):
+        _, table = select_argmin(case2_set, wiener_path, Criterion.CV)
+        assert [note.split(":")[0] for note in table.notes] == ["homog_gamma", "nonhomog_gamma"]
 
 
 class TestSelectArgmin:
@@ -195,6 +267,28 @@ class TestFitTable:
         assert sorted(requested, key=str) == sorted(
             ((m.family, m.trend) for m in case2_set), key=str
         )
+
+    def test_failed_fit_kept_without_the_fitter_frames(self, case2_set, wiener_path):
+        # The fitter's frames hold its arrays; a kept table must not pin them.
+        fits = FitTable(wiener_path)
+        for _ in range(2):
+            with pytest.raises(FitError) as info:
+                fits.fit(by_id(case2_set, "homog_gamma"))
+            tb, files = info.value.__traceback__, []
+            while tb is not None:
+                files.append(Path(tb.tb_frame.f_code.co_filename).name)
+                tb = tb.tb_next
+            assert "fitting.py" not in files
+
+    def test_released_increments_are_formed_again(self, case2_set, gamma_path):
+        fits = FitTable(gamma_path)
+        first = fits.fit(by_id(case2_set, "homog_gamma"))
+        fits.release_increments()
+        assert "inc" not in vars(fits)
+        assert fits.fit(by_id(case2_set, "homog_gamma")) is first
+        assert fits.fit(by_id(case2_set, "linear_wiener")).loglik == fit_model(
+            by_id(case2_set, "linear_wiener"), increments(gamma_path)
+        ).loglik
 
     def test_table_of_another_trajectory_rejected(self, case2_set, gamma_path, wiener_path):
         with pytest.raises(ValueError, match="different trajectory"):

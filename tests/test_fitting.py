@@ -20,8 +20,10 @@ from degselect.fitting import (
     IncrementSeries,
     NonPositiveIncrementError,
     _gamma_profile_rows,
+    _profile_beta,
     _trigamma,
     _wiener_profile_rows,
+    fit_folds,
     fit_homog_gamma,
     fit_linear_wiener,
     fit_model,
@@ -237,13 +239,13 @@ class TestNonhomogGamma:
     def test_capped_profile_solve_reports_not_converged(self, monkeypatch):
         import degselect.fitting as fitting
 
-        solve = fitting._fit_gamma_profile
+        solve = fitting._gamma_profile_rows
 
-        def capped(inc, beta, init=None):
-            alpha, theta, ll, _, _ = solve(inc, beta, init)
-            return alpha, theta, ll, 100, False
+        def capped(*args):
+            alpha, theta, ll, iterations, converged = solve(*args)
+            return alpha, theta, ll, np.full_like(iterations, 100), np.zeros_like(converged)
 
-        monkeypatch.setattr(fitting, "_fit_gamma_profile", capped)
+        monkeypatch.setattr(fitting, "_gamma_profile_rows", capped)
         res = fit_nonhomog_gamma(long_run(SimKind.NONHOMOG_GAMMA, seed=4, n=300))
         assert (res.converged, res.iterations) == (False, 100)
 
@@ -391,6 +393,104 @@ class TestProfileProperties:
         except DegenerateVarianceError:
             assume(False)
         assert non.loglik >= lin.loglik - 1e-9
+
+
+def fold_training_mask(n, folds):
+    """Training mask of contiguous folds over n increments (True = training)."""
+    bounds = np.linspace(0, n, folds + 1).astype(int)
+    cols = np.arange(n)
+    return bounds, (cols < bounds[:-1, None]) | (cols >= bounds[1:, None])
+
+
+class TestFitFolds:
+    """``fit_folds`` solves all folds as one batched problem; each fold
+    matches ``fit_model`` on its compacted training series."""
+
+    @pytest.mark.parametrize("model", list(CASE2), ids=lambda m: m.id)
+    def test_matches_fits_of_compacted_training_series(self, model):
+        for seed in range(1, 6):
+            traj = generate(default_params(SimKind(model.id), seed=seed)).trajectory
+            for pct in (30, 70, 100):
+                inc = increments(truncate_at_progress(traj, pct))
+                bounds, train = fold_training_mask(len(inc), 5)
+                folds = fit_folds(model, inc, bounds)
+                for fold, keep in zip(folds, train):
+                    ref = fit_model(
+                        model,
+                        IncrementSeries(
+                            tuple(np.asarray(inc.deltas)[keep]),
+                            tuple(np.asarray(inc.step_indices)[keep].tolist()),
+                        ),
+                    )
+                    assert fold.converged == ref.converged
+                    assert abs(fold.loglik - ref.loglik) <= 1e-9 * max(1.0, abs(ref.loglik))
+                    if "beta" in ref.params:
+                        assert abs(fold.params["beta"] - ref.params["beta"]) <= 1e-5
+
+    def test_failing_fold_is_named(self):
+        # Constant increments outside the first fold: its training variance is 0.
+        model = next(m for m in CASE2 if m.id == "linear_wiener")
+        inc = series([0.9, 0.1, 0.7, 0.2] + [0.5] * 16)
+        bounds, _ = fold_training_mask(len(inc), 5)
+        with pytest.raises(DegenerateVarianceError, match="^fold 1: increment variance"):
+            fit_folds(model, inc, bounds)
+
+
+class TestLockstepRefinement:
+    """One driver steps the Brent searches of many problems together."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        problems=st.lists(
+            st.tuples(
+                st.floats(0.2, 5.0),  # peak
+                st.floats(0.0, 2.0),  # ripple amplitude
+                st.floats(0.5, 20.0),  # ripple frequency
+                st.booleans(),  # no finite value anywhere
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        n=st.sampled_from([40, 2000, 10_000]),
+    )
+    def test_rows_in_lockstep_repeat_their_one_row_runs(self, problems, n):
+        def run(rows_of):
+            calls = [[] for _ in rows_of]
+            peak, amp, freq, dead = (np.array(v) for v in zip(*rows_of))
+
+            def profile_ll(rows, betas):
+                for p, b in zip(rows.tolist(), betas.tolist()):
+                    calls[p].append(b)
+                x = np.log(betas / peak[rows])
+                vals = -x * x + amp[rows] * np.cos(freq[rows] * x)
+                return np.where(dead[rows], np.nan, vals)
+
+            return _profile_beta(profile_ll, n, len(rows_of)), calls
+
+        together, calls = run(problems)
+        for p, problem in enumerate(problems):
+            alone, alone_calls = run([problem])
+            assert calls[p] == alone_calls[0]
+            assert together[p] == alone[0] or (math.isnan(together[p]) and math.isnan(alone[0]))
+            assert math.isnan(together[p]) == problem[3]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        deltas=st.lists(st.floats(min_value=1e-3, max_value=10.0), min_size=10, max_size=300),
+        folds=st.integers(2, 6),
+        beta=st.floats(0.2, 5.0),
+        gamma=st.booleans(),
+    )
+    def test_masked_rows_equal_compacted_one_row_evaluations(self, deltas, folds, beta, gamma):
+        x = np.asarray(deltas)
+        steps = np.arange(1.0, x.size + 1)
+        _, train = fold_training_mask(x.size, folds)
+        rows = _gamma_profile_rows if gamma else _wiener_profile_rows
+        kw = {"init": None} if gamma else {}
+        masked = rows(x, steps, np.full(folds, beta), mask=train.astype(float), **kw)[2]
+        for ll, keep in zip(masked, train):
+            single = rows(x[keep], steps[keep], np.array([beta]))[2][0]
+            assert abs(ll - single) <= 1e-10 * max(1.0, abs(single)), (ll, single)
 
 
 def test_profile_fits_leave_scipy_optimize_unimported():

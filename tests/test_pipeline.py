@@ -100,6 +100,21 @@ class TestValidateInput:
         warnings = validate_input(inp)
         assert any("leak" in w for w in warnings)
 
+    @pytest.mark.parametrize("context", ["observed RUL 40h", "failure time: 12 h"])
+    def test_banned_word_flagged(self, context):
+        traj = make_path(SimKind.HOMOG_GAMMA, seed=11)
+        inp = InferenceInput.for_case(Case.CASE2, traj, context=context)
+        assert any("leak" in w for w in validate_input(inp))
+
+    @pytest.mark.parametrize(
+        "context", ["rule-based maintenance schedule", "unruly vibration on the feed pump"]
+    )
+    def test_banned_tokens_match_whole_words(self, bank, context):
+        traj = make_path(SimKind.HOMOG_GAMMA, seed=11)
+        inp = InferenceInput.for_case(Case.CASE2, traj, context=context)
+        assert validate_input(inp) == []
+        run_inference(inp, bank, cfg=PipelineConfig(strict_leakage=True))  # no LeakageError
+
     def test_short_trajectory_warning(self):
         traj = Trajectory("u", (0.0, 1.0, 2.0), (0.0, 0.4, 0.9))
         inp = InferenceInput.for_case(Case.CASE2, traj)
@@ -297,6 +312,16 @@ class TestSinglePass:
         assert out.scores is not None and len(out.retained) == 2
         assert set(counts.values()) == {1}
         assert {(m.family, m.trend) for m in out.retained} == set(counts)
+
+    def test_result_exposes_the_inference_fits(self, bank):
+        traj = make_path(SimKind.LINEAR_WIENER, seed=8, n_percent=50)
+        out = run_inference(InferenceInput.for_case(Case.CASE2, traj), bank)
+        with counting_fits() as counts:
+            for model in out.retained:
+                out.fits.fit(model)
+        assert out.fits.traj is traj
+        assert not counts  # every retained model's fit was made by the inference
+        assert "inc" not in vars(out.fits)  # a kept result holds no copy of the data
 
     @settings(max_examples=40, deadline=None)
     @given(traj=integer_time_paths(), contrary=st.booleans())
