@@ -121,16 +121,15 @@ class HeuristicProvider:
         return (Family.GAMMA if p < GAMMA_NEG_THRESHOLD else Family.WIENER), p
 
     def _decide_family(self, obs: Observation) -> Answer:
-        deltas = np.diff(np.asarray(obs.traj.values))
-        if np.max(np.abs(deltas)) < 1e-12:
-            return Answer(Family.WIENER, CONF_FLOOR)  # flat: no signal
+        feats = obs.query.features
+        if feats.flat:
+            return Answer(Family.WIENER, CONF_FLOOR)  # no signal
         label, p = self._threshold_family(obs)
         conf = 0.5 + abs(p - GAMMA_NEG_THRESHOLD) / CONF_SCALE
-        strictly_monotone = bool(np.all(deltas > 0))
         if (
             label is Family.GAMMA
-            and strictly_monotone
-            and len(deltas) >= MONOTONE_MIN_STEPS
+            and feats.strictly_increasing
+            and feats.n_increments >= MONOTONE_MIN_STEPS
         ):
             conf += MONOTONE_BONUS
         return Answer(label, _clamp(conf))

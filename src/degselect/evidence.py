@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
@@ -75,48 +76,59 @@ class RetrievedSet:
 
 
 class EvidenceBank:
-    """Immutable proposition store with an inverted index."""
+    """Immutable proposition store with a BM25 impact index.
+
+    No BM25 term weight depends on the query, so each (term, record) weight
+    is computed here, once, and a query only adds up stored weights.
+    """
 
     def __init__(self, records: Sequence[EvidenceRecord]):
         self.records = tuple(records)
-        self._by_id = {r.id: r for r in self.records}
-        if len(self._by_id) != len(self.records):
+        if len({r.id for r in self.records}) != len(self.records):
             raise ValueError("duplicate evidence record ids")
-        self._doc_tokens = {r.id: tokenize(r.proposition) for r in self.records}
-        self._doc_len = {rid: len(toks) for rid, toks in self._doc_tokens.items()}
-        self._avg_len = (
-            sum(self._doc_len.values()) / len(self.records) if self.records else 0.0
-        )
-        self._postings: dict[str, dict[int, int]] = {}
-        for rid, toks in self._doc_tokens.items():
+        # Index positions count records in ascending id order.
+        self._id_order = tuple(sorted(self.records, key=lambda r: r.id))
+        docs = [tokenize(r.proposition) for r in self._id_order]
+        avg_len = sum(map(len, docs)) / len(docs) if docs else 0.0
+        norms = [BM25_K1 * (1.0 - BM25_B + BM25_B * len(toks) / avg_len) for toks in docs]
+        counts: dict[str, dict[int, int]] = {}  # term -> position -> tf
+        for pos, toks in enumerate(docs):
             for tok in toks:
-                self._postings.setdefault(tok, {}).setdefault(rid, 0)
-                self._postings[tok][rid] += 1
+                tfs = counts.setdefault(tok, {})
+                tfs[pos] = tfs.get(pos, 0) + 1
+        # term -> [(position, BM25 weight), ...]; every weight is positive.
+        self._impacts: dict[str, list[tuple[int, float]]] = {}
+        for term, tfs in counts.items():
+            idf = _idf(len(docs), len(tfs))
+            self._impacts[term] = [
+                (pos, idf * tf * (BM25_K1 + 1.0) / (tf + norms[pos])) for pos, tf in tfs.items()
+            ]
 
     def __len__(self) -> int:
         return len(self.records)
 
     def idf(self, term: str) -> float:
-        df = len(self._postings.get(term, {}))
-        n = len(self.records)
-        return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+        return _idf(len(self.records), len(self._impacts.get(term, ())))
+
+    def _scores(self, query_tokens: Sequence[str]) -> list[float]:
+        """BM25 score per index position, 0.0 where no query term matches.
+
+        Each query token, repeats included, adds its stored weights.
+        """
+        scores = [0.0] * len(self.records)
+        for term in query_tokens:
+            for pos, weight in self._impacts.get(term, ()):
+                scores[pos] += weight
+        return scores
 
     def bm25_scores(self, query_tokens: Sequence[str]) -> dict[int, float]:
         """BM25 score for every record matching at least one query term."""
-        scores: dict[int, float] = {}
-        for term in query_tokens:
-            postings = self._postings.get(term)
-            if not postings:
-                continue
-            idf = self.idf(term)
-            for rid, tf in postings.items():
-                norm = BM25_K1 * (
-                    1.0 - BM25_B + BM25_B * self._doc_len[rid] / self._avg_len
-                )
-                scores[rid] = scores.get(rid, 0.0) + idf * tf * (BM25_K1 + 1.0) / (
-                    tf + norm
-                )
-        return scores
+        scores = self._scores(query_tokens)
+        return {self._id_order[pos].id: s for pos, s in enumerate(scores) if s > 0.0}
+
+
+def _idf(n: int, df: int) -> float:
+    return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
 
 
 def _parse_record(rec: dict) -> EvidenceRecord:
@@ -194,6 +206,9 @@ class FeatureSummary:
     monotone: bool
     trend_curvature: float
     noise_scale_ratio: float
+    flat: bool  # every |increment| < FLAT_TOL: the path carries no shape
+    strictly_increasing: bool  # every increment > 0
+    n_increments: int
 
 
 @dataclass(frozen=True)
@@ -203,31 +218,41 @@ class Query:
 
 
 EPS = 1e-9
+FLAT_TOL = 1e-12
 
 
 def feature_summary(traj: Trajectory) -> FeatureSummary:
-    """Shape features of the observed trajectory used for query building."""
+    """Shape features of the observed trajectory, from one differencing."""
     if len(traj) < 3:
         raise ValueError("feature summary needs at least 3 observations")
     values = np.asarray(traj.values)
-    times = np.asarray(traj.times)
     deltas = np.diff(values)
-    neg_frac = float(np.mean(deltas < 0))
-    monotone = neg_frac == 0.0
-    pos = times > 0
-    if np.count_nonzero(pos) >= 2:
-        logt = np.log(times[pos])
-        logy = np.log(np.maximum(values[pos], EPS))
-        slope = float(np.polyfit(logt, logy, 1)[0])
+    n = len(deltas)
+    lo, hi = float(deltas.min()), float(deltas.max())
+    neg_frac = int(np.count_nonzero(deltas < 0.0)) / n
+    # Times increase strictly, so the positive ones are a suffix.
+    first = bisect_right(traj.times, 0.0)
+    if len(traj) - first >= 2:
+        # Least-squares slope of log y on log t, centred.
+        logt = np.log(traj.times[first:])
+        logy = np.log(np.maximum(values[first:], EPS))
+        dt = logt - logt.sum() / len(logt)
+        slope = float(dt @ (logy - logy.sum() / len(logy)) / (dt @ dt))
         curvature = slope - 1.0
     else:
         curvature = 0.0
-    noise_ratio = float(np.std(deltas) / (abs(float(np.mean(deltas))) + EPS))
+    # np.mean's and np.std's arithmetic, with the mean computed once.
+    mean = float(deltas.sum()) / n
+    centred = deltas - mean
+    std = math.sqrt(float((centred * centred).sum()) / n)
     return FeatureSummary(
         neg_increment_fraction=neg_frac,
-        monotone=monotone,
+        monotone=neg_frac == 0.0,
         trend_curvature=curvature,
-        noise_scale_ratio=noise_ratio,
+        noise_scale_ratio=std / (abs(mean) + EPS),
+        flat=max(hi, -lo) < FLAT_TOL,
+        strictly_increasing=lo > 0.0,
+        n_increments=n,
     )
 
 
@@ -260,10 +285,8 @@ def retrieve_top_k(
     """Top-k BM25 matches; zero-score records excluded, ties by id."""
     if k < 1:
         raise ValueError("k must be positive")
-    scores = bank.bm25_scores(tokenize(query.text))
-    ranked = sorted(
-        ((rid, s) for rid, s in scores.items() if s > 0.0),
-        key=lambda item: (-item[1], item[0]),
-    )
-    items = tuple((bank._by_id[rid], s) for rid, s in ranked[:k])
-    return RetrievedSet(items=items)
+    scores = bank._scores(tokenize(query.text))
+    ranked = [pos for pos, s in enumerate(scores) if s > 0.0]
+    # Positions ascend with id and the sort is stable: ties stay in id order.
+    ranked.sort(key=scores.__getitem__, reverse=True)
+    return RetrievedSet(items=tuple((bank._id_order[pos], scores[pos]) for pos in ranked[:k]))

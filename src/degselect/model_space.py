@@ -148,23 +148,30 @@ HOMOG_GAMMA = "homog_gamma"
 NONHOMOG_GAMMA = "nonhomog_gamma"
 
 
-def default_case_sets() -> tuple[CandidateSet, CandidateSet]:
-    """Shipped candidate sets: family-level (2 models) and detailed (4)."""
-    case1 = CandidateSet.of(
+_CASE_SETS = (
+    CandidateSet.of(
         [
             CandidateModel(WIENER_FAMILY, Family.WIENER, Trend.LINEAR, 2),
             CandidateModel(GAMMA_FAMILY, Family.GAMMA, Trend.LINEAR, 2),
         ]
-    )
-    case2 = CandidateSet.of(
+    ),
+    CandidateSet.of(
         [
             CandidateModel(LINEAR_WIENER, Family.WIENER, Trend.LINEAR, 2),
             CandidateModel(NONLINEAR_WIENER, Family.WIENER, Trend.NONLINEAR, 3),
             CandidateModel(HOMOG_GAMMA, Family.GAMMA, Trend.LINEAR, 2),
             CandidateModel(NONHOMOG_GAMMA, Family.GAMMA, Trend.NONLINEAR, 3),
         ]
-    )
-    return case1, case2
+    ),
+)
+
+
+def default_case_sets() -> tuple[CandidateSet, CandidateSet]:
+    """Shipped candidate sets: family-level (2 models) and detailed (4).
+
+    Both are frozen and built once, so every call returns the same two sets.
+    """
+    return _CASE_SETS
 
 
 def candidate_set_from_records(records: Iterable[Mapping]) -> CandidateSet:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional, Sequence
@@ -119,15 +120,16 @@ def generate(params: SimParams, unit_id: str = "unit") -> SimResult:
     """Simulate one run-to-failure trajectory, deterministic given the seed."""
     rng = np.random.default_rng(params.seed)
     n = params.max_steps
-    d = time_transform_increments(n, params.beta)
     if params.kind is SimKind.LINEAR_WIENER:
         deltas = rng.normal(params.m, params.s, size=n)
     elif params.kind is SimKind.NONLINEAR_WIENER:
-        deltas = rng.normal(params.m * d, params.s)
+        deltas = rng.normal(params.m * time_transform_increments(n, params.beta), params.s)
     elif params.kind is SimKind.HOMOG_GAMMA:
         deltas = rng.gamma(shape=params.alpha, scale=params.theta, size=n)
     else:
-        deltas = rng.gamma(shape=params.alpha * d, scale=params.theta)
+        deltas = rng.gamma(
+            shape=params.alpha * time_transform_increments(n, params.beta), scale=params.theta
+        )
 
     x = np.concatenate([[0.0], np.cumsum(deltas)])
     crossed = np.nonzero(x >= params.failure_threshold)[0]
@@ -139,8 +141,8 @@ def generate(params: SimParams, unit_id: str = "unit") -> SimResult:
         censored = True
     traj = Trajectory(
         unit_id=unit_id,
-        times=tuple(float(j) for j in range(end + 1)),
-        values=tuple(float(v) for v in x[: end + 1]),
+        times=tuple(map(float, range(end + 1))),
+        values=tuple(x[: end + 1].tolist()),
         true_model_id=params.kind.value,
     )
     return SimResult(trajectory=traj, censored=censored)
@@ -176,16 +178,10 @@ def truncate_at_progress(
     else:
         fht = traj.times[-1]
     cutoff = math.ceil(n_percent / 100.0 * fht)
-    keep = [k for k, t in enumerate(traj.times) if t <= cutoff]
-    if len(keep) < 2:
-        raise WindowTooShortError(
-            f"truncation at {n_percent}% leaves {len(keep)} points"
-        )
-    return replace(
-        traj,
-        times=tuple(traj.times[k] for k in keep),
-        values=tuple(traj.values[k] for k in keep),
-    )
+    keep = bisect_right(traj.times, cutoff)  # times increase strictly
+    if keep < 2:
+        raise WindowTooShortError(f"truncation at {n_percent}% leaves {keep} points")
+    return replace(traj, times=traj.times[:keep], values=traj.values[:keep])
 
 
 @dataclass(frozen=True)

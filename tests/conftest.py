@@ -1,8 +1,16 @@
+import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from degselect.evidence import default_bank
 from degselect.model_space import default_case_sets
-from degselect.simulate import SimKind, default_params, generate, truncate_at_progress
+from degselect.simulate import (
+    SimKind,
+    Trajectory,
+    default_params,
+    generate,
+    truncate_at_progress,
+)
 
 
 @pytest.fixture(scope="session")
@@ -43,3 +51,22 @@ def gamma_path():
 @pytest.fixture(scope="session")
 def wiener_path():
     return make_path(SimKind.LINEAR_WIENER, seed=11)
+
+
+@st.composite
+def shape_paths(draw):
+    """3-300 points for the feature pass: mixed-sign steps, flat runs (or a
+    wholly flat path), values that may be zero or negative, and times that
+    start at 0 or after it, on a unit or an irregular grid."""
+    n = draw(st.integers(3, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    deltas = rng.normal(draw(st.floats(-1.0, 2.0)), draw(st.floats(0.0, 2.0)), size=n - 1)
+    flat_share = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    deltas[rng.random(n - 1) < flat_share] = 0.0
+    values = draw(st.floats(-5.0, 5.0)) + np.concatenate([[0.0], np.cumsum(deltas)])
+    start = draw(st.sampled_from([0.0, 0.5, 3.0]))
+    if draw(st.booleans()):
+        times = start + np.arange(n, dtype=float)
+    else:
+        times = start + np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 4.0, size=n - 1))])
+    return Trajectory("shape", tuple(times.tolist()), tuple(values.tolist()))

@@ -6,10 +6,16 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degselect.decisions import (
+    CONF_CAP,
+    CONF_FLOOR,
+    CONF_SCALE,
+    GAMMA_NEG_THRESHOLD,
+    MONOTONE_BONUS,
+    MONOTONE_MIN_STEPS,
     Answer,
     ArbitrationConfig,
     EvidenceBlendProvider,
@@ -31,7 +37,7 @@ from degselect.model_space import Family, Hierarchy, Trend, Uncertain
 from degselect.pipeline import Case, InferenceInput, run_inference
 from degselect.simulate import SimKind, Trajectory
 
-from conftest import make_path
+from conftest import make_path, shape_paths
 
 CFG = ArbitrationConfig()
 
@@ -178,6 +184,44 @@ class TestHeuristicProvider:
         # Unclamped, 0.5 + |p - 0.02| / 0.15 is about 1.25.
         assert 0.5 + abs(p - 0.02) / 0.15 > 0.99
         assert self.p.decide(Hierarchy.FAMILY, obs).confidence == 0.99
+
+
+def reference_family_answer(traj):
+    """The family heuristic computed from ``traj.values`` directly."""
+    deltas = np.diff(np.asarray(traj.values))
+    if np.max(np.abs(deltas)) < 1e-12:
+        return Answer(Family.WIENER, CONF_FLOOR)
+    p = float(np.mean(deltas < 0))
+    label = Family.GAMMA if p < GAMMA_NEG_THRESHOLD else Family.WIENER
+    conf = 0.5 + abs(p - GAMMA_NEG_THRESHOLD) / CONF_SCALE
+    if label is Family.GAMMA and np.all(deltas > 0) and len(deltas) >= MONOTONE_MIN_STEPS:
+        conf += MONOTONE_BONUS
+    return Answer(label, min(max(conf, CONF_FLOOR), CONF_CAP))
+
+
+class TestFamilyFromFeatures:
+    @settings(max_examples=150, deadline=None)
+    @given(traj=shape_paths())
+    def test_equals_answer_from_values(self, traj):
+        ans = HeuristicProvider().decide(Hierarchy.FAMILY, Observation.of(traj))
+        assert ans == reference_family_answer(traj)
+
+    @pytest.mark.parametrize(
+        "traj",
+        [
+            make_path(SimKind.HOMOG_GAMMA, seed=11),  # monotone bonus
+            make_path(SimKind.LINEAR_WIENER, seed=11),
+            Trajectory("u", (0.0, 1.0, 2.0, 3.0), (1.0, 1.0, 1.0, 1.0)),  # flat
+        ],
+        ids=["gamma", "wiener", "flat"],
+    )
+    def test_needs_only_the_query_features(self, traj):
+        full = Observation.of(traj)
+        features_only = Observation(traj=None, query=full.query, fits=None)
+        for provider in (HeuristicProvider(), EvidenceBlendProvider()):
+            assert provider.decide(Hierarchy.FAMILY, features_only) == provider.decide(
+                Hierarchy.FAMILY, full
+            )
 
 
 class TestEvidenceBlendProvider:

@@ -3,13 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from degselect.bench import CONTEXT_BY_FAMILY
 from degselect.evidence import (
+    CURVATURE_NONLINEAR,
+    EPS,
     EvidenceBank,
     EvidenceCategory,
     EvidenceHint,
     EvidenceRecord,
     Query,
+    RetrievedSet,
     build_query,
     feature_summary,
     load_bank,
@@ -18,9 +24,9 @@ from degselect.evidence import (
     tokenize,
 )
 from degselect.model_space import Family, Hierarchy, Trend
-from degselect.simulate import SimKind, Trajectory
+from degselect.simulate import SimKind, Trajectory, truncate_at_progress
 
-from conftest import make_path
+from conftest import make_path, shape_paths
 
 
 def rec(rid, text, **kw):
@@ -143,6 +149,113 @@ class TestBM25:
         assert bank.bm25_scores(["zzz"]) == {}
 
 
+def reference_bm25(records, query_tokens):
+    """The plain loop of ``test_matches_reference_formula``: idf and length
+    norm recomputed for every query term and record."""
+    docs = {r.id: tokenize(r.proposition) for r in records}
+    avg = sum(len(t) for t in docs.values()) / len(docs)
+    expected = {}
+    for term in query_tokens:
+        df = sum(term in toks for toks in docs.values())
+        idf = math.log(1 + (len(docs) - df + 0.5) / (df + 0.5))
+        for rid, toks in docs.items():
+            tf = toks.count(term)
+            if tf == 0:
+                continue
+            denom = tf + 1.2 * (1 - 0.75 + 0.75 * len(toks) / avg)
+            expected[rid] = expected.get(rid, 0.0) + idf * tf * 2.2 / denom
+    return expected
+
+
+def reference_top_k(records, query_tokens, k):
+    scores = reference_bm25(records, query_tokens)
+    ranked = sorted(
+        ((rid, s) for rid, s in scores.items() if s > 0.0), key=lambda item: (-item[1], item[0])
+    )
+    return ranked[:k]
+
+
+WORDS = ("wear", "gamma", "drift", "noise", "crack", "the", "of", "monotone", "load")
+
+
+@st.composite
+def random_banks(draw):
+    """Up to 12 records with distinct ids in any order; propositions of 1-12
+    words drawn with repetition from a small vocabulary."""
+    ids = draw(st.lists(st.integers(1, 500), min_size=1, max_size=12, unique=True))
+    return [
+        rec(rid, " ".join(draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=12))))
+        for rid in ids
+    ]
+
+
+# Query tokens: the bank's vocabulary, with repeats, plus unknown tokens.
+random_queries = st.lists(st.sampled_from(WORDS + ("zzz", "unknown")), min_size=0, max_size=15)
+
+
+def experiment_query_texts():
+    """Every query text the experiments build: each template of
+    ``build_query`` with each context ``bench`` passes, and with none."""
+    texts = []
+    for shape in (
+        "monotonic increase of the health indicator",
+        "local increases and decreases of the health indicator",
+    ):
+        for trend in ("accelerating nonlinear trend", "approximately linear trend"):
+            for noise in ((), ("high measurement noise",)):
+                template = "; ".join((shape, trend) + noise)
+                texts.append(template)
+                texts.extend(f"{template}; {c}" for c in CONTEXT_BY_FAMILY.values())
+    return texts
+
+
+class TestImpactIndex:
+    """Scores from the weights stored at construction equal the plain loop
+    bit for bit: the same expression per (term, record), added in query order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(records=random_banks(), query=random_queries)
+    def test_scores_equal_reference_loop(self, records, query):
+        assert EvidenceBank(records).bm25_scores(query) == reference_bm25(records, query)
+
+    def test_shipped_bank_on_every_experiment_query(self, bank):
+        for text in experiment_query_texts():
+            q = tokenize(text)
+            assert bank.bm25_scores(q) == reference_bm25(bank.records, q), text
+
+    def test_experiment_queries_cover_build_query(self):
+        texts = set(experiment_query_texts())
+        for kind in SimKind:
+            for seed in range(5):
+                for pct in (30, 100):
+                    traj = truncate_at_progress(make_path(kind, seed=seed), pct)
+                    for context in ("", *CONTEXT_BY_FAMILY.values()):
+                        assert build_query(traj, context).text in texts
+
+    @settings(max_examples=200, deadline=None)
+    @given(records=random_banks(), query=random_queries, k=st.integers(1, 14))
+    def test_ranking_equals_reference(self, records, query, k):
+        out = retrieve_top_k(EvidenceBank(records), Query(" ".join(query), None), k=k)
+        assert [(r.id, s) for r, s in out] == reference_top_k(records, query, k)
+
+    def test_ties_ordered_by_id_whatever_the_bank_order(self):
+        bank = EvidenceBank([rec(rid, "crack growth") for rid in (40, 7, 19, 3)])
+        out = retrieve_top_k(bank, Query("crack", None), k=3)
+        assert [r.id for r in out.records()] == [3, 7, 19]
+        assert len({s for _, s in out}) == 1
+
+    def test_records_without_a_query_term_are_excluded(self):
+        bank = EvidenceBank([rec(1, "crack growth"), rec(2, "gamma wear"), rec(3, "crack")])
+        out = retrieve_top_k(bank, Query("crack unknown", None), k=8)
+        assert [r.id for r in out.records()] == [3, 1]
+        assert retrieve_top_k(bank, Query("unknown zzz", None), k=8) == RetrievedSet(())
+
+    def test_idf_reads_document_frequency(self):
+        bank = EvidenceBank([rec(1, "crack crack"), rec(2, "crack wear"), rec(3, "wear")])
+        assert bank.idf("crack") == math.log(1.0 + (3 - 2 + 0.5) / (2 + 0.5))
+        assert bank.idf("load") == math.log(1.0 + (3 + 0.5) / 0.5)
+
+
 class TestRetrieval:
     def _bank(self):
         return EvidenceBank(
@@ -205,6 +318,64 @@ class TestFeatureSummary:
     def test_neg_fraction_exact(self):
         traj = Trajectory("u", (0.0, 1.0, 2.0, 3.0, 4.0), (0.0, 1.0, 0.5, 1.5, 2.5))
         assert feature_summary(traj).neg_increment_fraction == 0.25
+
+
+def reference_features(traj):
+    """The feature pass as three separate computations: np.polyfit for the
+    log-log slope and np.mean / np.std for the noise ratio."""
+    values, times = np.asarray(traj.values), np.asarray(traj.times)
+    deltas = np.diff(values)
+    pos = times > 0
+    slope = (
+        float(np.polyfit(np.log(times[pos]), np.log(np.maximum(values[pos], EPS)), 1)[0])
+        if np.count_nonzero(pos) >= 2
+        else 1.0
+    )
+    return (
+        float(np.mean(deltas < 0)),
+        slope,
+        float(np.std(deltas) / (abs(float(np.mean(deltas))) + EPS)),
+    )
+
+
+class TestFeaturePass:
+    @settings(max_examples=150, deadline=None)
+    @given(traj=shape_paths())
+    def test_matches_separate_computations(self, traj):
+        neg_frac, slope, noise = reference_features(traj)
+        feats = feature_summary(traj)
+        assert feats.neg_increment_fraction == neg_frac
+        assert feats.monotone == (neg_frac == 0.0)
+        assert abs(feats.trend_curvature - (slope - 1.0)) <= 1e-12 * max(1.0, abs(slope))
+        assert feats.noise_scale_ratio == noise
+        deltas = np.diff(traj.values)
+        assert feats.flat == bool(np.max(np.abs(deltas)) < 1e-12)
+        assert feats.strictly_increasing == bool(np.all(deltas > 0))
+        assert feats.n_increments == len(traj) - 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(traj=shape_paths(), context=st.sampled_from(["", "pipeline corrosion"]))
+    def test_query_text_unchanged(self, traj, context):
+        neg_frac, slope, noise = reference_features(traj)
+        # Within rounding of the threshold, the two slope formulas may disagree.
+        assume(abs(slope - 1.0 - CURVATURE_NONLINEAR) > 1e-9)
+        phrases = [
+            "monotonic increase of the health indicator"
+            if neg_frac == 0.0
+            else "local increases and decreases of the health indicator",
+            "accelerating nonlinear trend"
+            if slope - 1.0 > CURVATURE_NONLINEAR
+            else "approximately linear trend",
+        ]
+        if noise > 1.0:
+            phrases.append("high measurement noise")
+        expected = "; ".join(phrases + ([context] if context else []))
+        assert build_query(traj, context).text == expected
+
+    def test_flat_path(self):
+        traj = Trajectory("f", (0.0, 1.0, 2.0, 3.0), (2.0, 2.0, 2.0, 2.0))
+        feats = feature_summary(traj)
+        assert feats.flat and feats.monotone and not feats.strictly_increasing
 
 
 class TestBuildQuery:

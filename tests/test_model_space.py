@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -139,6 +140,15 @@ def test_default_case_sizes():
     # Case 2 labels partition evenly.
     assert sum(m.family is Family.WIENER for m in CASE2) == 2
     assert sum(m.trend is Trend.LINEAR for m in CASE2) == 2
+
+
+def test_default_case_sets_built_once_and_frozen():
+    assert default_case_sets() is default_case_sets()
+    assert [len(c) for c in default_case_sets()] == [2, 4]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        CASE2.models = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        CASE2.models[0].param_count = 5
 
 
 def test_candidate_set_rejects_duplicates_and_empty():

@@ -117,6 +117,48 @@ class TestGenerate:
         assert abs(float(np.mean(normalized)) - 0.3) < tol
 
 
+def reference_generate(params):
+    """``generate`` with the time transform drawn for every kind and each
+    element converted by ``float``."""
+    rng = np.random.default_rng(params.seed)
+    n = params.max_steps
+    d = time_transform_increments(n, params.beta)
+    if params.kind is SimKind.LINEAR_WIENER:
+        deltas = rng.normal(params.m, params.s, size=n)
+    elif params.kind is SimKind.NONLINEAR_WIENER:
+        deltas = rng.normal(params.m * d, params.s)
+    elif params.kind is SimKind.HOMOG_GAMMA:
+        deltas = rng.gamma(shape=params.alpha, scale=params.theta, size=n)
+    else:
+        deltas = rng.gamma(shape=params.alpha * d, scale=params.theta)
+    x = np.concatenate([[0.0], np.cumsum(deltas)])
+    crossed = np.nonzero(x >= params.failure_threshold)[0]
+    end = int(crossed[0]) if crossed.size else n
+    times = tuple(float(j) for j in range(end + 1))
+    return times, tuple(float(v) for v in x[: end + 1]), not crossed.size
+
+
+def reference_truncate(times, values, n_percent):
+    cutoff = math.ceil(n_percent / 100.0 * times[-1])
+    keep = [k for k, t in enumerate(times) if t <= cutoff]
+    return tuple(times[k] for k in keep), tuple(values[k] for k in keep)
+
+
+class TestAgainstReferenceLoops:
+    @pytest.mark.parametrize("kind", list(SimKind))
+    def test_generate_and_truncate_bit_identical(self, kind):
+        for seed in range(20):
+            params = default_params(kind, seed=seed)
+            result = generate(params)
+            times, values, censored = reference_generate(params)
+            traj = result.trajectory
+            assert (traj.times, traj.values, result.censored) == (times, values, censored)
+            for pct in (30, 50, 70, 100):
+                out = truncate_at_progress(traj, pct)
+                assert (out.times, out.values) == reference_truncate(times, values, pct)
+                assert all(type(v) is float for v in out.times + out.values)
+
+
 class TestTrajectoryType:
     def test_rejects_non_increasing_times(self):
         with pytest.raises(ValueError):
