@@ -7,6 +7,16 @@ evaluated as row blocks of one exponents-by-increments array, refined by
 Brent's method.  Each fitter also fits several training subsets of one series
 at once, as rows of a mask over its increments; ``fit_folds`` fits the
 cross-validation folds that way.
+
+At each profiled exponent the non-homogeneous gamma fit solves the score
+equation of the shape rate alpha by Newton steps taken in 1/alpha, in which
+the equation is nearly linear (Minka 2002, "Estimating a Gamma
+distribution"), so a start far off on either side converges in a few steps.
+The solve is warm-started from the rates already solved for the same
+problem: interpolated between solved exponents, and beyond them extrapolated
+linearly in log(alpha) through the two nearest.  A long path's grid is swept
+one exponent at a time, so each grid row after the second starts from an
+extrapolation.
 """
 
 from __future__ import annotations
@@ -105,10 +115,10 @@ def increments(traj: Trajectory) -> IncrementSeries:
     """Successive differences of the trajectory, indexed by inspection step."""
     if len(traj) < 2:
         raise ValueError("need at least 2 observations to form increments")
-    vals = np.asarray(traj.values)
-    idx = tuple(int(round(t)) for t in traj.times[1:])
+    deltas = np.diff(np.asarray(traj.values)).astype(float, copy=False)
+    # round() rounds half to even and returns an int, exact beyond 2**63.
     return IncrementSeries(
-        deltas=tuple(float(d) for d in np.diff(vals)), step_indices=idx
+        deltas=tuple(deltas.tolist()), step_indices=tuple(map(round, traj.times[1:]))
     )
 
 
@@ -358,11 +368,13 @@ def _gamma_profile_rows(
     """MLE of (shape rate, scale) for gamma increments at each exponent in ``betas``.
 
     The scale is profiled out analytically; the remaining score equation in
-    the shape rate is solved for all rows at once by safeguarded Newton
-    iteration, a row leaving the loop once its step falls below 1e-10
-    (relative).  A row starts from ``init`` or, where that is None or NaN,
-    from a moment estimate.  ``mask`` (rows x increments, 1 = training) fits
-    each row to its own training increments at their real step indices.
+    the shape rate alpha is solved for all rows at once by safeguarded Newton
+    iteration in 1/alpha, where the score is nearly linear (Minka 2002), a
+    row leaving the loop once its step falls below 1e-10 * max(1, alpha).  A
+    Newton step that leaves the shrinking root bracket bisects it instead.
+    A row starts from ``init`` or, where that is None or NaN, from a moment
+    estimate.  ``mask`` (rows x increments, 1 = training) fits each row to
+    its own training increments at their real step indices.
     Returns per-row (shape rate, scale, loglik, iterations, converged before
     the 100-iteration cap).
     """
@@ -402,7 +414,7 @@ def _gamma_profile_rows(
             lo = np.where(up, alpha, lo)
             hi = np.where(up, hi, alpha)
             h = sd / alpha - (dd2 * _trigamma(shape)).sum(axis=1)
-            nxt = alpha - g / h
+            nxt = alpha / (1.0 + g / (alpha * h))  # the Newton step in 1/alpha
             nxt = np.where((lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi))
             done = np.abs(nxt - alpha) < 1e-10 * np.maximum(1.0, alpha)
             alpha = nxt
@@ -422,6 +434,27 @@ def _gamma_profile_rows(
     return out_alpha, theta, ll, iterations, converged
 
 
+def _warm_start(betas: np.ndarray, known_b: list, known_a: list) -> np.ndarray:
+    """Starting shape rates at ``betas`` from the rates solved at exponents ``known_b``.
+
+    Inside the solved exponents, linear interpolation of the rate.  Outside
+    them, linear extrapolation of log(rate) through the two nearest, or the
+    nearest rate where there is one or the two are equal; the solve clips
+    the start.
+    """
+    order = np.argsort(known_b)
+    xb, xa = np.take(known_b, order), np.take(known_a, order)
+    start = np.interp(betas, xb, xa)
+    if xb.size > 1:
+        for out, near, far in ((betas < xb[0], 0, 1), (betas > xb[-1], -1, -2)):
+            run = xb[far] - xb[near]
+            if run and out.any():
+                slope = math.log(xa[far] / xa[near]) / run
+                log_start = math.log(xa[near]) + slope * (betas[out] - xb[near])
+                start[out] = np.exp(np.minimum(log_start, math.log(SHAPE_MAX)))
+    return start
+
+
 def _nonhomog_gamma_rows(deltas, steps, mask) -> list:
     steps = np.asarray(steps, dtype=float)
     problems = 1 if mask is None else mask.shape[0]
@@ -436,8 +469,7 @@ def _nonhomog_gamma_rows(deltas, steps, mask) -> list:
             known_b, known_a = solved[p]
             if known_b:
                 at = rows == p
-                order = np.argsort(known_b)
-                init[at] = np.interp(betas[at], np.take(known_b, order), np.take(known_a, order))
+                init[at] = _warm_start(betas[at], known_b, known_a)
         alpha, _, ll, _, _ = _gamma_profile_rows(deltas, steps, betas, init, _take(mask, rows))
         for p, b, a in zip(rows.tolist(), betas.tolist(), alpha.tolist()):
             solved[p][0].append(b)

@@ -1,5 +1,8 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from degselect.evidence import default_bank
@@ -11,6 +14,12 @@ from degselect.simulate import (
     generate,
     truncate_at_progress,
 )
+
+# CI sets HYPOTHESIS_PROFILE=ci: the same examples on every run, so a property
+# with a float tolerance cannot pass on one run and fail on the next.
+settings.register_profile("ci", derandomize=True)
+if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

@@ -2,26 +2,31 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.special import polygamma
+from scipy.special import gammaln, polygamma, psi
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import norm
 
 from degselect.fitting import (
     _BETA_GRID,
     BETA_BOUNDS,
+    SHAPE_MAX,
+    SHAPE_MIN,
     DegenerateVarianceError,
     FitError,
     IncrementSeries,
     NonPositiveIncrementError,
+    _gamma_loglik,
     _gamma_profile_rows,
     _profile_beta,
     _trigamma,
+    _warm_start,
     _wiener_profile_rows,
     fit_folds,
     fit_homog_gamma,
@@ -38,6 +43,7 @@ from degselect.simulate import (
     SimParams,
     default_params,
     generate,
+    time_transform_at,
     time_transform_increments,
     truncate_at_progress,
 )
@@ -114,6 +120,42 @@ class TestIncrements:
             IncrementSeries((0.1, 0.2), (2, 1))
         with pytest.raises(ValueError):
             IncrementSeries((0.1,), (0,))
+
+    @staticmethod
+    def reference(traj):
+        """The per-element loop ``increments`` replaced."""
+        idx = tuple(int(round(t)) for t in traj.times[1:])
+        deltas = tuple(float(d) for d in np.diff(np.asarray(traj.values)))
+        return IncrementSeries(deltas=deltas, step_indices=idx)
+
+    @pytest.mark.parametrize(
+        "times,values",
+        [
+            (np.arange(10_001.0), np.cumsum(np.random.default_rng(3).gamma(0.5, 2.0, 10_001))),
+            ((0.0, 0.7, 2.5, 3.5, 5.5), (0.0, 0.4, -0.1, 0.3, 1.2)),  # half steps, to even
+            ((3.0, 4.0, 5.2, 7.9), (1.0, 1.5, 1.25, 2.0)),  # starting after 0
+            ((0, 1, 2, 3), (0, 2, 3, 7)),  # ints
+            (2.0**63 + 4096.0 * np.arange(5), (0.0, 0.1, 0.3, 0.2, 0.5)),  # beyond int64
+        ],
+    )
+    def test_matches_per_element_reference(self, times, values):
+        from degselect.simulate import Trajectory
+
+        times, values = (tuple(np.asarray(x).tolist()) for x in (times, values))
+        traj = Trajectory("u", times, values)
+        got, ref = increments(traj), self.reference(traj)
+        assert got == ref
+        assert {type(d) for d in got.deltas} == {float}
+        assert {type(j) for j in got.step_indices} == {int}
+
+    def test_half_steps_rounding_together_fail_like_the_reference(self):
+        from degselect.simulate import Trajectory
+
+        traj = Trajectory("u", (0.0, 1.5, 2.5, 3.0), (0.0, 0.1, 0.2, 0.4))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            self.reference(traj)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            increments(traj)
 
 
 class TestLinearWiener:
@@ -491,6 +533,166 @@ class TestLockstepRefinement:
         for ll, keep in zip(masked, train):
             single = rows(x[keep], steps[keep], np.array([beta]))[2][0]
             assert abs(ll - single) <= 1e-10 * max(1.0, abs(single)), (ll, single)
+
+
+def alpha_step_profile_rows(deltas, steps, betas, init, mask):
+    """Reference: the shape-rate solve with Newton steps taken in alpha itself.
+
+    ``_gamma_profile_rows`` before its step moved to 1/alpha, otherwise the
+    same: moment start, root bracket, bisection safeguard, stopping rule and
+    100-iteration cap, one row at a time.  Returns per row (shape rate,
+    loglik, rounding bound, converged).  The rounding bound, 32 eps times the
+    sum of the absolute loglik terms, covers both sides' pairwise sums of at
+    most 2,000 terms: under a steep time transform the terms cancel to far
+    below their size, so shape rates that differ only by rounding move the
+    loglik by about that much.
+    """
+    d = time_transform_at(steps, betas[:, None])
+    d = d if mask is None else d * mask
+    hole = np.zeros((betas.size, 1)) if mask is None else 1.0 - mask
+    sum_d = d.sum(axis=1)
+    sum_dlog = d @ np.log(deltas)
+    c = (deltas.sum() if mask is None else mask @ deltas) / sum_d
+    alpha = np.asarray(init, dtype=float).copy()
+    fresh = np.isnan(alpha)
+    if fresh.any():
+        a_mom = (d @ deltas) / (d * d).sum(axis=1)
+        resid = deltas - a_mom[:, None] * d
+        resid = resid if mask is None else resid * mask
+        w = (resid * resid).sum(axis=1) / sum_d
+        with np.errstate(divide="ignore", invalid="ignore"):
+            alpha = np.where(fresh, np.where(w > 0, a_mom * a_mom / w, SHAPE_MAX), alpha)
+    alpha = np.clip(alpha, SHAPE_MIN, SHAPE_MAX)
+    out = np.empty(betas.size)
+    converged = np.zeros(betas.size, dtype=bool)
+    for r in range(betas.size):
+        a, lo, hi = alpha[r], SHAPE_MIN, SHAPE_MAX
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(100):
+                shape = a * d[r] + hole[r]
+                g = sum_dlog[r] - sum_d[r] * np.log(c[r] / a) - (d[r] * psi(shape)).sum()
+                lo, hi = (a, hi) if g > 0 else (lo, a)
+                h = sum_d[r] / a - (d[r] ** 2 * _trigamma(shape)).sum()
+                nxt = a - g / h
+                nxt = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+                done = abs(nxt - a) < 1e-10 * max(1.0, a)
+                a = nxt
+                if done:
+                    converged[r] = True
+                    break
+        out[r] = a
+    shape, theta = out[:, None] * d + hole, (c / out)[:, None]
+    ll = _gamma_loglik(deltas, shape, theta, mask)
+    terms = (
+        np.abs((shape - 1.0) * np.log(deltas))
+        + deltas / theta
+        + np.abs(shape * np.log(theta))
+        + np.abs(gammaln(shape))
+    )
+    rounding = 32 * np.finfo(float).eps * (terms if mask is None else terms * mask).sum(axis=1)
+    return out, ll, rounding, converged
+
+
+class TestShapeRateSolve:
+    """The shape-rate solve takes its Newton steps in 1/alpha."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        log_shape=st.floats(math.log(1e-3), math.log(1e3)),
+        log_scale=st.floats(-10.0, 10.0),
+        n=st.integers(5, 2000),
+        true_beta=st.floats(0.2, 5.0),
+        beta=st.sampled_from(_BETA_GRID.tolist()),
+        folds=st.booleans(),
+        start=st.sampled_from([math.nan, -8.0, 8.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_alpha_step_reference(
+        self, log_shape, log_scale, n, true_beta, beta, folds, start, seed
+    ):
+        shape = math.exp(log_shape)
+        steps = np.arange(1.0, n + 1)
+        rate = shape * time_transform_at(steps, true_beta)
+        deltas = np.random.default_rng(seed).gamma(rate, math.exp(log_scale))
+        deltas = np.maximum(deltas, 1e-300)  # a draw that underflows to 0 stays positive
+        assume(math.log(deltas.mean()) - np.log(deltas).mean() > 0)  # bounded profile
+        if folds:
+            mask = fold_training_mask(n, 5)[1].astype(float)
+            betas = np.full(5, beta)
+        else:
+            mask, betas = None, np.array([beta])
+        init = np.full(betas.size, shape * math.exp(start))
+        _, ref_ll, rounding, ref_conv = alpha_step_profile_rows(deltas, steps, betas, init, mask)
+        _, _, ll, _, conv = _gamma_profile_rows(deltas, steps, betas, init, mask)
+        assert conv.tolist() == ref_conv.tolist()
+        slack = 1e-9 * np.maximum(1.0, np.abs(ref_ll)) + rounding
+        assert np.all(ll >= ref_ll - slack), (ll, ref_ll, rounding)
+
+    # Newton row-iterations of one fit, summed over every shape-rate solve, as
+    # counted at commit a0003fa (alpha steps, interpolated starts only):
+    # (kind, path length) -> count.
+    ALPHA_STEP_ROW_ITERATIONS = {
+        (SimKind.HOMOG_GAMMA, 2000): 336,
+        (SimKind.NONHOMOG_GAMMA, 2000): 331,
+        (SimKind.HOMOG_GAMMA, 10_000): 228,
+        (SimKind.NONHOMOG_GAMMA, 10_000): 248,
+    }
+
+    @pytest.mark.parametrize("kind,n", list(ALPHA_STEP_ROW_ITERATIONS))
+    def test_long_path_fit_does_at_most_60_percent_of_the_alpha_step_work(
+        self, monkeypatch, kind, n
+    ):
+        import degselect.fitting as fitting
+
+        solve, count = fitting._gamma_profile_rows, []
+
+        def counted(*args):
+            out = solve(*args)
+            count.append(int(out[3].sum()))
+            return out
+
+        monkeypatch.setattr(fitting, "_gamma_profile_rows", counted)
+        fit_nonhomog_gamma(long_run(kind, seed=4, n=n))
+        assert sum(count) <= 0.6 * self.ALPHA_STEP_ROW_ITERATIONS[kind, n], sum(count)
+
+
+class TestWarmStart:
+    """Shape-rate starts for a profile row from the rates already solved."""
+
+    KNOWN_B = [1.0, 0.4, 2.5, 0.7]
+    KNOWN_A = [3.0, 0.9, 40.0, 1.6]
+
+    def test_inside_the_solved_exponents_interpolates_bitwise(self):
+        betas = np.array([0.4, 0.55, 0.85, 1.0, 1.7, 2.5])
+        order = np.argsort(self.KNOWN_B)
+        ref = np.interp(betas, np.take(self.KNOWN_B, order), np.take(self.KNOWN_A, order))
+        assert _warm_start(betas, self.KNOWN_B, self.KNOWN_A).tobytes() == ref.tobytes()
+
+    def test_outside_extrapolates_log_rate_through_the_two_nearest(self):
+        betas = np.array([0.2, 0.3, 3.0, 5.0])
+        below = (math.log(1.6) - math.log(0.9)) / (0.7 - 0.4)
+        above = (math.log(40.0) - math.log(3.0)) / (2.5 - 1.0)
+        ref = [
+            math.exp(math.log(0.9) + below * (0.2 - 0.4)),
+            math.exp(math.log(0.9) + below * (0.3 - 0.4)),
+            math.exp(math.log(40.0) + above * (3.0 - 2.5)),
+            math.exp(math.log(40.0) + above * (5.0 - 2.5)),
+        ]
+        got = _warm_start(betas, self.KNOWN_B, self.KNOWN_A)
+        np.testing.assert_allclose(got, ref, rtol=1e-12)
+
+    def test_one_solved_exponent_starts_flat(self):
+        got = _warm_start(np.array([0.2, 5.0]), [1.0], [3.0])
+        assert got.tolist() == [3.0, 3.0]
+
+    def test_equal_or_steep_nearest_exponents_warn_of_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            flat = _warm_start(np.array([0.2, 5.0]), [1.0, 1.0, 3.0, 3.0], [2.0, 2.0, 7.0, 7.0])
+            steep = _warm_start(np.array([0.2, 5.0]), [1.0, 1.0 + 1e-9], [1e-8, 1e6])
+        assert flat.tolist() == [2.0, 7.0]
+        # the solve clips these to [SHAPE_MIN, SHAPE_MAX]
+        assert steep[1] == pytest.approx(SHAPE_MAX) and 0.0 <= steep[0] < SHAPE_MIN
 
 
 def test_profile_fits_leave_scipy_optimize_unimported():

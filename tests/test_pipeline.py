@@ -409,7 +409,13 @@ class TestPinnedAnswers:
     """The default providers' answers agree exactly with outcomes recorded at
     commit 256c22e, when the heuristic's constants were fields of a config
     object; ``answer_pins.json`` holds ``answer_record`` of ``run_inference``
-    on ``answer_pin_inputs()``."""
+    on ``answer_pin_inputs()``.
+
+    The commit after a0003fa, which takes the gamma shape-rate Newton step in
+    1/alpha, re-recorded the 38 inputs whose trend confidences moved (30
+    ``homog_gamma`` and 8 ``nonhomog_gamma`` case-2 windows, by at most
+    1.9e-14); every label, final decision, retained set and pick is as
+    recorded at 256c22e."""
 
     def test_matches_recorded_answers(self, bank):
         inputs = answer_pin_inputs()
