@@ -23,7 +23,6 @@ from .evidence import (
     feature_summary,
     load_bank,
     retrieve_top_k,
-    sentence_split_fallback,
 )
 from .fitting import (
     FitResult,
@@ -47,7 +46,6 @@ from .model_space import (
     condition,
     default_case_sets,
     structural_label,
-    subspace,
 )
 from .pipeline import (
     Case,

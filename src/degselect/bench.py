@@ -354,13 +354,3 @@ def emit_report(report: MetricsReport, path, format: str = "csv") -> None:
             fh.write("\n".join(lines))
     else:
         raise ValueError(f"unknown report format: {format!r}")
-
-
-def parse_report_csv(path) -> dict[tuple[int, str], dict[str, float]]:
-    """Reparse an emitted CSV report into {(n, method): {metric: value}}."""
-    out: dict[tuple[int, str], dict[str, float]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            key = (int(row["n"]), row["method"])
-            out.setdefault(key, {})[row["metric"]] = float(row["value"])
-    return out

@@ -25,8 +25,8 @@ from .evidence import (
     retrieve_top_k,
 )
 from .model_space import (
-    Decision, Family, Hierarchy, Label, Trend, Uncertain, default_case_sets, label_hierarchy,
-    parse_label, subspace,
+    Decision, Family, Hierarchy, Label, Trend, Uncertain, condition, default_case_sets,
+    label_hierarchy, parse_label,
 )
 from .simulate import Trajectory
 
@@ -137,7 +137,7 @@ class HeuristicProvider:
     def _decide_trend(self, obs: Observation) -> Answer:
         # The linear and nonlinear case-2 models of the threshold family.
         family = self._threshold_family(obs)[0]
-        linear, nonlinear = subspace(default_case_sets()[1], Hierarchy.FAMILY, family)
+        linear, nonlinear = condition(default_case_sets()[1], {Hierarchy.FAMILY: family})
         try:
             ll_lin = obs.fits.fit(linear).loglik
             ll_nl = obs.fits.fit(nonlinear).loglik

@@ -121,11 +121,6 @@ class EvidenceBank:
                 scores[pos] += weight
         return scores
 
-    def bm25_scores(self, query_tokens: Sequence[str]) -> dict[int, float]:
-        """BM25 score for every record matching at least one query term."""
-        scores = self._scores(query_tokens)
-        return {self._id_order[pos].id: s for pos, s in enumerate(scores) if s > 0.0}
-
 
 def _idf(n: int, df: int) -> float:
     return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
@@ -174,30 +169,6 @@ def default_bank() -> EvidenceBank:
     ref = resources.files("degselect").joinpath("data/evidence_bank.jsonl")
     with resources.as_file(ref) as path:
         return load_bank(path)
-
-
-_SENTENCE_RE = re.compile(r"(?<=[.!?])\s+")
-
-
-def sentence_split_fallback(document: str, doc_id: str) -> list[EvidenceRecord]:
-    """Naive proposition extraction: sentence split, drop short fragments."""
-    records = []
-    next_id = 1
-    for raw in _SENTENCE_RE.split(document.strip()):
-        sentence = raw.strip()
-        if len(tokenize(sentence)) < 4:
-            continue
-        records.append(
-            EvidenceRecord(
-                id=next_id,
-                proposition=sentence,
-                doc_id=doc_id,
-                category=EvidenceCategory.REVIEW,
-                citation=doc_id,
-            )
-        )
-        next_id += 1
-    return records
 
 
 @dataclass(frozen=True)

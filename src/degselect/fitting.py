@@ -1,12 +1,13 @@
 """Maximum-likelihood fitting of the four candidate degradation processes.
 
-All fitters consume increment series.  The Wiener fits are closed-form; the
-gamma fits use Newton iteration on the shape score equation; the two
-nonlinear kinds profile the time-transform exponent over a bounded grid,
-evaluated as row blocks of one exponents-by-increments array, refined by
-Brent's method.  Each fitter also fits several training subsets of one series
-at once, as rows of a mask over its increments; ``fit_folds`` fits the
-cross-validation folds that way.
+All fitters consume increment series.  There is one kernel per family, which
+fits at given time-transform exponents: the Wiener kernel is closed-form, the
+gamma kernel solves the shape score equation by Newton iteration.  The linear
+fits are these kernels at the fixed exponent 1.  The two nonlinear fits
+profile the exponent over a bounded grid, evaluated as row blocks of one
+exponents-by-increments array, refined by Brent's method.  Each fitter also
+fits several training subsets of one series at once, as rows of a mask over
+its increments; ``fit_folds`` fits the cross-validation folds that way.
 
 At each profiled exponent the non-homogeneous gamma fit solves the score
 equation of the shape rate alpha by Newton steps taken in 1/alpha, in which
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Generator, Mapping, Optional
 
 import numpy as np
-from scipy.special import gammaln, polygamma, psi
+from scipy.special import gammaln, psi
 
 
 def _trigamma(x: np.ndarray) -> np.ndarray:
@@ -239,6 +240,11 @@ def _counts(n: int, mask: Optional[np.ndarray]):
     return n if mask is None else mask.sum(axis=1)
 
 
+def _problems(mask: Optional[np.ndarray]) -> int:
+    """Rows fitted at once: one per mask row, or one for the whole series."""
+    return 1 if mask is None else mask.shape[0]
+
+
 def _take(mask: Optional[np.ndarray], rows: np.ndarray) -> Optional[np.ndarray]:
     return None if mask is None else mask[rows]
 
@@ -266,15 +272,16 @@ def _solved(beta: np.ndarray) -> np.ndarray:
 
 
 def _linear_wiener_rows(deltas, steps, mask) -> list:
-    x = deltas[None, :]
-    count = _counts(deltas.size, mask)
-    m_hat = _masked(x, mask).sum(axis=1) / count
-    resid = _masked(x - m_hat[:, None], mask)
-    s2 = (resid * resid).sum(axis=1) / count
-    ll = _normal_loglik(resid, np.maximum(s2, VARIANCE_FLOOR), count)
+    # A linear model ignores the step indices: fit it at unit steps, where
+    # d_j = 1**1 - 0**1 is exactly 1 (j - (j - 1) is not, above 2**53).
+    m_hat, s2, ll = _wiener_profile_rows(
+        deltas, np.ones(deltas.size), np.ones(_problems(mask)), mask
+    )
     return [
-        DegenerateVarianceError(f"increment variance {v} below floor")
-        if v < VARIANCE_FLOOR
+        # The kernel floors the variance, so a row at the floor had variance
+        # at or below it.
+        DegenerateVarianceError(f"increment variance at or below floor {VARIANCE_FLOOR}")
+        if v <= VARIANCE_FLOOR
         else FitResult("linear_wiener", {"m": float(m), "s": math.sqrt(v)}, float(l), 2, True, 0)
         for m, v, l in zip(m_hat, s2, ll)
     ]
@@ -302,7 +309,7 @@ def _nonlinear_wiener_rows(deltas, steps, mask) -> list:
     beta = _profile_beta(
         lambda rows, b: _wiener_profile_rows(deltas, steps, b, _take(mask, rows))[2],
         deltas.size,
-        1 if mask is None else mask.shape[0],
+        _problems(mask),
     )
     m_hat, s2, ll = _wiener_profile_rows(deltas, steps, _solved(beta), mask)
     return [
@@ -327,34 +334,30 @@ def _gamma_loglik(deltas: np.ndarray, shape: np.ndarray, scale, mask=None) -> np
     return _masked(terms, mask).sum(axis=-1)
 
 
-def _gamma_shape(s: float) -> tuple[float, int, bool]:
-    """Newton solve of log(alpha) - psi(alpha) = s: (shape, iterations, converged)."""
-    if s <= 0:
-        return SHAPE_MAX, 0, False  # zero-dispersion limit: all increments (numerically) equal
-    # Moment-matched closed-form initializer for the shape equation.
-    alpha = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
-    for iterations in range(1, 101):
-        g = math.log(alpha) - psi(alpha) - s
-        h = 1.0 / alpha - polygamma(1, alpha)
-        step = g / h
-        alpha = min(max(alpha - step, SHAPE_MIN), SHAPE_MAX)
-        if abs(step) < 1e-10:
-            return alpha, iterations, True
-    return alpha, iterations, False
-
-
 def _homog_gamma_rows(deltas, steps, mask) -> list:
     x = deltas[None, :]
     count = _counts(deltas.size, mask)
-    mean = _masked(x, mask).sum(axis=1) / count
     mean_log = _masked(np.log(x), mask).sum(axis=1) / count
-    shapes = [_gamma_shape(math.log(m) - float(ml)) for m, ml in zip(mean, mean_log)]
-    alpha = np.array([a for a, _, _ in shapes])
-    theta = mean / alpha
-    ll = _gamma_loglik(x, alpha[:, None], theta[:, None], mask)
+    s = np.log(_masked(x, mask).sum(axis=1) / count) - mean_log
+    flat = s <= 0  # zero-dispersion limit: all increments (numerically) equal
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Moment-matched closed-form start for log(alpha) - psi(alpha) = s;
+        # a flat row starts, and stays, at the shape cap.
+        init = (3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
+    init[flat] = SHAPE_MAX
+    alpha, theta, ll, iterations, converged = _gamma_profile_rows(
+        deltas, np.ones(deltas.size), np.ones(s.size), init, mask
+    )
     return [
-        FitResult("homog_gamma", {"alpha": a, "theta": float(t)}, float(l), 2, c, i)
-        for (a, i, c), t, l in zip(shapes, theta, ll)
+        FitResult(
+            "homog_gamma",
+            {"alpha": float(a), "theta": float(t)},
+            float(l),
+            2,
+            bool(c) and not f,
+            0 if f else int(i),
+        )
+        for a, t, l, i, c, f in zip(alpha, theta, ll, iterations, converged, flat)
     ]
 
 
@@ -457,7 +460,7 @@ def _warm_start(betas: np.ndarray, known_b: list, known_a: list) -> np.ndarray:
 
 def _nonhomog_gamma_rows(deltas, steps, mask) -> list:
     steps = np.asarray(steps, dtype=float)
-    problems = 1 if mask is None else mask.shape[0]
+    problems = _problems(mask)
     # Per problem, the exponents and shape rates solved so far.
     solved = [([], []) for _ in range(problems)]
 
@@ -530,7 +533,8 @@ def _fit_series(key: tuple[Family, Trend], inc: IncrementSeries) -> FitResult:
 
 
 def fit_linear_wiener(inc: IncrementSeries) -> FitResult:
-    """Closed-form MLE for Gaussian increments with constant drift."""
+    """Closed-form MLE for Gaussian increments with constant drift: the
+    Wiener kernel at exponent 1."""
     return _fit_series((Family.WIENER, Trend.LINEAR), inc)
 
 
@@ -540,7 +544,8 @@ def fit_nonlinear_wiener(inc: IncrementSeries) -> FitResult:
 
 
 def fit_homog_gamma(inc: IncrementSeries) -> FitResult:
-    """Newton MLE for i.i.d. gamma increments (shape, scale)."""
+    """Newton MLE for i.i.d. gamma increments (shape, scale): the gamma
+    kernel at exponent 1."""
     return _fit_series((Family.GAMMA, Trend.LINEAR), inc)
 
 
@@ -558,30 +563,21 @@ def loglik(
     """Sum of the log densities of the increments ``inc[span]``; -inf when gamma
     is inapplicable."""
     deltas = np.asarray(inc.deltas[span])
-    steps = inc.step_indices[span]
+    d = 1.0  # a linear model is the exponent-1 model, which ignores the steps
+    if model.trend is Trend.NONLINEAR:
+        if "beta" not in params:
+            raise ValueError(f"{model.id} params need beta")
+        d = time_transform_at(inc.step_indices[span], params["beta"])
     if model.family is Family.WIENER:
         if "m" not in params or "s" not in params:
             raise ValueError(f"Wiener params need m and s, got {dict(params)}")
-        s2 = params["s"] ** 2
-        if model.trend is Trend.NONLINEAR:
-            if "beta" not in params:
-                raise ValueError("nonlinear Wiener params need beta")
-            mean = params["m"] * time_transform_at(steps, params["beta"])
-        else:
-            mean = np.full_like(deltas, params["m"])
-        return float(_normal_loglik(deltas - mean, s2))
+        return float(_normal_loglik(deltas - params["m"] * d, params["s"] ** 2))
 
     if "alpha" not in params or "theta" not in params:
         raise ValueError(f"gamma params need alpha and theta, got {dict(params)}")
     if np.any(deltas <= 0):
         return NEG_INF
-    if model.trend is Trend.NONLINEAR:
-        if "beta" not in params:
-            raise ValueError("non-homogeneous gamma params need beta")
-        shape = params["alpha"] * time_transform_at(steps, params["beta"])
-    else:
-        shape = np.full_like(deltas, params["alpha"])
-    return float(_gamma_loglik(deltas, shape, params["theta"]))
+    return float(_gamma_loglik(deltas, params["alpha"] * d, params["theta"]))
 
 
 _FITTERS = {

@@ -110,11 +110,6 @@ class EmptyRetainedSetError(ValueError):
     """Confident decisions that no candidate model satisfies together."""
 
 
-def subspace(cset: CandidateSet, h: Hierarchy, y: Label) -> CandidateSet:
-    """Models whose label on hierarchy ``h`` equals ``y``; preserves order."""
-    return condition(cset, {h: y})
-
-
 def condition(
     cset: CandidateSet, decisions: Mapping[Hierarchy, Decision]
 ) -> CandidateSet:
@@ -172,22 +167,3 @@ def default_case_sets() -> tuple[CandidateSet, CandidateSet]:
     Both are frozen and built once, so every call returns the same two sets.
     """
     return _CASE_SETS
-
-
-def candidate_set_from_records(records: Iterable[Mapping]) -> CandidateSet:
-    """Build a candidate set from config records.
-
-    Each record: {"id": str, "family": "W"|"G", "trend": "L"|"NL",
-    "param_count": int}.
-    """
-    models = []
-    for rec in records:
-        models.append(
-            CandidateModel(
-                id=str(rec["id"]),
-                family=Family(rec["family"]),
-                trend=Trend(rec["trend"]),
-                param_count=int(rec["param_count"]),
-            )
-        )
-    return CandidateSet.of(models)

@@ -1,3 +1,4 @@
+import csv
 import json
 from collections import Counter
 from dataclasses import replace
@@ -14,7 +15,6 @@ from degselect.bench import (
     correct_context,
     emit_report,
     generate_dataset,
-    parse_report_csv,
     perturb_input,
     run_experiment,
     run_robustness,
@@ -25,6 +25,15 @@ from degselect.criteria import Criterion
 from degselect.model_space import Family
 from degselect.pipeline import Case, InferenceInput
 from degselect.simulate import SimKind
+
+
+def parse_report_csv(path):
+    """Reparse an emitted CSV report into {(n, method): {metric: value}}."""
+    out = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            out.setdefault((int(row["n"]), row["method"]), {})[row["metric"]] = float(row["value"])
+    return out
 
 
 class TestComputeMetrics:

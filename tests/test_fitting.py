@@ -18,6 +18,7 @@ from degselect.fitting import (
     BETA_BOUNDS,
     SHAPE_MAX,
     SHAPE_MIN,
+    VARIANCE_FLOOR,
     DegenerateVarianceError,
     FitError,
     IncrementSeries,
@@ -476,6 +477,166 @@ class TestFitFolds:
         bounds, _ = fold_training_mask(len(inc), 5)
         with pytest.raises(DegenerateVarianceError, match="^fold 1: increment variance"):
             fit_folds(model, inc, bounds)
+
+
+def closed_form_linear_wiener(deltas, mask):
+    """Reference: the closed-form linear Wiener fit, before the linear fits
+    became the Wiener kernel at beta = 1.  Per row of ``mask`` (None: the
+    whole series): the loglik at the training mean and variance, floored, and
+    the sum of the absolute log-density terms."""
+    x = deltas[None, :]
+    keep = np.ones_like(x) if mask is None else mask
+    count = keep.sum(axis=1)
+    m_hat = (x * keep).sum(axis=1) / count
+    resid = (x - m_hat[:, None]) * keep
+    s2 = (resid * resid).sum(axis=1) / count
+    var = np.maximum(s2, VARIANCE_FLOOR)
+    log_norm = 0.5 * count * np.log(2.0 * math.pi * var)
+    quad = 0.5 * (resid * resid).sum(axis=1) / var
+    return -log_norm - quad, np.abs(log_norm) + quad
+
+
+def scalar_newton_gamma_shape(s):
+    """Reference: Newton solve of log(alpha) - psi(alpha) = s from the
+    moment-matched closed-form start, one scalar at a time, with the shape
+    rate clipped to its bounds after every step; (shape, iterations, converged)."""
+    if s <= 0:
+        return SHAPE_MAX, 0, False  # zero-dispersion limit
+    alpha = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
+    for iterations in range(1, 101):
+        step = (math.log(alpha) - psi(alpha) - s) / (1.0 / alpha - polygamma(1, alpha))
+        alpha = min(max(alpha - step, SHAPE_MIN), SHAPE_MAX)
+        if abs(step) < 1e-10:
+            return alpha, iterations, True
+    return alpha, iterations, False
+
+
+def scalar_newton_homog_gamma(deltas, mask):
+    """Reference: the homogeneous gamma fit before it became the gamma kernel
+    at beta = 1.  Per row: (shape, loglik, sum of the absolute log-density
+    terms, converged)."""
+    x = deltas[None, :]
+    keep = np.ones_like(x) if mask is None else mask
+    count = keep.sum(axis=1)
+    mean = (x * keep).sum(axis=1) / count
+    mean_log = (np.log(x) * keep).sum(axis=1) / count
+    shapes = [scalar_newton_gamma_shape(math.log(m) - ml) for m, ml in zip(mean, mean_log)]
+    alpha = np.array([a for a, _, _ in shapes])[:, None]
+    theta = mean[:, None] / alpha
+    ll = _gamma_loglik(x, alpha, theta, keep)
+    terms = (
+        np.abs((alpha - 1.0) * np.log(x)) + x / theta + np.abs(alpha * np.log(theta))
+        + np.abs(gammaln(alpha))
+    )
+    return alpha[:, 0], ll, (terms * keep).sum(axis=1), [c for _, _, c in shapes]
+
+
+class TestLinearFitsAreKernelsAtBetaOne:
+    """The linear fits are the family kernels at the fixed exponent 1 and
+    agree with the closed-form and scalar-Newton fits they replaced.
+
+    Log-likelihoods agree within 1e-12 relative to the sum of the absolute
+    log-density terms they add up, the scale of their rounding: a
+    log-likelihood near 0 can be the sum of large terms that cancel.
+    """
+
+    @staticmethod
+    def fits(model_id, deltas, bounds):
+        """The public fits of ``deltas``: the whole series, or the folds of ``bounds``."""
+        model = next(m for m in CASE2 if m.id == model_id)
+        inc = series(deltas)
+        return [fit_model(model, inc)] if bounds is None else fit_folds(model, inc, bounds)
+
+    @staticmethod
+    def draw_folds(data, n, folds):
+        """Fold bounds (None: no folds) of a random 5-fold split of n
+        increments with at least 3 training increments in every fold, and
+        the matching training mask."""
+        if not folds:
+            return None, None
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), min_size=4, max_size=4)))
+        bounds = np.array([0] + cuts + [n])
+        assume(np.diff(bounds).max() <= n - 3)
+        cols = np.arange(n)
+        train = (cols < bounds[:-1, None]) | (cols >= bounds[1:, None])
+        return bounds, train.astype(float)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(5, 2000),
+        folds=st.booleans(),
+        drift=st.floats(-5.0, 5.0),
+        log_sd=st.floats(-5.0, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_linear_wiener_matches_closed_form(self, data, n, folds, drift, log_sd, seed):
+        deltas = np.random.default_rng(seed).normal(drift, math.exp(log_sd), n)
+        bounds, mask = self.draw_folds(data, n, folds)
+        got = self.fits("linear_wiener", deltas, bounds)
+        ll, size = closed_form_linear_wiener(deltas, mask)
+        for fit, l, z in zip(got, ll, size):
+            assert abs(fit.loglik - l) <= 1e-12 * max(1.0, z), (fit.loglik, l, z)
+            assert fit.converged
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(5, 2000),
+        folds=st.booleans(),
+        log_shape=st.floats(math.log(1e-3), math.log(1e3)),
+        log_scale=st.floats(-10.0, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_homog_gamma_matches_scalar_newton(
+        self, data, n, folds, log_shape, log_scale, seed
+    ):
+        rng = np.random.default_rng(seed)
+        deltas = np.maximum(rng.gamma(math.exp(log_shape), math.exp(log_scale), n), 1e-300)
+        bounds, mask = self.draw_folds(data, n, folds)
+        got = self.fits("homog_gamma", deltas, bounds)
+        alpha, ll, size, converged = scalar_newton_homog_gamma(deltas, mask)
+        for fit, a, l, z, c in zip(got, alpha, ll, size, converged):
+            assert abs(fit.loglik - l) <= 1e-12 * max(1.0, z), (fit.loglik, l, z)
+            # The kernel stops once a step is below 1e-10 * max(1, alpha).
+            assert abs(fit.params["alpha"] - a) <= 1e-9 * max(1.0, a), (fit.params, a)
+            # The reference stops once a step is below 1e-10 absolute; above a
+            # shape of about 100 that nears the rounding of its step, about
+            # 2 alpha^2 eps log(alpha), and it can run to its cap unconverged.
+            assert fit.converged == c or (fit.converged and a > 100.0), (fit, a, c)
+
+    # Constant increments outside one fold: its training set has no spread.
+    @pytest.mark.parametrize("fold", [1, 3, 5])
+    def test_constant_training_fold(self, fold):
+        deltas = [0.5] * 20
+        deltas[4 * (fold - 1) : 4 * fold] = [0.9, 0.1, 0.7, 0.2]
+        bounds, _ = fold_training_mask(len(deltas), 5)
+        with pytest.raises(DegenerateVarianceError, match=f"^fold {fold}: increment variance"):
+            self.fits("linear_wiener", deltas, bounds)
+        fits = self.fits("homog_gamma", deltas, bounds)
+        flat = fits[fold - 1]
+        assert (flat.params["alpha"], flat.iterations, flat.converged) == (SHAPE_MAX, 0, False)
+        assert math.isfinite(flat.loglik)
+        assert all(f.converged for i, f in enumerate(fits) if i != fold - 1)
+
+    # Above 2**53, j - (j - 1) rounds to 0 or 2 in floats; a linear model
+    # must not read the step indices at all.
+    def test_steps_above_2_53_are_ignored(self):
+        deltas = np.array([0.3, 0.5, 0.2, 0.6, 0.4])
+        inc = series(deltas, start=2**53 + 1)
+        wiener = fit_linear_wiener(inc)
+        ll, _ = closed_form_linear_wiener(deltas, None)
+        assert wiener.params["m"] == pytest.approx(deltas.mean(), rel=1e-12)
+        assert wiener.params["s"] == pytest.approx(deltas.std(), rel=1e-12)
+        assert wiener.loglik == pytest.approx(ll[0], rel=1e-12)
+        gamma = fit_homog_gamma(inc)
+        alpha, ll, _, converged = scalar_newton_homog_gamma(deltas, None)
+        assert gamma.params["alpha"] == pytest.approx(alpha[0], rel=1e-9)
+        assert gamma.loglik == pytest.approx(ll[0], rel=1e-12)
+        assert gamma.converged and converged[0]
+        for fit in (wiener, gamma):
+            model = next(m for m in CASE2 if m.id == fit.model_id)
+            assert loglik(model, fit.params, inc) == pytest.approx(fit.loglik, rel=1e-12)
 
 
 class TestLockstepRefinement:

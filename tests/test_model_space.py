@@ -12,11 +12,9 @@ from degselect.model_space import (
     Hierarchy,
     Trend,
     Uncertain,
-    candidate_set_from_records,
     condition,
     default_case_sets,
     structural_label,
-    subspace,
 )
 
 CASE1, CASE2 = default_case_sets()
@@ -48,16 +46,16 @@ def test_nonlinear_wiener_label_pair():
     ],
 )
 def test_subspace_case2(h, label, expected):
-    assert subspace(CASE2, h, label).ids() == expected
+    assert condition(CASE2, {h: label}).ids() == expected
 
 
 def test_subspace_case1_single_model_per_family():
-    assert subspace(CASE1, Hierarchy.FAMILY, Family.GAMMA).ids() == ("gamma_family",)
+    assert condition(CASE1, {Hierarchy.FAMILY: Family.GAMMA}).ids() == ("gamma_family",)
 
 
 def test_subspace_rejects_label_hierarchy_mismatch():
     with pytest.raises(ValueError):
-        subspace(CASE2, Hierarchy.FAMILY, Trend.LINEAR)
+        condition(CASE2, {Hierarchy.FAMILY: Trend.LINEAR})
 
 
 def test_condition_both_confident():
@@ -128,9 +126,9 @@ def test_condition_preserves_input_order():
 )
 def test_membership_iff_label_matches(fam, trend):
     for m in CASE2:
-        fam_space = subspace(CASE2, Hierarchy.FAMILY, fam)
+        fam_space = condition(CASE2, {Hierarchy.FAMILY: fam})
         assert (m in fam_space) == (m.family == fam)
-        trend_space = subspace(CASE2, Hierarchy.TREND, trend)
+        trend_space = condition(CASE2, {Hierarchy.TREND: trend})
         assert (m in trend_space) == (m.trend == trend)
 
 
@@ -162,13 +160,3 @@ def test_candidate_set_rejects_duplicates_and_empty():
 def test_param_count_lower_bound():
     with pytest.raises(ValueError):
         CandidateModel("a", Family.WIENER, Trend.LINEAR, 1)
-
-
-def test_candidate_set_from_records_roundtrip():
-    records = [
-        {"id": "m1", "family": "W", "trend": "NL", "param_count": 3},
-        {"id": "m2", "family": "G", "trend": "L", "param_count": 2},
-    ]
-    cset = candidate_set_from_records(records)
-    assert cset.ids() == ("m1", "m2")
-    assert by_id(cset, "m1").trend is Trend.NONLINEAR

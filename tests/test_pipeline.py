@@ -414,8 +414,11 @@ class TestPinnedAnswers:
     The commit after a0003fa, which takes the gamma shape-rate Newton step in
     1/alpha, re-recorded the 38 inputs whose trend confidences moved (30
     ``homog_gamma`` and 8 ``nonhomog_gamma`` case-2 windows, by at most
-    1.9e-14); every label, final decision, retained set and pick is as
-    recorded at 256c22e."""
+    1.9e-14).  The commit after ee86948, which fits the linear models as the
+    profile kernels at beta = 1, re-recorded the 40 whose trend confidences
+    moved (30 ``homog_gamma``, 4 ``nonhomog_gamma``, 4 ``nonlinear_wiener``
+    and 2 ``linear_wiener`` case-2 windows, by at most 1.4e-14).  Every
+    label, final decision, retained set and pick is as recorded at 256c22e."""
 
     def test_matches_recorded_answers(self, bank):
         inputs = answer_pin_inputs()
