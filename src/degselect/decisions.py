@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Protocol
 
-import numpy as np
-
 from .criteria import FitTable
 from .evidence import (
     EvidenceBank,
@@ -185,10 +183,9 @@ class EvidenceBlendProvider:
             if hint is None:
                 continue
             weights.append(s)
-            votes.append(_label_sign(hint))
+            votes.append(s * _label_sign(hint))
         if weights:
-            v = float(np.average(votes, weights=weights))
-            u = 0.5 * v + 0.5 * f
+            u = 0.5 * (sum(votes) / sum(weights)) + 0.5 * f
         else:
             u = f
         if u == 0.0:

@@ -10,9 +10,12 @@ fits several training subsets of one series at once, as rows of a mask over
 its increments; ``fit_folds`` fits the cross-validation folds that way.
 
 At each profiled exponent the non-homogeneous gamma fit solves the score
-equation of the shape rate alpha by Newton steps taken in 1/alpha, in which
-the equation is nearly linear (Minka 2002, "Estimating a Gamma
-distribution"), so a start far off on either side converges in a few steps.
+equation of the shape rate alpha in 1/alpha, in which the equation is nearly
+linear (Minka 2002, "Estimating a Gamma distribution"): with a_j = alpha*d_j,
+its slope is sum_j a_j^2 (psi'(a_j) - 1/a_j), and each term lies in
+(1/2, 1), so the slope lies in (n/2, n) for n increments.  One Newton step,
+then secant steps through the last two iterates, converge from a start far
+off on either side in a few steps, and evaluate trigamma once per solve.
 The solve is warm-started from the rates already solved for the same
 problem: interpolated between solved exponents, and beyond them extrapolated
 linearly in log(alpha) through the two nearest.  A long path's grid is swept
@@ -33,12 +36,13 @@ from scipy.special import gammaln, psi
 def _trigamma(x: np.ndarray) -> np.ndarray:
     """Vectorized trigamma via six recurrence steps + asymptotic series.
 
-    scipy's polygamma(1, .) is ~15x slower than psi on large arrays, which
-    would dominate the profile-likelihood Newton solves; this stays within
-    1e-12.  Every element takes all six steps, with no mask.  Measured on a
-    2-core x86 host (Python 3.11, numpy 2.4, scipy 1.17): 54 us for the
-    26 x 50 block of a short window's exponent grid (polygamma 437 us, psi
-    16 us) and 233 us for 10,000 elements (polygamma 3.8 ms, psi 242 us).
+    scipy's polygamma(1, .) is ~15x slower than psi on large arrays; this
+    stays within 1e-12.  The shape-rate solve calls it once, for its first
+    (Newton) step; its later steps are secant steps.  Every element takes
+    all six steps, with no mask.  Measured on a 2-core x86 host (Python
+    3.11, numpy 2.4, scipy 1.17): 54 us for the 26 x 50 block of a short
+    window's exponent grid (polygamma 437 us, psi 16 us) and 233 us for
+    10,000 elements (polygamma 3.8 ms, psi 242 us).
     """
     z = np.asarray(x, dtype=float)
     # Shift past 6 with psi'(z) = psi'(z+1) + 1/z^2, then the series in 1/z.
@@ -371,15 +375,18 @@ def _gamma_profile_rows(
     """MLE of (shape rate, scale) for gamma increments at each exponent in ``betas``.
 
     The scale is profiled out analytically; the remaining score equation in
-    the shape rate alpha is solved for all rows at once by safeguarded Newton
-    iteration in 1/alpha, where the score is nearly linear (Minka 2002), a
-    row leaving the loop once its step falls below 1e-10 * max(1, alpha).  A
-    Newton step that leaves the shrinking root bracket bisects it instead.
-    A row starts from ``init`` or, where that is None or NaN, from a moment
-    estimate.  ``mask`` (rows x increments, 1 = training) fits each row to
-    its own training increments at their real step indices.
-    Returns per-row (shape rate, scale, loglik, iterations, converged before
-    the 100-iteration cap).
+    the shape rate alpha is solved for all rows at once in 1/alpha, where the
+    score's slope lies in (n/2, n) for n training increments (Minka 2002).
+    The first step is Newton's, the one trigamma evaluation; every later one
+    is a secant step through the last two iterates.  A row leaves the loop
+    once its step falls below 1e-10 * max(1, alpha).  A step outside the
+    shrinking root bracket bisects it instead; the bracket includes its
+    ends, so a step landing on an end, as one does where the score is
+    exactly 0, is kept.  A row starts from ``init`` or, where that is None
+    or NaN, from a moment estimate.  ``mask`` (rows x increments,
+    1 = training) fits each row to its own training increments at their real
+    step indices.  Returns per-row (shape rate, scale, loglik, iterations,
+    converged before the 100-iteration cap).
     """
     d = _masked(time_transform_at(steps, betas[:, None]), mask)
     # Held-out columns see shape 1 with weight 0: finite psi, trigamma, gammaln.
@@ -406,8 +413,9 @@ def _gamma_profile_rows(
     # The loop runs on the rows not yet converged; ``idx`` maps them back.
     idx = np.arange(rows)
     lo, hi = np.full(rows, SHAPE_MIN), np.full(rows, SHAPE_MAX)
-    dd, dd2, hh, sd, sdl, cc = d, d * d, hole, sum_d, sum_dlog, c
-    # A zero slope gives a non-finite step, which the bracket test rejects.
+    dd, hh, sd, sdl, cc = d, hole, sum_d, sum_dlog, c
+    # A zero or NaN slope gives a step to 0 or NaN, which the bracket test
+    # rejects.
     with np.errstate(divide="ignore", invalid="ignore"):
         for it in range(1, 101):
             shape = alpha[:, None] * dd + hh
@@ -416,18 +424,26 @@ def _gamma_profile_rows(
             up = g > 0
             lo = np.where(up, alpha, lo)
             hi = np.where(up, hi, alpha)
-            h = sd / alpha - (dd2 * _trigamma(shape)).sum(axis=1)
-            nxt = alpha / (1.0 + g / (alpha * h))  # the Newton step in 1/alpha
-            nxt = np.where((lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi))
+            if it == 1:
+                # One Newton step in 1/alpha, the solve's one trigamma.
+                h = sd / alpha - (dd * dd * _trigamma(shape)).sum(axis=1)
+                nxt = alpha / (1.0 + g / (alpha * h))
+            else:
+                # A secant step in 1/alpha through the last two iterates,
+                # written so that g = 0 returns alpha itself.
+                slope = (g - g_prev) / (1.0 / alpha - 1.0 / alpha_prev)
+                nxt = alpha / (1.0 - alpha * g / slope)
+            nxt = np.where((lo <= nxt) & (nxt <= hi), nxt, 0.5 * (lo + hi))
             done = np.abs(nxt - alpha) < 1e-10 * np.maximum(1.0, alpha)
-            alpha = nxt
+            alpha_prev, g_prev, alpha = alpha, g, nxt
             if done.any():
                 out_alpha[idx[done]] = alpha[done]
                 iterations[idx[done]] = it
                 converged[idx[done]] = True
                 keep = ~done
                 idx, alpha, lo, hi = idx[keep], alpha[keep], lo[keep], hi[keep]
-                dd, dd2, hh = dd[keep], dd2[keep], hh[keep]
+                alpha_prev, g_prev = alpha_prev[keep], g_prev[keep]
+                dd, hh = dd[keep], hh[keep]
                 sd, sdl, cc = sd[keep], sdl[keep], cc[keep]
                 if not idx.size:
                     break

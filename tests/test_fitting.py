@@ -696,18 +696,12 @@ class TestLockstepRefinement:
             assert abs(ll - single) <= 1e-10 * max(1.0, abs(single)), (ll, single)
 
 
-def alpha_step_profile_rows(deltas, steps, betas, init, mask):
-    """Reference: the shape-rate solve with Newton steps taken in alpha itself.
-
-    ``_gamma_profile_rows`` before its step moved to 1/alpha, otherwise the
-    same: moment start, root bracket, bisection safeguard, stopping rule and
-    100-iteration cap, one row at a time.  Returns per row (shape rate,
-    loglik, rounding bound, converged).  The rounding bound, 32 eps times the
-    sum of the absolute loglik terms, covers both sides' pairwise sums of at
-    most 2,000 terms: under a steep time transform the terms cancel to far
-    below their size, so shape rates that differ only by rounding move the
-    loglik by about that much.
-    """
+def reference_inputs(deltas, steps, betas, init, mask):
+    """What the reference solves start from, computed as the kernel does:
+    per row the masked d_j, the held-out columns' shape (0 for training
+    columns), sum d_j, sum d_j log x_j, c = alpha * theta at the optimum,
+    and the start, ``init`` or the moment estimate where that is NaN,
+    clipped to the shape bounds."""
     d = time_transform_at(steps, betas[:, None])
     d = d if mask is None else d * mask
     hole = np.zeros((betas.size, 1)) if mask is None else 1.0 - mask
@@ -724,6 +718,22 @@ def alpha_step_profile_rows(deltas, steps, betas, init, mask):
         with np.errstate(divide="ignore", invalid="ignore"):
             alpha = np.where(fresh, np.where(w > 0, a_mom * a_mom / w, SHAPE_MAX), alpha)
     alpha = np.clip(alpha, SHAPE_MIN, SHAPE_MAX)
+    return d, hole, sum_d, sum_dlog, c, alpha
+
+
+def alpha_step_profile_rows(deltas, steps, betas, init, mask):
+    """Reference: the shape-rate solve with Newton steps taken in alpha itself.
+
+    ``_gamma_profile_rows`` before its step moved to 1/alpha, otherwise the
+    same: moment start, root bracket, bisection safeguard, stopping rule and
+    100-iteration cap, one row at a time.  Returns per row (shape rate,
+    loglik, rounding bound, converged).  The rounding bound, 32 eps times the
+    sum of the absolute loglik terms, covers both sides' pairwise sums of at
+    most 2,000 terms: under a steep time transform the terms cancel to far
+    below their size, so shape rates that differ only by rounding move the
+    loglik by about that much.
+    """
+    d, hole, sum_d, sum_dlog, c, alpha = reference_inputs(deltas, steps, betas, init, mask)
     out = np.empty(betas.size)
     converged = np.zeros(betas.size, dtype=bool)
     for r in range(betas.size):
@@ -742,7 +752,14 @@ def alpha_step_profile_rows(deltas, steps, betas, init, mask):
                     converged[r] = True
                     break
         out[r] = a
-    shape, theta = out[:, None] * d + hole, (c / out)[:, None]
+    ll, rounding = gamma_loglik_and_rounding(deltas, out, d, hole, c, mask)
+    return out, ll, rounding, converged
+
+
+def gamma_loglik_and_rounding(deltas, alpha, d, hole, c, mask):
+    """Per row, the gamma loglik at shape rates ``alpha`` with the scale
+    profiled out, and 32 eps times the sum of its absolute terms."""
+    shape, theta = alpha[:, None] * d + hole, (c / alpha)[:, None]
     ll = _gamma_loglik(deltas, shape, theta, mask)
     terms = (
         np.abs((shape - 1.0) * np.log(deltas))
@@ -751,6 +768,52 @@ def alpha_step_profile_rows(deltas, steps, betas, init, mask):
         + np.abs(gammaln(shape))
     )
     rounding = 32 * np.finfo(float).eps * (terms if mask is None else terms * mask).sum(axis=1)
+    return ll, rounding
+
+
+def gamma_score(deltas, steps, betas, alpha, mask):
+    """Per row, the shape-rate score at ``alpha`` (the profile loglik's slope
+    in alpha), 32 eps times the sum of its absolute terms, and the number of
+    training increments."""
+    d, hole, sum_d, _, c, _ = reference_inputs(deltas, steps, betas, alpha, mask)
+    log_x = d * np.log(deltas)
+    log_rate = sum_d * np.log(c / alpha)
+    psi_d = d * psi(alpha[:, None] * d + hole)
+    score = log_x.sum(axis=1) - log_rate - psi_d.sum(axis=1)
+    size = np.abs(log_x).sum(axis=1) + np.abs(log_rate) + np.abs(psi_d).sum(axis=1)
+    count = deltas.size if mask is None else mask.sum(axis=1)
+    return score, 32 * np.finfo(float).eps * size, count
+
+
+def newton_profile_rows(deltas, steps, betas, init, mask):
+    """Reference: the shape-rate solve with a Newton step in 1/alpha at every
+    iteration, as ``_gamma_profile_rows`` was before its later steps became
+    secant steps and its root bracket inclusive; the same start, stopping
+    rule and 100-iteration cap.  Returns per row (shape rate, loglik,
+    rounding bound as in ``alpha_step_profile_rows``, converged)."""
+    d, hole, sum_d, sum_dlog, c, alpha = reference_inputs(deltas, steps, betas, init, mask)
+    lo, hi = np.full(betas.size, SHAPE_MIN), np.full(betas.size, SHAPE_MAX)
+    out = np.empty(betas.size)
+    converged = np.zeros(betas.size, dtype=bool)
+    active = np.ones(betas.size, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(100):
+            shape = alpha[:, None] * d + hole
+            g = sum_dlog - sum_d * np.log(c / alpha) - (d * psi(shape)).sum(axis=1)
+            up = g > 0
+            lo = np.where(up, alpha, lo)
+            hi = np.where(up, hi, alpha)
+            h = sum_d / alpha - (d * d * _trigamma(shape)).sum(axis=1)
+            nxt = alpha / (1.0 + g / (alpha * h))
+            nxt = np.where((lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi))
+            done = active & (np.abs(nxt - alpha) < 1e-10 * np.maximum(1.0, alpha))
+            out[done], converged[done] = nxt[done], True
+            active &= ~done
+            alpha = np.where(active, nxt, alpha)
+            if not active.any():
+                break
+    out[active] = alpha[active]
+    ll, rounding = gamma_loglik_and_rounding(deltas, out, d, hole, c, mask)
     return out, ll, rounding, converged
 
 
@@ -815,6 +878,143 @@ class TestShapeRateSolve:
         monkeypatch.setattr(fitting, "_gamma_profile_rows", counted)
         fit_nonhomog_gamma(long_run(kind, seed=4, n=n))
         assert sum(count) <= 0.6 * self.ALPHA_STEP_ROW_ITERATIONS[kind, n], sum(count)
+
+
+class TestSecantSteps:
+    """After one Newton step, the shape-rate solve takes secant steps in
+    1/alpha, on a root bracket that keeps a step landing on its ends."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        log_shape=st.floats(math.log(1e-3), math.log(1e3)),
+        log_scale=st.floats(-10.0, 10.0),
+        n=st.integers(5, 2000),
+        true_beta=st.floats(0.2, 5.0),
+        beta=st.sampled_from(_BETA_GRID.tolist()),
+        folds=st.booleans(),
+        start=st.sampled_from([math.nan, -8.0, 8.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_newton_reference(
+        self, log_shape, log_scale, n, true_beta, beta, folds, start, seed
+    ):
+        shape = math.exp(log_shape)
+        steps = np.arange(1.0, n + 1)
+        rate = shape * time_transform_at(steps, true_beta)
+        deltas = np.random.default_rng(seed).gamma(rate, math.exp(log_scale))
+        deltas = np.maximum(deltas, 1e-300)  # a draw that underflows to 0 stays positive
+        assume(math.log(deltas.mean()) - np.log(deltas).mean() > 0)  # bounded profile
+        if folds:
+            mask = fold_training_mask(n, 5)[1].astype(float)
+            betas = np.full(5, beta)
+        else:
+            mask, betas = None, np.array([beta])
+        init = np.full(betas.size, shape * math.exp(start))
+        ref_alpha, ref_ll, rounding, ref_conv = newton_profile_rows(
+            deltas, steps, betas, init, mask
+        )
+        alpha, _, ll, _, conv = _gamma_profile_rows(deltas, steps, betas, init, mask)
+        assert conv.tolist() == ref_conv.tolist()
+        gap = np.abs(alpha - ref_alpha)
+        # The score is known only to within its rounding, so each solve's
+        # root only to within that over the score's least slope in alpha,
+        # n / (2 alpha^2), and the two roots to within twice that.
+        ref_score, score_rounding, count = gamma_score(deltas, steps, betas, ref_alpha, mask)
+        spread = 4.0 * score_rounding * ref_alpha**2 / count
+        assert np.all(gap <= 1e-9 * np.maximum(1.0, ref_alpha) + spread), (alpha, ref_alpha)
+        # The loglik's slope in alpha is the score, which decreases in alpha:
+        # between the two rates it stays within the larger of its end values.
+        score = gamma_score(deltas, steps, betas, alpha, mask)[0]
+        moved = np.maximum(np.abs(score), np.abs(ref_score)) * gap
+        slack = 1e-9 * np.maximum(1.0, np.abs(ref_ll)) + rounding + moved
+        assert np.all(np.abs(ll - ref_ll) <= slack), (ll, ref_ll, rounding, moved)
+
+    def test_one_trigamma_per_solve_and_one_psi_per_iteration(self, monkeypatch):
+        import degselect.fitting as fitting
+
+        solve, trigamma, digamma = fitting._gamma_profile_rows, fitting._trigamma, fitting.psi
+        calls = {"trigamma": 0, "psi": 0}
+        solves = []
+
+        def counted(name, f):
+            def wrapped(x):
+                calls[name] += 1
+                return f(x)
+
+            return wrapped
+
+        def recorded(*args):
+            tri, psis = calls["trigamma"], calls["psi"]
+            out = solve(*args)
+            solves.append((calls["trigamma"] - tri, calls["psi"] - psis, out[3].max()))
+            return out
+
+        monkeypatch.setattr(fitting, "_trigamma", counted("trigamma", trigamma))
+        monkeypatch.setattr(fitting, "psi", counted("psi", digamma))
+        monkeypatch.setattr(fitting, "_gamma_profile_rows", recorded)
+        inc = long_run(SimKind.NONHOMOG_GAMMA, seed=4, n=2000)
+        fit_nonhomog_gamma(inc)
+        fit_homog_gamma(inc)
+        for model_id in ("homog_gamma", "nonhomog_gamma"):
+            model = next(m for m in CASE2 if m.id == model_id)
+            fit_folds(model, inc, fold_training_mask(len(inc), 5)[0])
+        assert len(solves) > 30
+        for tri, psis, iterations in solves:
+            # The loop runs until its slowest row stops.
+            assert (tri, psis) == (1, iterations)
+
+    # Worst iterations of the 1,500 fits below: 20 with Newton steps on a
+    # strict bracket, whose rows stalled next to a root they had reached.
+    def test_homogeneous_fits_take_at_most_4_iterations(self):
+        rng = np.random.default_rng(12)
+        worst = 0
+        for _ in range(1500):
+            n = int(rng.integers(5, 2001))
+            shape, scale = np.exp(rng.uniform([math.log(1e-3), -10.0], [math.log(1e3), 10.0]))
+            deltas = np.maximum(rng.gamma(shape, scale, n), 1e-300)
+            if math.log(deltas.mean()) - np.log(deltas).mean() <= 0:
+                continue  # zero dispersion: the fit stays at the shape cap
+            fit = fit_homog_gamma(series(deltas))
+            assert fit.converged
+            worst = max(worst, fit.iterations)
+        assert worst <= 4, worst
+
+    def test_a_row_whose_score_is_exactly_zero_stops_at_that_iterate(self, monkeypatch):
+        import degselect.fitting as fitting
+
+        iterates = []
+
+        def recording_psi(x):
+            iterates.append(float(x[0, 0]))  # one row at unit steps: the shape rate
+            return psi(x)
+
+        monkeypatch.setattr(fitting, "psi", recording_psi)
+        zeros = []
+        for seed in range(100):
+            n = 40 + seed
+            deltas = np.random.default_rng(seed).gamma(0.5 + seed % 7, 1.0, n)
+            d = np.ones((1, n))
+            sum_d, sum_dlog = d.sum(axis=1), d @ np.log(deltas)
+
+            def score(a):
+                # The kernel's score at one row's shape rate, term for term.
+                c = deltas.sum() / sum_d
+                return (sum_dlog - sum_d * np.log(c / a) - (d * psi(a * d)).sum(axis=1))[0]
+
+            root = _gamma_profile_rows(deltas, np.ones(n), np.ones(1))[0][0]
+            near = (root + k * math.ulp(root) for k in range(-8, 9))
+            starts = [math.nan, 1e-3, 1e3] + [a for a in near if score(a) == 0.0][:1]
+            for start in starts:
+                iterates.clear()
+                alpha, _, _, its, conv = _gamma_profile_rows(
+                    deltas, np.ones(n), np.ones(1), np.array([start])
+                )
+                for it, a in enumerate(iterates, 1):
+                    if score(a) == 0.0:
+                        zeros.append(it)
+                        assert (it, alpha[0], conv[0]) == (its[0], a, True)
+        # Exact zeros meet both the first step (Newton) and later ones (secant).
+        assert 1 in zeros and max(zeros) > 1, zeros
 
 
 class TestWarmStart:

@@ -417,8 +417,12 @@ class TestPinnedAnswers:
     1.9e-14).  The commit after ee86948, which fits the linear models as the
     profile kernels at beta = 1, re-recorded the 40 whose trend confidences
     moved (30 ``homog_gamma``, 4 ``nonhomog_gamma``, 4 ``nonlinear_wiener``
-    and 2 ``linear_wiener`` case-2 windows, by at most 1.4e-14).  Every
-    label, final decision, retained set and pick is as recorded at 256c22e."""
+    and 2 ``linear_wiener`` case-2 windows, by at most 1.4e-14).  The commit
+    after 9cd1a9a, whose shape-rate solve takes secant steps in 1/alpha after
+    its first Newton step, re-recorded the 40 whose trend confidences moved
+    (30 ``homog_gamma`` and 10 ``nonhomog_gamma`` case-2 windows, by at most
+    4.6e-14).  Every label, final decision, retained set and pick is as
+    recorded at 256c22e."""
 
     def test_matches_recorded_answers(self, bank):
         inputs = answer_pin_inputs()
