@@ -64,7 +64,6 @@ from .simulate import (
     first_hitting_time,
     generate,
     split_dataset,
-    time_transform_increment,
     truncate_at_progress,
 )
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -146,30 +146,25 @@ def score(
 
 
 def select_argmin(
-    cset: CandidateSet | Iterable[CandidateModel],
+    cset: CandidateSet,
     traj: Trajectory,
     criterion: Criterion,
     fits: Optional[FitTable] = None,
 ) -> tuple[CandidateModel, ScoreTable]:
-    """Minimum-score model over a candidate collection.
+    """Minimum-score model of a candidate set.
 
-    A singleton collection short-circuits without scoring.  Ties break by
-    fewer parameters, then lexicographic id.  ``fits``, a table built for
-    ``traj``, shares fits with other calls; by default each call has its own.
+    A singleton set short-circuits without scoring.  Ties break by fewer
+    parameters, then lexicographic id.  ``fits``, a table built for ``traj``,
+    shares fits with other calls; by default each call has its own.
     """
-    models = list(cset)
-    if not models:
-        raise ValueError("candidate collection must be non-empty")
     table = ScoreTable(criterion=criterion)
-    if len(models) == 1:
-        return models[0], table
+    if len(cset) == 1:
+        return next(iter(cset)), table
     if fits is None:
         fits = FitTable(traj)
-    for m in models:
+    for m in cset:
         table.entries[m.id] = score(m, traj, criterion, notes=table.notes, fits=fits)
     if all(v == INF for v in table.entries.values()):
-        raise NoApplicableModelError(
-            f"no applicable model among {[m.id for m in models]}"
-        )
-    best = min(models, key=lambda m: (table.entries[m.id], m.param_count, m.id))
+        raise NoApplicableModelError(f"no applicable model among {list(cset.ids())}")
+    best = min(cset, key=lambda m: (table.entries[m.id], m.param_count, m.id))
     return best, table

@@ -86,17 +86,28 @@ class Observation:
     """One inference's view of the trajectory, shared by every provider call.
 
     The query (text and features) is built once; ``fits`` serves the trend
-    decision and the scoring alike; providers record faults in ``diagnostics``.
+    decision and the scoring alike; ``heuristic`` answers each hierarchy once
+    for every provider that asks; providers record faults in ``diagnostics``.
     """
 
     traj: Trajectory
     query: Query
     fits: FitTable
     diagnostics: list[str] = field(default_factory=list)
+    _heuristic_answers: dict[Hierarchy, Answer] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def of(cls, traj: Trajectory, context: str = "") -> "Observation":
         return cls(traj, build_query(traj, context), FitTable(traj))
+
+    def heuristic(self, hierarchy: Hierarchy) -> Answer:
+        """The trajectory-feature answer for ``hierarchy``, computed at the first call."""
+        if hierarchy not in self._heuristic_answers:
+            decide = _decide_family if hierarchy is Hierarchy.FAMILY else _decide_trend
+            self._heuristic_answers[hierarchy] = decide(self)
+        return self._heuristic_answers[hierarchy]
 
 
 class DecisionProvider(Protocol):
@@ -110,48 +121,50 @@ def _clamp(c: float) -> float:
     return min(max(c, CONF_FLOOR), CONF_CAP)
 
 
+def _threshold_family(obs: Observation) -> tuple[Family, float]:
+    """Gamma below the negative-increment threshold, else Wiener; and the fraction."""
+    p = obs.query.features.neg_increment_fraction
+    return (Family.GAMMA if p < GAMMA_NEG_THRESHOLD else Family.WIENER), p
+
+
+def _decide_family(obs: Observation) -> Answer:
+    feats = obs.query.features
+    if feats.flat:
+        return Answer(Family.WIENER, CONF_FLOOR)  # no signal
+    label, p = _threshold_family(obs)
+    conf = 0.5 + abs(p - GAMMA_NEG_THRESHOLD) / CONF_SCALE
+    if (
+        label is Family.GAMMA
+        and feats.strictly_increasing
+        and feats.n_increments >= MONOTONE_MIN_STEPS
+    ):
+        conf += MONOTONE_BONUS
+    return Answer(label, _clamp(conf))
+
+
+def _decide_trend(obs: Observation) -> Answer:
+    # The linear and nonlinear case-2 models of the threshold family.
+    family = _threshold_family(obs)[0]
+    linear, nonlinear = condition(default_case_sets()[1], {Hierarchy.FAMILY: family})
+    try:
+        ll_lin = obs.fits.fit(linear).loglik
+        ll_nl = obs.fits.fit(nonlinear).loglik
+    except ValueError:  # a FitError, or time stamps that round to one step
+        return Answer(Trend.LINEAR, CONF_FLOOR)
+    lr = 2.0 * (ll_nl - ll_lin)
+    label = Trend.NONLINEAR if lr > LR_THRESHOLD else Trend.LINEAR
+    t = 1.0 / (1.0 + math.exp(-(lr - LR_THRESHOLD) / LR_SCALE))
+    conf = 0.5 + 0.49 * abs(2.0 * t - 1.0)
+    return Answer(label, _clamp(conf))
+
+
 class HeuristicProvider:
     """Deterministic trajectory-feature answers (no evidence consulted)."""
-
-    def _threshold_family(self, obs: Observation) -> tuple[Family, float]:
-        """Gamma below the negative-increment threshold, else Wiener; and the fraction."""
-        p = obs.query.features.neg_increment_fraction
-        return (Family.GAMMA if p < GAMMA_NEG_THRESHOLD else Family.WIENER), p
-
-    def _decide_family(self, obs: Observation) -> Answer:
-        feats = obs.query.features
-        if feats.flat:
-            return Answer(Family.WIENER, CONF_FLOOR)  # no signal
-        label, p = self._threshold_family(obs)
-        conf = 0.5 + abs(p - GAMMA_NEG_THRESHOLD) / CONF_SCALE
-        if (
-            label is Family.GAMMA
-            and feats.strictly_increasing
-            and feats.n_increments >= MONOTONE_MIN_STEPS
-        ):
-            conf += MONOTONE_BONUS
-        return Answer(label, _clamp(conf))
-
-    def _decide_trend(self, obs: Observation) -> Answer:
-        # The linear and nonlinear case-2 models of the threshold family.
-        family = self._threshold_family(obs)[0]
-        linear, nonlinear = condition(default_case_sets()[1], {Hierarchy.FAMILY: family})
-        try:
-            ll_lin = obs.fits.fit(linear).loglik
-            ll_nl = obs.fits.fit(nonlinear).loglik
-        except ValueError:  # a FitError, or time stamps that round to one step
-            return Answer(Trend.LINEAR, CONF_FLOOR)
-        lr = 2.0 * (ll_nl - ll_lin)
-        label = Trend.NONLINEAR if lr > LR_THRESHOLD else Trend.LINEAR
-        t = 1.0 / (1.0 + math.exp(-(lr - LR_THRESHOLD) / LR_SCALE))
-        conf = 0.5 + 0.49 * abs(2.0 * t - 1.0)
-        return Answer(label, _clamp(conf))
 
     def decide(
         self, hierarchy: Hierarchy, obs: Observation, evidence: Optional[RetrievedSet] = None
     ) -> Answer:
-        decide = self._decide_family if hierarchy is Hierarchy.FAMILY else self._decide_trend
-        return decide(obs)
+        return obs.heuristic(hierarchy)
 
 
 def _label_sign(label: Label) -> float:
@@ -166,16 +179,12 @@ def _sign_label(hierarchy: Hierarchy, positive: bool) -> Label:
 
 
 class EvidenceBlendProvider:
-    """Blends retrieved evidence hints with the heuristic answer, re-derived
-    from the observation (its fits are table hits after the internal answer)."""
-
-    def __init__(self):
-        self.internal = HeuristicProvider()
+    """Blends retrieved evidence hints with the observation's heuristic answer."""
 
     def decide(
         self, hierarchy: Hierarchy, obs: Observation, evidence: Optional[RetrievedSet] = None
     ) -> Answer:
-        base = self.internal.decide(hierarchy, obs)
+        base = obs.heuristic(hierarchy)
         f = _label_sign(base.label) * (2.0 * base.confidence - 1.0)
         weights, votes = [], []
         for record, s in evidence or ():
@@ -200,14 +209,14 @@ class RemoteTextGenProvider:
 
     Request body {"prompt", "max_tokens": 64}; response body {"text"} whose
     first line must read "<LABEL> <confidence>".  Malformed output is retried
-    once; then, as after a failed request, the heuristic provider answers.
+    once; then, as after a failed request, the observation's heuristic answer
+    is returned.
     Each fault is noted in ``obs.diagnostics``.
     """
 
     def __init__(self, endpoint: str, timeout: float = 30.0):
         self.endpoint = endpoint
         self.timeout = timeout
-        self.fallback = HeuristicProvider()
 
     def _render_prompt(
         self, hierarchy: Hierarchy, obs: Observation, evidence: Optional[RetrievedSet]
@@ -259,13 +268,13 @@ class RemoteTextGenProvider:
             except (OSError, HTTPException, ValueError) as exc:
                 obs.diagnostics.append(f"remote request failed: {exc}")
                 log.warning("remote provider failed (%s); internal fallback", exc)
-                return self.fallback.decide(hierarchy, obs, evidence)
+                return obs.heuristic(hierarchy)
             answer = self._parse(hierarchy, text, obs.diagnostics)
             if answer is not None:
                 return answer
             obs.diagnostics.append(f"malformed remote output (attempt {attempt + 1})")
         log.warning("remote output malformed twice; internal fallback")
-        return self.fallback.decide(hierarchy, obs, evidence)
+        return obs.heuristic(hierarchy)
 
     def _post(self, prompt: str) -> str:
         """POST the prompt; return the body's string "text" field (ValueError if

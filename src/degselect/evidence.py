@@ -90,7 +90,12 @@ class EvidenceBank:
         self._id_order = tuple(sorted(self.records, key=lambda r: r.id))
         docs = [tokenize(r.proposition) for r in self._id_order]
         avg_len = sum(map(len, docs)) / len(docs) if docs else 0.0
-        norms = [BM25_K1 * (1.0 - BM25_B + BM25_B * len(toks) / avg_len) for toks in docs]
+        # A bank without tokens has no term to weigh, so it takes no length norm.
+        norms = (
+            [BM25_K1 * (1.0 - BM25_B + BM25_B * len(toks) / avg_len) for toks in docs]
+            if avg_len
+            else []
+        )
         counts: dict[str, dict[int, int]] = {}  # term -> position -> tf
         for pos, toks in enumerate(docs):
             for tok in toks:

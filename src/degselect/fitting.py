@@ -596,17 +596,9 @@ def loglik(
     return float(_gamma_loglik(deltas, params["alpha"] * d, params["theta"]))
 
 
-_FITTERS = {
-    (Family.WIENER, Trend.LINEAR): fit_linear_wiener,
-    (Family.WIENER, Trend.NONLINEAR): fit_nonlinear_wiener,
-    (Family.GAMMA, Trend.LINEAR): fit_homog_gamma,
-    (Family.GAMMA, Trend.NONLINEAR): fit_nonhomog_gamma,
-}
-
-
 def fit_model(model: CandidateModel, inc: IncrementSeries) -> FitResult:
-    """Dispatch to the fitter matching the model's structural labels."""
-    return _FITTERS[(model.family, model.trend)](inc)
+    """Fit the model matching the structural labels to the whole series."""
+    return _fit_series((model.family, model.trend), inc)
 
 
 def fit_folds(model: CandidateModel, inc: IncrementSeries, bounds: np.ndarray) -> list[FitResult]:

@@ -98,18 +98,6 @@ def time_transform_at(steps, beta: float) -> np.ndarray:
     return j**beta - (j - 1.0) ** beta
 
 
-def time_transform_increment(j: int, beta: float) -> float:
-    """Per-step increment of the power time scale: j**beta - (j-1)**beta."""
-    if j < 1:
-        raise ValueError(f"step index must be >= 1, got {j}")
-    return float(time_transform_at(j, beta))
-
-
-def time_transform_increments(n: int, beta: float) -> np.ndarray:
-    """Vectorized d_j for j = 1..n."""
-    return time_transform_at(np.arange(1, n + 1), beta)
-
-
 @dataclass(frozen=True)
 class SimResult:
     trajectory: Trajectory
@@ -120,15 +108,16 @@ def generate(params: SimParams, unit_id: str = "unit") -> SimResult:
     """Simulate one run-to-failure trajectory, deterministic given the seed."""
     rng = np.random.default_rng(params.seed)
     n = params.max_steps
+    steps = np.arange(1, n + 1)
     if params.kind is SimKind.LINEAR_WIENER:
         deltas = rng.normal(params.m, params.s, size=n)
     elif params.kind is SimKind.NONLINEAR_WIENER:
-        deltas = rng.normal(params.m * time_transform_increments(n, params.beta), params.s)
+        deltas = rng.normal(params.m * time_transform_at(steps, params.beta), params.s)
     elif params.kind is SimKind.HOMOG_GAMMA:
         deltas = rng.gamma(shape=params.alpha, scale=params.theta, size=n)
     else:
         deltas = rng.gamma(
-            shape=params.alpha * time_transform_increments(n, params.beta), scale=params.theta
+            shape=params.alpha * time_transform_at(steps, params.beta), scale=params.theta
         )
 
     x = np.concatenate([[0.0], np.cumsum(deltas)])

@@ -210,19 +210,17 @@ class TestSelectArgmin:
         with pytest.raises(NoApplicableModelError):
             select_argmin(gammas, wiener_path, Criterion.AIC)
 
-    def test_empty_collection_raises(self, wiener_path):
-        with pytest.raises(ValueError):
-            select_argmin([], wiener_path, Criterion.AIC)
-
     def test_tie_breaks_by_param_count_then_id(self, wiener_path, monkeypatch):
         import degselect.criteria as crit
 
         monkeypatch.setattr(crit, "score", lambda *a, **kw: 1.0)
-        models = [
-            CandidateModel("b", Family.WIENER, Trend.NONLINEAR, 3),
-            CandidateModel("c", Family.WIENER, Trend.LINEAR, 2),
-            CandidateModel("a", Family.WIENER, Trend.LINEAR, 2),
-        ]
+        models = CandidateSet.of(
+            [
+                CandidateModel("b", Family.WIENER, Trend.NONLINEAR, 3),
+                CandidateModel("c", Family.WIENER, Trend.LINEAR, 2),
+                CandidateModel("a", Family.WIENER, Trend.LINEAR, 2),
+            ]
+        )
         chosen, _ = crit.select_argmin(models, wiener_path, Criterion.AIC)
         assert chosen.id == "a"
 

@@ -230,7 +230,7 @@ class TestEvidenceBlendProvider:
         self.traj = make_path(SimKind.HOMOG_GAMMA, seed=11)
 
     def test_no_evidence_equals_internal_direction(self):
-        internal = self.p.internal.decide(Hierarchy.FAMILY, Observation.of(self.traj))
+        internal = HeuristicProvider().decide(Hierarchy.FAMILY, Observation.of(self.traj))
         blended = self.p.decide(Hierarchy.FAMILY, Observation.of(self.traj), evidence=retrieved())
         assert blended.label == internal.label
         f = 2.0 * internal.confidence - 1.0
@@ -246,7 +246,7 @@ class TestEvidenceBlendProvider:
         # unanimous gamma evidence can overturn.
         vals = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 4.9, 6.0, 7.0, 8.0, 9.0]
         traj = Trajectory("u", tuple(map(float, range(11))), tuple(vals))
-        internal = self.p.internal.decide(Hierarchy.FAMILY, Observation.of(traj))
+        internal = HeuristicProvider().decide(Hierarchy.FAMILY, Observation.of(traj))
         assert internal.label is Family.WIENER
         ev = retrieved(
             (EvidenceHint(family=Family.GAMMA), 5.0),
@@ -260,7 +260,7 @@ class TestEvidenceBlendProvider:
             (EvidenceHint(family=Family.WIENER), 3.0),
             (EvidenceHint(family=Family.GAMMA), 1.0),
         )
-        internal = self.p.internal.decide(Hierarchy.FAMILY, Observation.of(self.traj))
+        internal = HeuristicProvider().decide(Hierarchy.FAMILY, Observation.of(self.traj))
         f = -(2.0 * internal.confidence - 1.0)  # gamma sign is negative
         v = (3.0 * 1.0 + 1.0 * -1.0) / 4.0
         u = 0.5 * v + 0.5 * f
@@ -355,7 +355,7 @@ class TestRemoteProvider:
         obs = Observation.of(make_path(SimKind.HOMOG_GAMMA, seed=11))
         ans = p.decide(Hierarchy.FAMILY, obs)
         assert len(handler.requests_seen) == 2
-        assert ans == p.fallback.decide(Hierarchy.FAMILY, obs)
+        assert ans == HeuristicProvider().decide(Hierarchy.FAMILY, obs)
         assert len(obs.diagnostics) == 2
 
     def test_malformed_then_valid_succeeds(self, stub_server):
@@ -371,7 +371,7 @@ class TestRemoteProvider:
         p = RemoteTextGenProvider(url)
         obs = Observation.of(make_path(SimKind.HOMOG_GAMMA, seed=11))
         ans = p.decide(Hierarchy.FAMILY, obs)
-        assert ans == p.fallback.decide(Hierarchy.FAMILY, obs)
+        assert ans == HeuristicProvider().decide(Hierarchy.FAMILY, obs)
         assert any("failed" in d for d in obs.diagnostics)
 
     def test_timeout_falls_back(self, stub_server):
@@ -380,14 +380,14 @@ class TestRemoteProvider:
         p = RemoteTextGenProvider(url, timeout=0.1)
         obs = Observation.of(make_path(SimKind.HOMOG_GAMMA, seed=11))
         ans = p.decide(Hierarchy.FAMILY, obs)
-        assert ans == p.fallback.decide(Hierarchy.FAMILY, obs)
+        assert ans == HeuristicProvider().decide(Hierarchy.FAMILY, obs)
         assert any("timed out" in d for d in obs.diagnostics)
 
     def test_unreachable_endpoint_falls_back(self):
         p = RemoteTextGenProvider("http://127.0.0.1:1/nowhere", timeout=0.2)
         obs = Observation.of(make_path(SimKind.HOMOG_GAMMA, seed=11))
         ans = p.decide(Hierarchy.FAMILY, obs)
-        assert ans == p.fallback.decide(Hierarchy.FAMILY, obs)
+        assert ans == HeuristicProvider().decide(Hierarchy.FAMILY, obs)
 
     @pytest.mark.parametrize("body", [["G 0.9"], {"text": 5}, {"text": None}])
     def test_body_without_string_text_falls_back(self, stub_server, body):
@@ -396,7 +396,7 @@ class TestRemoteProvider:
         p = RemoteTextGenProvider(url)
         obs = Observation.of(make_path(SimKind.HOMOG_GAMMA, seed=11))
         ans = p.decide(Hierarchy.FAMILY, obs)
-        assert ans == p.fallback.decide(Hierarchy.FAMILY, obs)
+        assert ans == HeuristicProvider().decide(Hierarchy.FAMILY, obs)
         assert any("'text'" in d for d in obs.diagnostics)
 
     def test_run_inference_returns_each_inference_diagnostics(self, stub_server, bank):
@@ -416,6 +416,27 @@ class TestRemoteProvider:
         second = run_inference(inp, bank, pair)
         assert second.diagnostics == []
         assert not hasattr(remote, "diagnostics")
+
+    def test_failed_calls_run_the_trend_heuristic_once(self, bank, monkeypatch):
+        import degselect.decisions as dec
+        from degselect.criteria import FitTable
+
+        trend_calls, requested = [], []
+        decide_trend, fit = dec._decide_trend, FitTable.fit
+        monkeypatch.setattr(
+            dec, "_decide_trend", lambda obs: trend_calls.append(obs) or decide_trend(obs)
+        )
+        monkeypatch.setattr(
+            FitTable, "fit", lambda self, model: requested.append(model.id) or fit(self, model)
+        )
+        remote = RemoteTextGenProvider("http://127.0.0.1:1/nowhere", timeout=0.2)
+        pair = ProviderPair(internal=remote, contextual=remote)
+        traj = make_path(SimKind.NONHOMOG_GAMMA, seed=11, n_percent=70)
+        out = run_inference(InferenceInput.for_case(Case.CASE2, traj), bank, pair)
+        # Both calls per hierarchy fail and fall back to the one heuristic answer.
+        assert sum(d.startswith("remote request failed") for d in out.diagnostics) == 4
+        assert len(trend_calls) == 1
+        assert out.scores is None and len(requested) == 2
 
     def test_wrong_hierarchy_label_is_malformed(self, stub_server):
         url, handler = stub_server

@@ -23,6 +23,7 @@ from degselect.evidence import (
     tokenize,
 )
 from degselect.model_space import Family, Hierarchy, Trend
+from degselect.pipeline import Case, InferenceInput, run_inference
 from degselect.simulate import SimKind, Trajectory, truncate_at_progress
 
 from conftest import make_path, shape_paths
@@ -153,6 +154,15 @@ class TestBM25:
     def test_zero_overlap_yields_empty_scores(self):
         bank = EvidenceBank([rec(1, "alpha beta")])
         assert bm25_scores(bank, ["zzz"]) == {}
+
+    @pytest.mark.parametrize("propositions", [["!!!"], ["!!!", "마모 누적"]])
+    def test_bank_without_tokens(self, propositions):
+        # Tokens are runs of [a-z0-9]: no record has one, so the mean length is 0.
+        tokenless = EvidenceBank([rec(i, p) for i, p in enumerate(propositions, start=1)])
+        traj = make_path(SimKind.HOMOG_GAMMA, seed=11, n_percent=70)
+        assert len(retrieve_top_k(tokenless, build_query(traj))) == 0
+        out = run_inference(InferenceInput.for_case(Case.CASE2, traj), tokenless)
+        assert out.chosen in out.retained
 
 
 def reference_bm25(records, query_tokens):

@@ -45,7 +45,6 @@ from degselect.simulate import (
     default_params,
     generate,
     time_transform_at,
-    time_transform_increments,
     truncate_at_progress,
 )
 
@@ -207,7 +206,7 @@ class TestNonlinearWiener:
 
     def test_noise_free_power_drift(self):
         n = 60
-        d = time_transform_increments(n, 1.7) * 0.2
+        d = time_transform_at(np.arange(1, n + 1), 1.7) * 0.2
         res = fit_nonlinear_wiener(series(d))
         assert res.params["beta"] == pytest.approx(1.7, abs=1e-3)
         assert res.params["m"] == pytest.approx(0.2, abs=1e-4)

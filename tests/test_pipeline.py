@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degselect.bench import correct_context
-from degselect.criteria import Criterion, NoApplicableModelError
+from degselect.criteria import Criterion, FitTable, NoApplicableModelError
 from degselect.decisions import Answer, HeuristicProvider, ProviderPair, default_providers
 from degselect.model_space import Family, Hierarchy, Trend, Uncertain
 from degselect.pipeline import (
@@ -230,8 +230,14 @@ def counting_fits():
     bypassing the fit table is counted too."""
     import degselect.criteria as crit
     import degselect.decisions as dec
-    from degselect.fitting import _FITTERS
+    import degselect.fitting as fitting
 
+    fitters = {
+        (Family.WIENER, Trend.LINEAR): fitting.fit_linear_wiener,
+        (Family.WIENER, Trend.NONLINEAR): fitting.fit_nonlinear_wiener,
+        (Family.GAMMA, Trend.LINEAR): fitting.fit_homog_gamma,
+        (Family.GAMMA, Trend.NONLINEAR): fitting.fit_nonhomog_gamma,
+    }
     counts = Counter()
     fit_model = crit.fit_model
 
@@ -244,7 +250,7 @@ def counting_fits():
 
     with ExitStack() as stack:
         stack.enter_context(patch.object(crit, "fit_model", counted_fit_model))
-        for key, fitter in _FITTERS.items():
+        for key, fitter in fitters.items():
             if getattr(dec, fitter.__name__, None) is fitter:
                 stack.enter_context(
                     patch.object(dec, fitter.__name__, counted_fitter(fitter, key))
@@ -294,6 +300,21 @@ class TestSinglePass:
             out = run_inference(InferenceInput.for_case(Case.CASE2, traj), bank)
         assert out.decisions[Hierarchy.FAMILY].final is Family.GAMMA
         assert counts[(Family.GAMMA, Trend.NONLINEAR)] == 1
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("kind", list(SimKind))
+    def test_two_fit_requests_for_a_singleton_pick(self, bank, kind, seed, monkeypatch):
+        # The trend answer's two fits, requested by the heuristic answer that
+        # both default providers read; the singleton pick scores nothing.
+        traj = make_path(kind, seed=seed, n_percent=70)
+        requested = []
+        fit = FitTable.fit
+        monkeypatch.setattr(
+            FitTable, "fit", lambda self, model: requested.append(model.id) or fit(self, model)
+        )
+        out = run_inference(InferenceInput.for_case(Case.CASE2, traj), bank)
+        assert out.scores is None
+        assert len(requested) == 2
 
     @pytest.mark.parametrize("case", [Case.CASE1, Case.CASE2])
     def test_one_feature_pass_per_inference(self, bank, case):

@@ -14,8 +14,7 @@ from degselect.simulate import (
     load_trajectories,
     save_trajectories,
     split_dataset,
-    time_transform_increment,
-    time_transform_increments,
+    time_transform_at,
     truncate_at_progress,
 )
 
@@ -23,25 +22,18 @@ from degselect.simulate import (
 class TestTimeTransform:
     def test_first_step_is_one_for_any_beta(self):
         for beta in (0.5, 1.0, 1.7, 3.0):
-            assert time_transform_increment(1, beta) == pytest.approx(1.0)
+            assert time_transform_at(1, beta) == pytest.approx(1.0)
 
     def test_hand_value(self):
-        assert time_transform_increment(2, 2.0) == pytest.approx(3.0)
+        assert time_transform_at(2, 2.0) == pytest.approx(3.0)
 
     def test_identity_at_beta_one(self):
-        assert all(
-            time_transform_increment(j, 1.0) == pytest.approx(1.0)
-            for j in range(1, 50)
-        )
-
-    def test_rejects_zero_index(self):
-        with pytest.raises(ValueError):
-            time_transform_increment(0, 1.5)
+        assert time_transform_at(np.arange(1, 50), 1.0) == pytest.approx(np.ones(49))
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 1.5, 2.0])
     def test_telescoping_sum(self, beta):
         n = 10_000
-        total = float(np.sum(time_transform_increments(n, beta)))
+        total = float(np.sum(time_transform_at(np.arange(1, n + 1), beta)))
         assert total == pytest.approx(n**beta, rel=1e-9)
 
 
@@ -111,7 +103,7 @@ class TestGenerate:
             seed=23,
         )
         traj = generate(params).trajectory
-        d = time_transform_increments(n, beta)
+        d = time_transform_at(np.arange(1, n + 1), beta)
         normalized = np.diff(traj.values) / d
         tol = 3 * 0.4 / math.sqrt(n) * float(np.max(1.0 / d))
         assert abs(float(np.mean(normalized)) - 0.3) < tol
@@ -122,7 +114,7 @@ def reference_generate(params):
     element converted by ``float``."""
     rng = np.random.default_rng(params.seed)
     n = params.max_steps
-    d = time_transform_increments(n, params.beta)
+    d = time_transform_at(np.arange(1, n + 1), params.beta)
     if params.kind is SimKind.LINEAR_WIENER:
         deltas = rng.normal(params.m, params.s, size=n)
     elif params.kind is SimKind.NONLINEAR_WIENER:
