@@ -55,8 +55,7 @@ class FitTable:
     """Fits of one trajectory's increments, each (family, trend) run at most once.
 
     Calls that score the same trajectory share one table; a failed fit is
-    remembered and re-raised.  A table never asked for a fit accepts time
-    stamps that ``increments`` rejects.
+    remembered and re-raised.
     """
 
     def __init__(self, traj: Trajectory):

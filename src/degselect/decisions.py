@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Protocol
 
-from .criteria import FitTable
+from .criteria import FitError, FitTable
 from .evidence import (
     EvidenceBank,
     Query,
@@ -146,12 +146,14 @@ def _decide_trend(obs: Observation) -> Answer:
     # The linear and nonlinear case-2 models of the threshold family.
     family = _threshold_family(obs)[0]
     linear, nonlinear = condition(default_case_sets()[1], {Hierarchy.FAMILY: family})
-    try:
-        ll_lin = obs.fits.fit(linear).loglik
-        ll_nl = obs.fits.fit(nonlinear).loglik
-    except ValueError:  # a FitError, or time stamps that round to one step
-        return Answer(Trend.LINEAR, CONF_FLOOR)
-    lr = 2.0 * (ll_nl - ll_lin)
+    lls = []
+    for model in (linear, nonlinear):
+        try:
+            lls.append(obs.fits.fit(model).loglik)
+        except FitError as exc:
+            obs.diagnostics.append(f"trend heuristic: {model.id} fit failed ({exc}); linear")
+            return Answer(Trend.LINEAR, CONF_FLOOR)
+    lr = 2.0 * (lls[1] - lls[0])
     label = Trend.NONLINEAR if lr > LR_THRESHOLD else Trend.LINEAR
     t = 1.0 / (1.0 + math.exp(-(lr - LR_THRESHOLD) / LR_SCALE))
     conf = 0.5 + 0.49 * abs(2.0 * t - 1.0)

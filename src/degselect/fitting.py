@@ -1,13 +1,14 @@
 """Maximum-likelihood fitting of the four candidate degradation processes.
 
-All fitters consume increment series.  There is one kernel per family, which
-fits at given time-transform exponents: the Wiener kernel is closed-form, the
-gamma kernel solves the shape score equation by Newton iteration.  The linear
-fits are these kernels at the fixed exponent 1.  The two nonlinear fits
-profile the exponent over a bounded grid, evaluated as row blocks of one
-exponents-by-increments array, refined by Brent's method.  Each fitter also
-fits several training subsets of one series at once, as rows of a mask over
-its increments; ``fit_folds`` fits the cross-validation folds that way.
+All fitters consume increments over their real inspection intervals.  There
+is one kernel per family, which fits at given exponents of the time transform
+d_j = t_j^beta - t_{j-1}^beta: the Wiener kernel is closed-form, the gamma
+kernel solves the shape score equation by Newton iteration.  The linear fits
+are these kernels at the fixed exponent 1, where d_j = t_j - t_{j-1}.  The two
+nonlinear fits profile the exponent over a bounded grid, evaluated as row
+blocks of one exponents-by-increments array, refined by Brent's method.  Each
+fitter also fits several training subsets of one series at once, as rows of a
+mask over its increments; ``fit_folds`` fits the cross-validation folds so.
 
 At each profiled exponent the non-homogeneous gamma fit solves the score
 equation of the shape rate alpha in 1/alpha, in which the equation is nearly
@@ -16,17 +17,15 @@ its slope is sum_j a_j^2 (psi'(a_j) - 1/a_j), and each term lies in
 (1/2, 1), so the slope lies in (n/2, n) for n increments.  One Newton step,
 then secant steps through the last two iterates, converge from a start far
 off on either side in a few steps, and evaluate trigamma once per solve.
-The solve is warm-started from the rates already solved for the same
-problem: interpolated between solved exponents, and beyond them extrapolated
-linearly in log(alpha) through the two nearest.  A long path's grid is swept
-one exponent at a time, so each grid row after the second starts from an
-extrapolation.
+Each solve is warm-started from the rates already solved for the same
+problem (``_warm_start``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Generator, Mapping, Optional
 
 import numpy as np
@@ -59,11 +58,12 @@ def _trigamma(x: np.ndarray) -> np.ndarray:
     )
 
 from .model_space import CandidateModel, Family, Trend
-from .simulate import Trajectory, time_transform_at
+from .simulate import Trajectory, time_transform
 
 NEG_INF = float("-inf")
 
 VARIANCE_FLOOR = 1e-12
+DISPERSION_FLOOR = 1e-12  # a gamma dispersion s at or below: rounding; 1/(2s) > SHAPE_MAX
 SHAPE_MAX = 1e6
 SHAPE_MIN = 1e-8
 BETA_BOUNDS = (0.2, 5.0)
@@ -92,15 +92,22 @@ class NonPositiveIncrementError(FitError):
 
 @dataclass(frozen=True)
 class IncrementSeries:
+    """Increment j is the change over the interval (starts[j], ends[j]]; the
+    intervals are non-empty, in time order, and may leave gaps (CV folds)."""
+
     deltas: tuple[float, ...]
-    step_indices: tuple[int, ...]
+    starts: tuple[float, ...]
+    ends: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.deltas) != len(self.step_indices):
-            raise ValueError("deltas and step_indices must have equal length")
-        idx = np.asarray(self.step_indices)
-        if idx.size and (np.any(np.diff(idx) <= 0) or idx[0] < 1):
-            raise ValueError("step indices must be positive and strictly increasing")
+        x, t0, t1 = self.arrays
+        if not (x.size == t0.size == t1.size and np.all(t0 < t1) and np.all(t1[:-1] <= t0[1:])):
+            raise ValueError("need one non-empty interval per increment, in time order")
+
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(deltas, starts, ends) as float arrays, converted once."""
+        return tuple(np.asarray(v, dtype=float) for v in (self.deltas, self.starts, self.ends))
 
     def __len__(self) -> int:
         return len(self.deltas)
@@ -117,14 +124,9 @@ class FitResult:
 
 
 def increments(traj: Trajectory) -> IncrementSeries:
-    """Successive differences of the trajectory, indexed by inspection step."""
-    if len(traj) < 2:
-        raise ValueError("need at least 2 observations to form increments")
+    """Successive differences of the trajectory, each over its inspection interval."""
     deltas = np.diff(np.asarray(traj.values)).astype(float, copy=False)
-    # round() rounds half to even and returns an int, exact beyond 2**63.
-    return IncrementSeries(
-        deltas=tuple(deltas.tolist()), step_indices=tuple(map(round, traj.times[1:]))
-    )
+    return IncrementSeries(tuple(deltas.tolist()), traj.times[:-1], traj.times[1:])
 
 
 def _brent_max(a: float, b: float, tol: float) -> Generator[float, float, tuple[float, float]]:
@@ -275,12 +277,8 @@ def _solved(beta: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(beta), 1.0, beta)
 
 
-def _linear_wiener_rows(deltas, steps, mask) -> list:
-    # A linear model ignores the step indices: fit it at unit steps, where
-    # d_j = 1**1 - 0**1 is exactly 1 (j - (j - 1) is not, above 2**53).
-    m_hat, s2, ll = _wiener_profile_rows(
-        deltas, np.ones(deltas.size), np.ones(_problems(mask)), mask
-    )
+def _linear_wiener_rows(deltas, t0, t1, mask) -> list:
+    m_hat, s2, ll = _wiener_profile_rows(deltas, t0, t1, np.ones(_problems(mask)), mask)
     return [
         # The kernel floors the variance, so a row at the floor had variance
         # at or below it.
@@ -292,14 +290,13 @@ def _linear_wiener_rows(deltas, steps, mask) -> list:
 
 
 def _wiener_profile_rows(
-    deltas: np.ndarray, steps: np.ndarray, betas: np.ndarray, mask: Optional[np.ndarray] = None
+    deltas: np.ndarray, t0, t1, betas: np.ndarray, mask: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form (drift, variance, loglik) at each exponent in ``betas``.
-
-    ``mask`` (rows x increments, 1 = training) fits each row to its own
-    training increments, at their real step indices.
+    """Closed-form (drift, variance, loglik) at each exponent in ``betas``, for
+    increments over the intervals (t0, t1].  ``mask`` (rows x increments,
+    1 = training) fits each row to its own training increments.
     """
-    d = _masked(time_transform_at(steps, betas[:, None]), mask)
+    d = _masked(time_transform(t0, t1, betas[:, None]), mask)
     count = _counts(deltas.size, mask)
     m_hat = (d @ deltas) / (d * d).sum(axis=1)
     resid = _masked(deltas - m_hat[:, None] * d, mask)
@@ -308,14 +305,13 @@ def _wiener_profile_rows(
     return m_hat, s2, _normal_loglik(resid, s2, count)
 
 
-def _nonlinear_wiener_rows(deltas, steps, mask) -> list:
-    steps = np.asarray(steps, dtype=float)
+def _nonlinear_wiener_rows(deltas, t0, t1, mask) -> list:
     beta = _profile_beta(
-        lambda rows, b: _wiener_profile_rows(deltas, steps, b, _take(mask, rows))[2],
+        lambda rows, b: _wiener_profile_rows(deltas, t0, t1, b, _take(mask, rows))[2],
         deltas.size,
         _problems(mask),
     )
-    m_hat, s2, ll = _wiener_profile_rows(deltas, steps, _solved(beta), mask)
+    m_hat, s2, ll = _wiener_profile_rows(deltas, t0, t1, _solved(beta), mask)
     return [
         _profile_failure(b, l)
         or FitResult(
@@ -338,19 +334,23 @@ def _gamma_loglik(deltas: np.ndarray, shape: np.ndarray, scale, mask=None) -> np
     return _masked(terms, mask).sum(axis=-1)
 
 
-def _homog_gamma_rows(deltas, steps, mask) -> list:
-    x = deltas[None, :]
-    count = _counts(deltas.size, mask)
-    mean_log = _masked(np.log(x), mask).sum(axis=1) / count
-    s = np.log(_masked(x, mask).sum(axis=1) / count) - mean_log
-    flat = s <= 0  # zero-dispersion limit: all increments (numerically) equal
+def _homog_gamma_rows(deltas, t0, t1, mask) -> list:
+    # Dispersion s = log(sum x / sum dt) - sum dt log(x / dt) / sum dt >= 0 of the
+    # training increments x over intervals dt; 0, a flat row, when x is ~ dt.
+    dt = time_transform(t0, t1, 1.0)
+    w = _masked(dt[None, :], mask)
+    total = w.sum(axis=1)
+    mean_log = (w * (np.log(deltas) - np.log(dt))).sum(axis=1) / total
+    s = np.log(_masked(deltas[None, :], mask).sum(axis=1) / total) - mean_log
+    flat = s <= DISPERSION_FLOOR
     with np.errstate(divide="ignore", invalid="ignore"):
-        # Moment-matched closed-form start for log(alpha) - psi(alpha) = s;
-        # a flat row starts, and stays, at the shape cap.
+        # Moment-matched closed-form start for log(a) - psi(a) = s, the shape a
+        # over the mean interval; a flat row starts, and stays, at the shape cap.
         init = (3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
+        init /= total / _counts(deltas.size, mask)
     init[flat] = SHAPE_MAX
     alpha, theta, ll, iterations, converged = _gamma_profile_rows(
-        deltas, np.ones(deltas.size), np.ones(s.size), init, mask
+        deltas, t0, t1, np.ones(s.size), init, mask
     )
     return [
         FitResult(
@@ -367,12 +367,13 @@ def _homog_gamma_rows(deltas, steps, mask) -> list:
 
 def _gamma_profile_rows(
     deltas: np.ndarray,
-    steps: np.ndarray,
+    t0,
+    t1,
     betas: np.ndarray,
     init: Optional[np.ndarray] = None,
     mask: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """MLE of (shape rate, scale) for gamma increments at each exponent in ``betas``.
+    """MLE of (shape rate, scale) of gamma increments over (t0, t1], per exponent in ``betas``.
 
     The scale is profiled out analytically; the remaining score equation in
     the shape rate alpha is solved for all rows at once in 1/alpha, where the
@@ -384,11 +385,11 @@ def _gamma_profile_rows(
     ends, so a step landing on an end, as one does where the score is
     exactly 0, is kept.  A row starts from ``init`` or, where that is None
     or NaN, from a moment estimate.  ``mask`` (rows x increments,
-    1 = training) fits each row to its own training increments at their real
-    step indices.  Returns per-row (shape rate, scale, loglik, iterations,
-    converged before the 100-iteration cap).
+    1 = training) fits each row to its own training increments.  Returns
+    per-row (shape rate, scale, loglik, iterations, converged before the
+    100-iteration cap).
     """
-    d = _masked(time_transform_at(steps, betas[:, None]), mask)
+    d = _masked(time_transform(t0, t1, betas[:, None]), mask)
     # Held-out columns see shape 1 with weight 0: finite psi, trigamma, gammaln.
     hole = np.zeros((betas.size, 1)) if mask is None else 1.0 - mask
     sum_d = d.sum(axis=1)
@@ -474,8 +475,7 @@ def _warm_start(betas: np.ndarray, known_b: list, known_a: list) -> np.ndarray:
     return start
 
 
-def _nonhomog_gamma_rows(deltas, steps, mask) -> list:
-    steps = np.asarray(steps, dtype=float)
+def _nonhomog_gamma_rows(deltas, t0, t1, mask) -> list:
     problems = _problems(mask)
     # Per problem, the exponents and shape rates solved so far.
     solved = [([], []) for _ in range(problems)]
@@ -489,7 +489,7 @@ def _nonhomog_gamma_rows(deltas, steps, mask) -> list:
             if known_b:
                 at = rows == p
                 init[at] = _warm_start(betas[at], known_b, known_a)
-        alpha, _, ll, _, _ = _gamma_profile_rows(deltas, steps, betas, init, _take(mask, rows))
+        alpha, _, ll, _, _ = _gamma_profile_rows(deltas, t0, t1, betas, init, _take(mask, rows))
         for p, b, a in zip(rows.tolist(), betas.tolist(), alpha.tolist()):
             solved[p][0].append(b)
             solved[p][1].append(a)
@@ -497,7 +497,7 @@ def _nonhomog_gamma_rows(deltas, steps, mask) -> list:
 
     beta = _profile_beta(profile_ll, deltas.size, problems)
     alpha, theta, ll, iterations, converged = _gamma_profile_rows(
-        deltas, steps, _solved(beta), None, mask
+        deltas, t0, t1, _solved(beta), None, mask
     )
     return [
         _profile_failure(b, l)
@@ -515,7 +515,7 @@ def _nonhomog_gamma_rows(deltas, steps, mask) -> list:
 
 # Per (family, trend): the fitter's name, its fewest increments, and the
 # function that fits each row of a training mask (None: the whole series)
-# to increments at step indices (a sequence; only the profile fits read it).
+# to increments over the intervals (t0, t1].
 _ROW_FITTERS = {
     (Family.WIENER, Trend.LINEAR): ("linear Wiener", 3, _linear_wiener_rows),
     (Family.WIENER, Trend.NONLINEAR): ("nonlinear Wiener", 4, _nonlinear_wiener_rows),
@@ -524,25 +524,28 @@ _ROW_FITTERS = {
 }
 
 
-def _training_error(key: tuple[Family, Trend], d: np.ndarray) -> Optional[FitError]:
-    """Why the fitter for ``key`` cannot use training increments ``d``, or None."""
+def _training_error(key: tuple[Family, Trend], x, t0, t1) -> Optional[FitError]:
+    """Why the fitter for ``key`` cannot use training increments ``x``, or None."""
     name, least, _ = _ROW_FITTERS[key]
-    if d.size < least:
+    if x.size < least:
         return FitError(f"{name} fit needs at least {least} increments")
-    if not np.isfinite(d).all():
+    if not np.isfinite(x).all():
         return FitError("increments must be finite")
-    if key[0] is Family.GAMMA:
-        if np.any(d <= 0):
-            return NonPositiveIncrementError("gamma model requires positive increments")
-        if key[1] is Trend.NONLINEAR:
-            if math.log(float(np.mean(d))) - float(np.mean(np.log(d))) <= 0:
+    if key[0] is Family.GAMMA and np.any(x <= 0):
+        return NonPositiveIncrementError("gamma model requires positive increments")
+    if key[1] is Trend.NONLINEAR:
+        if t0[0] < 0:  # t**beta of a negative time stamp is not real
+            return FitError(f"{name} fit needs time stamps >= 0, got {t0[0]}")
+        if key[0] is Family.GAMMA:
+            r = x / time_transform(t0, t1, 1.0)  # constant when x is proportional to dt
+            if math.log(float(np.mean(r))) - float(np.mean(np.log(r))) <= DISPERSION_FLOOR:
                 return FitError("zero-dispersion increments: gamma profile is unbounded")
     return None
 
 
 def _fit_series(key: tuple[Family, Trend], inc: IncrementSeries) -> FitResult:
-    deltas = np.asarray(inc.deltas)
-    out = _training_error(key, deltas) or _ROW_FITTERS[key][2](deltas, inc.step_indices, None)[0]
+    x, t0, t1 = inc.arrays
+    out = _training_error(key, x, t0, t1) or _ROW_FITTERS[key][2](x, t0, t1, None)[0]
     if isinstance(out, FitError):
         raise out
     return out
@@ -578,12 +581,11 @@ def loglik(
 ) -> float:
     """Sum of the log densities of the increments ``inc[span]``; -inf when gamma
     is inapplicable."""
-    deltas = np.asarray(inc.deltas[span])
-    d = 1.0  # a linear model is the exponent-1 model, which ignores the steps
-    if model.trend is Trend.NONLINEAR:
-        if "beta" not in params:
-            raise ValueError(f"{model.id} params need beta")
-        d = time_transform_at(inc.step_indices[span], params["beta"])
+    deltas, t0, t1 = (a[span] for a in inc.arrays)
+    nonlinear = model.trend is Trend.NONLINEAR  # a linear model is the exponent-1 model
+    if nonlinear and "beta" not in params:
+        raise ValueError(f"{model.id} params need beta")
+    d = time_transform(t0, t1, params["beta"] if nonlinear else 1.0)
     if model.family is Family.WIENER:
         if "m" not in params or "s" not in params:
             raise ValueError(f"Wiener params need m and s, got {dict(params)}")
@@ -605,19 +607,19 @@ def fit_folds(model: CandidateModel, inc: IncrementSeries, bounds: np.ndarray) -
     """Fit ``model`` once per fold f, to the increments outside ``bounds[f]:bounds[f + 1]``.
 
     The folds are one batched problem: rows of a training mask over the whole
-    series, so the step indices keep each held-out gap.  Each fold's training
-    increments pass the fitter's checks before any fold is fitted; the first
-    fold that fails raises the fitter's FitError, naming the fold.
+    series, so each training increment keeps its interval around the held-out
+    gap.  Each fold's training increments pass the fitter's checks before any
+    fold is fitted; the first fold that fails raises its FitError, naming it.
     """
     key = (model.family, model.trend)
-    deltas = np.asarray(inc.deltas)
-    cols = np.arange(deltas.size)
+    x, t0, t1 = inc.arrays
+    cols = np.arange(x.size)
     train = (cols < bounds[:-1, None]) | (cols >= bounds[1:, None])
-    checks = [_training_error(key, deltas[keep]) for keep in train]
+    checks = [_training_error(key, x[keep], t0[keep], t1[keep]) for keep in train]
     if any(checks):
         outcomes = checks
     else:
-        outcomes = _ROW_FITTERS[key][2](deltas, inc.step_indices, train.astype(float))
+        outcomes = _ROW_FITTERS[key][2](x, t0, t1, train.astype(float))
     for f, out in enumerate(outcomes):
         if isinstance(out, FitError):
             raise type(out)(f"fold {f + 1}: {out}")

@@ -1,8 +1,9 @@
 """Run-to-failure trajectory simulation for the four degradation processes.
 
-Increments are indexed by integer inspection steps j = 1, 2, ... with unit
-interval, state starts at zero, and generation stops at the first step whose
-cumulative state reaches the failure threshold.
+Increment j over the inspection interval (t_{j-1}, t_j] has a mean (Wiener) or
+shape (gamma) proportional to d_j = t_j^beta - t_{j-1}^beta (van Noortwijk 2009),
+from ``time_transform``.  ``generate`` inspects at t = 0, 1, 2, ... from state
+zero and stops at the first inspection that reaches the failure threshold.
 """
 
 from __future__ import annotations
@@ -92,10 +93,10 @@ def default_params(kind: SimKind, seed: int = 0, **overrides) -> SimParams:
     return SimParams(kind=kind, seed=seed, **kw)
 
 
-def time_transform_at(steps, beta: float) -> np.ndarray:
-    """Power time-scale increments d_j = j**beta - (j-1)**beta at step indices j."""
-    j = np.asarray(steps, dtype=float)
-    return j**beta - (j - 1.0) ** beta
+def time_transform(starts, ends, beta) -> np.ndarray:
+    """Power time-scale increments d_j = ends_j**beta - starts_j**beta of the
+    intervals (starts_j, ends_j]; at beta = 1 the interval lengths."""
+    return np.asarray(ends, dtype=float) ** beta - np.asarray(starts, dtype=float) ** beta
 
 
 @dataclass(frozen=True)
@@ -108,29 +109,25 @@ def generate(params: SimParams, unit_id: str = "unit") -> SimResult:
     """Simulate one run-to-failure trajectory, deterministic given the seed."""
     rng = np.random.default_rng(params.seed)
     n = params.max_steps
-    steps = np.arange(1, n + 1)
+    t = np.arange(n + 1.0)
     if params.kind is SimKind.LINEAR_WIENER:
         deltas = rng.normal(params.m, params.s, size=n)
     elif params.kind is SimKind.NONLINEAR_WIENER:
-        deltas = rng.normal(params.m * time_transform_at(steps, params.beta), params.s)
+        deltas = rng.normal(params.m * time_transform(t[:-1], t[1:], params.beta), params.s)
     elif params.kind is SimKind.HOMOG_GAMMA:
         deltas = rng.gamma(shape=params.alpha, scale=params.theta, size=n)
     else:
         deltas = rng.gamma(
-            shape=params.alpha * time_transform_at(steps, params.beta), scale=params.theta
+            shape=params.alpha * time_transform(t[:-1], t[1:], params.beta), scale=params.theta
         )
 
     x = np.concatenate([[0.0], np.cumsum(deltas)])
     crossed = np.nonzero(x >= params.failure_threshold)[0]
-    if crossed.size:
-        end = int(crossed[0])
-        censored = False
-    else:
-        end = n
-        censored = True
+    censored = not crossed.size
+    end = n if censored else int(crossed[0])
     traj = Trajectory(
         unit_id=unit_id,
-        times=tuple(map(float, range(end + 1))),
+        times=tuple(t[: end + 1].tolist()),
         values=tuple(x[: end + 1].tolist()),
         true_model_id=params.kind.value,
     )

@@ -123,10 +123,9 @@ class TestCrossValidation:
         for f in range(5):
             lo, hi = bounds[f], bounds[f + 1]
             train = IncrementSeries(
-                inc.deltas[:lo] + inc.deltas[hi:],
-                inc.step_indices[:lo] + inc.step_indices[hi:],
+                *(v[:lo] + v[hi:] for v in (inc.deltas, inc.starts, inc.ends))
             )
-            held = IncrementSeries(inc.deltas[lo:hi], inc.step_indices[lo:hi])
+            held = IncrementSeries(inc.deltas[lo:hi], inc.starts[lo:hi], inc.ends[lo:hi])
             fit = fit_model(model, train)
             expected.append(-loglik(model, fit.params, held) / len(held))
         assert score(model, traj, Criterion.CV) == pytest.approx(

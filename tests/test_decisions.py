@@ -176,6 +176,24 @@ class TestHeuristicProvider:
         ans = self.p.decide(Hierarchy.TREND, Observation.of(traj))
         assert (ans.label, ans.confidence) == (Trend.LINEAR, 0.5)
 
+    def test_trend_fit_failure_is_a_diagnostic(self):
+        # One -0.005 increment: under the 2% threshold the family is gamma,
+        # whose fits reject a non-positive increment.
+        traj = make_path(SimKind.HOMOG_GAMMA, seed=11)
+        deltas = np.diff(traj.values)
+        deltas[len(deltas) // 2] = -0.005
+        values = np.concatenate([[0.0], np.cumsum(deltas)])
+        obs = Observation.of(Trajectory("u", traj.times, tuple(values.tolist())))
+        assert 0 < obs.query.features.neg_increment_fraction < GAMMA_NEG_THRESHOLD
+        ans = self.p.decide(Hierarchy.TREND, obs)
+        assert (ans.label, ans.confidence) == (Trend.LINEAR, CONF_FLOOR)
+        assert obs.diagnostics == [
+            "trend heuristic: homog_gamma fit failed "
+            "(gamma model requires positive increments); linear"
+        ]
+        self.p.decide(Hierarchy.TREND, obs)
+        assert len(obs.diagnostics) == 1  # the answer, and its note, are made once
+
     def test_confidence_cap(self):
         traj = make_path(SimKind.LINEAR_WIENER, seed=11)
         obs = Observation.of(traj)

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -42,18 +43,30 @@ from degselect.model_space import default_case_sets
 from degselect.simulate import (
     SimKind,
     SimParams,
+    Trajectory,
     default_params,
     generate,
-    time_transform_at,
+    time_transform,
     truncate_at_progress,
 )
+
+from conftest import shape_paths
 
 _, CASE2 = default_case_sets()
 
 
-def series(deltas, start=1):
+def series(deltas, start=0.0, gap=1.0):
+    """Increments over the inspection intervals of a grid at ``start``, ``start + gap``, ..."""
     deltas = tuple(float(d) for d in deltas)
-    return IncrementSeries(deltas, tuple(range(start, start + len(deltas))))
+    t = (start + gap * np.arange(len(deltas) + 1.0)).tolist()
+    return IncrementSeries(deltas, tuple(t[:-1]), tuple(t[1:]))
+
+
+def compact(inc, keep):
+    """The increments of ``inc`` where ``keep`` is true, each over its own interval."""
+    return IncrementSeries(
+        *(tuple(np.asarray(v)[keep].tolist()) for v in (inc.deltas, inc.starts, inc.ends))
+    )
 
 
 def long_run(kind, seed=0, n=5000, **overrides):
@@ -66,7 +79,7 @@ def pinned_inputs():
     """The increment series whose profile fits are pinned in fit_pins.json.
 
     Windows of 30/50/70% of default paths for every kind and seeds 1-5, one
-    CV training fold (a gap in its step indices), and two 2k-step paths.
+    CV training fold (a gap between its intervals), and two 2k-step paths.
     """
     out = {}
     for kind in SimKind:
@@ -76,9 +89,8 @@ def pinned_inputs():
                 out[f"{kind.value}-{seed}-{pct}"] = increments(truncate_at_progress(traj, pct))
     full = out["nonhomog_gamma-3-70"]
     lo, hi = 2 * len(full) // 5, 3 * len(full) // 5
-    out["cv-fold-nonhomog_gamma-3-70"] = IncrementSeries(
-        full.deltas[:lo] + full.deltas[hi:], full.step_indices[:lo] + full.step_indices[hi:]
-    )
+    cols = np.arange(len(full))
+    out["cv-fold-nonhomog_gamma-3-70"] = compact(full, (cols < lo) | (cols >= hi))
     out["nonhomog_gamma-2k"] = long_run(SimKind.NONHOMOG_GAMMA, seed=4, n=2000)
     out["nonlinear_wiener-2k"] = long_run(SimKind.NONLINEAR_WIENER, seed=4, n=2000)
     return out
@@ -107,32 +119,37 @@ class TestTrigamma:
 
 
 class TestIncrements:
-    def test_values_and_indices(self):
+    def test_values_and_intervals(self):
         from degselect.simulate import Trajectory
 
         traj = Trajectory("u", (0.0, 1.0, 2.0, 3.0), (0.0, 0.5, 1.5, 3.0))
         inc = increments(traj)
         assert inc.deltas == (0.5, 1.0, 1.5)
-        assert inc.step_indices == (1, 2, 3)
+        assert (inc.starts, inc.ends) == ((0.0, 1.0, 2.0), (1.0, 2.0, 3.0))
 
     def test_series_validation(self):
-        with pytest.raises(ValueError):
-            IncrementSeries((0.1, 0.2), (2, 1))
-        with pytest.raises(ValueError):
-            IncrementSeries((0.1,), (0,))
+        for starts, ends in (
+            ((0.0, 1.0), (1.0,)),  # one interval short
+            ((1.0, 0.0), (2.0, 1.0)),  # out of order
+            ((0.0, 0.5), (1.0, 1.5)),  # overlapping
+            ((0.0, 1.0), (1.0, 1.0)),  # empty
+        ):
+            with pytest.raises(ValueError, match="non-empty interval per increment"):
+                IncrementSeries((0.1, 0.2), starts, ends)
+        gapped = IncrementSeries((0.1, 0.2), (0.0, 3.0), (1.0, 4.5))
+        assert [a.tolist() for a in gapped.arrays] == [[0.1, 0.2], [0.0, 3.0], [1.0, 4.5]]
 
     @staticmethod
     def reference(traj):
         """The per-element loop ``increments`` replaced."""
-        idx = tuple(int(round(t)) for t in traj.times[1:])
         deltas = tuple(float(d) for d in np.diff(np.asarray(traj.values)))
-        return IncrementSeries(deltas=deltas, step_indices=idx)
+        return IncrementSeries(deltas, tuple(traj.times[:-1]), tuple(traj.times[1:]))
 
     @pytest.mark.parametrize(
         "times,values",
         [
             (np.arange(10_001.0), np.cumsum(np.random.default_rng(3).gamma(0.5, 2.0, 10_001))),
-            ((0.0, 0.7, 2.5, 3.5, 5.5), (0.0, 0.4, -0.1, 0.3, 1.2)),  # half steps, to even
+            ((0.0, 0.7, 2.5, 3.5, 5.5), (0.0, 0.4, -0.1, 0.3, 1.2)),  # half steps
             ((3.0, 4.0, 5.2, 7.9), (1.0, 1.5, 1.25, 2.0)),  # starting after 0
             ((0, 1, 2, 3), (0, 2, 3, 7)),  # ints
             (2.0**63 + 4096.0 * np.arange(5), (0.0, 0.1, 0.3, 0.2, 0.5)),  # beyond int64
@@ -146,16 +163,14 @@ class TestIncrements:
         got, ref = increments(traj), self.reference(traj)
         assert got == ref
         assert {type(d) for d in got.deltas} == {float}
-        assert {type(j) for j in got.step_indices} == {int}
+        assert (got.starts, got.ends) == (times[:-1], times[1:])  # the stamps, unrounded
 
-    def test_half_steps_rounding_together_fail_like_the_reference(self):
+    def test_stamps_that_round_to_one_step_keep_their_intervals(self):
         from degselect.simulate import Trajectory
 
         traj = Trajectory("u", (0.0, 1.5, 2.5, 3.0), (0.0, 0.1, 0.2, 0.4))
-        with pytest.raises(ValueError, match="strictly increasing"):
-            self.reference(traj)
-        with pytest.raises(ValueError, match="strictly increasing"):
-            increments(traj)
+        inc = increments(traj)
+        assert (inc.starts, inc.ends) == ((0.0, 1.5, 2.5), (1.5, 2.5, 3.0))
 
 
 class TestLinearWiener:
@@ -206,7 +221,7 @@ class TestNonlinearWiener:
 
     def test_noise_free_power_drift(self):
         n = 60
-        d = time_transform_at(np.arange(1, n + 1), 1.7) * 0.2
+        d = time_transform(np.arange(n), np.arange(1, n + 1), 1.7) * 0.2
         res = fit_nonlinear_wiener(series(d))
         assert res.params["beta"] == pytest.approx(1.7, abs=1e-3)
         assert res.params["m"] == pytest.approx(0.2, abs=1e-4)
@@ -406,11 +421,11 @@ class TestProfileProperties:
     @given(deltas=positive_increments, gamma=st.booleans())
     def test_batched_rows_equal_one_row_evaluations(self, deltas, gamma):
         x = np.asarray(deltas)
-        steps = np.arange(1.0, x.size + 1)
+        t = np.arange(x.size + 1.0)
         rows = _gamma_profile_rows if gamma else _wiener_profile_rows
-        batched = rows(x, steps, _BETA_GRID)[2]  # profile log-likelihoods
+        batched = rows(x, t[:-1], t[1:], _BETA_GRID)[2]  # profile log-likelihoods
         for beta, ll in zip(_BETA_GRID, batched):
-            single = rows(x, steps, np.array([beta]))[2][0]
+            single = rows(x, t[:-1], t[1:], np.array([beta]))[2][0]
             assert abs(ll - single) <= 1e-10 * max(1.0, abs(single)), (beta, ll, single)
 
     @settings(max_examples=40, deadline=None)
@@ -457,13 +472,7 @@ class TestFitFolds:
                 bounds, train = fold_training_mask(len(inc), 5)
                 folds = fit_folds(model, inc, bounds)
                 for fold, keep in zip(folds, train):
-                    ref = fit_model(
-                        model,
-                        IncrementSeries(
-                            tuple(np.asarray(inc.deltas)[keep]),
-                            tuple(np.asarray(inc.step_indices)[keep].tolist()),
-                        ),
-                    )
+                    ref = fit_model(model, compact(inc, keep))
                     assert fold.converged == ref.converged
                     assert abs(fold.loglik - ref.loglik) <= 1e-9 * max(1.0, abs(ref.loglik))
                     if "beta" in ref.params:
@@ -618,24 +627,113 @@ class TestLinearFitsAreKernelsAtBetaOne:
         assert math.isfinite(flat.loglik)
         assert all(f.converged for i, f in enumerate(fits) if i != fold - 1)
 
-    # Above 2**53, j - (j - 1) rounds to 0 or 2 in floats; a linear model
-    # must not read the step indices at all.
-    def test_steps_above_2_53_are_ignored(self):
+    # Above 2**53 floats are spaced 2 apart; a linear model reads only the
+    # interval lengths, 2 exactly there, as between 0, 2, 4, ...
+    def test_stamps_beyond_2_53_fit_as_at_0_2_4(self):
         deltas = np.array([0.3, 0.5, 0.2, 0.6, 0.4])
-        inc = series(deltas, start=2**53 + 1)
-        wiener = fit_linear_wiener(inc)
+        far, near = series(deltas, start=2.0**53, gap=2.0), series(deltas, gap=2.0)
+        assert far.starts[1] - far.starts[0] == 2.0 and far.starts[0] == 2**53
+        wiener, gamma = fit_linear_wiener(far), fit_homog_gamma(far)
+        assert (wiener, gamma) == (fit_linear_wiener(near), fit_homog_gamma(near))
         ll, _ = closed_form_linear_wiener(deltas, None)
-        assert wiener.params["m"] == pytest.approx(deltas.mean(), rel=1e-12)
+        assert wiener.params["m"] == pytest.approx(deltas.mean() / 2.0, rel=1e-12)  # per unit time
         assert wiener.params["s"] == pytest.approx(deltas.std(), rel=1e-12)
         assert wiener.loglik == pytest.approx(ll[0], rel=1e-12)
-        gamma = fit_homog_gamma(inc)
         alpha, ll, _, converged = scalar_newton_homog_gamma(deltas, None)
-        assert gamma.params["alpha"] == pytest.approx(alpha[0], rel=1e-9)
+        assert gamma.params["alpha"] == pytest.approx(alpha[0] / 2.0, rel=1e-9)
         assert gamma.loglik == pytest.approx(ll[0], rel=1e-12)
         assert gamma.converged and converged[0]
         for fit in (wiener, gamma):
             model = next(m for m in CASE2 if m.id == fit.model_id)
-            assert loglik(model, fit.params, inc) == pytest.approx(fit.loglik, rel=1e-12)
+            far_ll = loglik(model, fit.params, far)
+            assert far_ll == loglik(model, fit.params, near)
+            assert far_ll == pytest.approx(fit.loglik, rel=1e-12)
+
+
+def jittered_series(deltas_of_d, seed, n=300, beta=1.5):
+    """Increments drawn by ``deltas_of_d(rng, d)`` over n intervals whose
+    lengths are drawn from U(0.3, 1.7), at time-transform exponent ``beta``."""
+    rng = np.random.default_rng(seed)
+    t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.3, 1.7, n))])
+    x = deltas_of_d(rng, time_transform(t[:-1], t[1:], beta))
+    return IncrementSeries(tuple(x.tolist()), tuple(t[:-1].tolist()), tuple(t[1:].tolist()))
+
+
+FITTERS = [fit_linear_wiener, fit_nonlinear_wiener, fit_homog_gamma, fit_nonhomog_gamma]
+
+
+def fit_outcome(fitter, inc):
+    try:
+        return fitter(inc)
+    except FitError as exc:
+        return type(exc)
+
+
+class TestInspectionIntervals:
+    """Each increment is modelled over its real inspection interval."""
+
+    def test_nonlinear_fits_reject_a_negative_first_start(self):
+        inc = series(long_run(SimKind.NONHOMOG_GAMMA, seed=2, n=60).deltas, start=-5.0)
+        for fitter in (fit_nonlinear_wiener, fit_nonhomog_gamma):
+            with pytest.raises(FitError, match="time stamps >= 0, got -5.0"):
+                fitter(inc)
+        model = next(m for m in CASE2 if m.id == "nonlinear_wiener")
+        with pytest.raises(FitError, match="^fold 2: .* got -5.0"):
+            fit_folds(model, inc, fold_training_mask(len(inc), 5)[0])
+
+    def test_linear_fits_of_a_shifted_path_equal_the_unshifted_ones(self):
+        deltas = long_run(SimKind.HOMOG_GAMMA, seed=2, n=60).deltas
+        for fitter in (fit_linear_wiener, fit_homog_gamma):
+            assert fitter(series(deltas, start=-5.0)) == fitter(series(deltas))
+
+    def test_increments_proportional_to_their_intervals_have_no_dispersion(self):
+        gaps = np.random.default_rng(5).uniform(0.3, 1.7, 40)
+        t = np.concatenate([[0.0], np.cumsum(gaps)])
+        inc = IncrementSeries(tuple((0.3 * gaps).tolist()), tuple(t[:-1]), tuple(t[1:]))
+        flat = fit_homog_gamma(inc)
+        assert (flat.params["alpha"], flat.iterations, flat.converged) == (SHAPE_MAX, 0, False)
+        with pytest.raises(FitError, match="zero-dispersion"):
+            fit_nonhomog_gamma(inc)
+        # Equal increments over unequal intervals are dispersed.
+        spread = replace(inc, deltas=(0.3,) * 40)
+        assert fit_homog_gamma(spread).converged
+        assert fit_nonhomog_gamma(spread).converged
+
+    @settings(max_examples=60, deadline=None)
+    @given(traj=shape_paths(), scale=st.sampled_from([0.1, 0.5, 2.0, 3.0, 7.3]))
+    def test_fits_do_not_depend_on_the_time_unit(self, traj, scale):
+        inc = increments(traj)
+        scaled = increments(replace(traj, times=tuple(scale * t for t in traj.times)))
+        for fitter in FITTERS:
+            got, want = fit_outcome(fitter, scaled), fit_outcome(fitter, inc)
+            if isinstance(want, type):
+                assert got is want, (fitter.__name__, got, want)
+                continue
+            # The shape-rate bounds are in units of time: a fit at a bound,
+            # or a profile fit whose solves may meet one, is not rescaled.
+            if fitter in (fit_homog_gamma, fit_nonhomog_gamma) and not (
+                want.converged and got.converged
+            ):
+                continue
+            assert abs(got.loglik - want.loglik) <= 1e-9 * max(1.0, abs(want.loglik)), (
+                fitter.__name__, got, want,
+            )
+
+    # Monte-Carlo oracle: 40 paths of 300 increments over intervals drawn
+    # from U(0.3, 1.7), true beta 1.5; the medians are within three standard
+    # errors of the truth (the beta estimates' interquartile range is 0.04-0.07).
+    def test_beta_recovery_on_jittered_grids(self):
+        gamma = [
+            fit_nonhomog_gamma(jittered_series(lambda rng, d: rng.gamma(0.6 * d, 1 / 12), seed))
+            for seed in range(40)
+        ]
+        wiener = [
+            fit_nonlinear_wiener(jittered_series(lambda rng, d: rng.normal(0.05 * d, 0.4), seed))
+            for seed in range(40)
+        ]
+        for fits, rate, key in ((gamma, 0.6, "alpha"), (wiener, 0.05, "m")):
+            assert np.median([f.params["beta"] for f in fits]) == pytest.approx(1.5, abs=0.03)
+            assert np.median([f.params[key] for f in fits]) == pytest.approx(rate, rel=0.15)
 
 
 class TestLockstepRefinement:
@@ -685,13 +783,14 @@ class TestLockstepRefinement:
     )
     def test_masked_rows_equal_compacted_one_row_evaluations(self, deltas, folds, beta, gamma):
         x = np.asarray(deltas)
-        steps = np.arange(1.0, x.size + 1)
+        t = np.arange(x.size + 1.0)
+        t0, t1 = t[:-1], t[1:]
         _, train = fold_training_mask(x.size, folds)
         rows = _gamma_profile_rows if gamma else _wiener_profile_rows
         kw = {"init": None} if gamma else {}
-        masked = rows(x, steps, np.full(folds, beta), mask=train.astype(float), **kw)[2]
+        masked = rows(x, t0, t1, np.full(folds, beta), mask=train.astype(float), **kw)[2]
         for ll, keep in zip(masked, train):
-            single = rows(x[keep], steps[keep], np.array([beta]))[2][0]
+            single = rows(x[keep], t0[keep], t1[keep], np.array([beta]))[2][0]
             assert abs(ll - single) <= 1e-10 * max(1.0, abs(single)), (ll, single)
 
 
@@ -701,7 +800,7 @@ def reference_inputs(deltas, steps, betas, init, mask):
     columns), sum d_j, sum d_j log x_j, c = alpha * theta at the optimum,
     and the start, ``init`` or the moment estimate where that is NaN,
     clipped to the shape bounds."""
-    d = time_transform_at(steps, betas[:, None])
+    d = time_transform(steps - 1.0, steps, betas[:, None])
     d = d if mask is None else d * mask
     hole = np.zeros((betas.size, 1)) if mask is None else 1.0 - mask
     sum_d = d.sum(axis=1)
@@ -835,7 +934,7 @@ class TestShapeRateSolve:
     ):
         shape = math.exp(log_shape)
         steps = np.arange(1.0, n + 1)
-        rate = shape * time_transform_at(steps, true_beta)
+        rate = shape * time_transform(steps - 1.0, steps, true_beta)
         deltas = np.random.default_rng(seed).gamma(rate, math.exp(log_scale))
         deltas = np.maximum(deltas, 1e-300)  # a draw that underflows to 0 stays positive
         assume(math.log(deltas.mean()) - np.log(deltas).mean() > 0)  # bounded profile
@@ -846,7 +945,7 @@ class TestShapeRateSolve:
             mask, betas = None, np.array([beta])
         init = np.full(betas.size, shape * math.exp(start))
         _, ref_ll, rounding, ref_conv = alpha_step_profile_rows(deltas, steps, betas, init, mask)
-        _, _, ll, _, conv = _gamma_profile_rows(deltas, steps, betas, init, mask)
+        _, _, ll, _, conv = _gamma_profile_rows(deltas, steps - 1.0, steps, betas, init, mask)
         assert conv.tolist() == ref_conv.tolist()
         slack = 1e-9 * np.maximum(1.0, np.abs(ref_ll)) + rounding
         assert np.all(ll >= ref_ll - slack), (ll, ref_ll, rounding)
@@ -899,7 +998,7 @@ class TestSecantSteps:
     ):
         shape = math.exp(log_shape)
         steps = np.arange(1.0, n + 1)
-        rate = shape * time_transform_at(steps, true_beta)
+        rate = shape * time_transform(steps - 1.0, steps, true_beta)
         deltas = np.random.default_rng(seed).gamma(rate, math.exp(log_scale))
         deltas = np.maximum(deltas, 1e-300)  # a draw that underflows to 0 stays positive
         assume(math.log(deltas.mean()) - np.log(deltas).mean() > 0)  # bounded profile
@@ -912,7 +1011,9 @@ class TestSecantSteps:
         ref_alpha, ref_ll, rounding, ref_conv = newton_profile_rows(
             deltas, steps, betas, init, mask
         )
-        alpha, _, ll, _, conv = _gamma_profile_rows(deltas, steps, betas, init, mask)
+        alpha, _, ll, _, conv = _gamma_profile_rows(
+            deltas, steps - 1.0, steps, betas, init, mask
+        )
         assert conv.tolist() == ref_conv.tolist()
         gap = np.abs(alpha - ref_alpha)
         # The score is known only to within its rounding, so each solve's
@@ -1000,13 +1101,13 @@ class TestSecantSteps:
                 c = deltas.sum() / sum_d
                 return (sum_dlog - sum_d * np.log(c / a) - (d * psi(a * d)).sum(axis=1))[0]
 
-            root = _gamma_profile_rows(deltas, np.ones(n), np.ones(1))[0][0]
+            root = _gamma_profile_rows(deltas, np.zeros(n), np.ones(n), np.ones(1))[0][0]
             near = (root + k * math.ulp(root) for k in range(-8, 9))
             starts = [math.nan, 1e-3, 1e3] + [a for a in near if score(a) == 0.0][:1]
             for start in starts:
                 iterates.clear()
                 alpha, _, _, its, conv = _gamma_profile_rows(
-                    deltas, np.ones(n), np.ones(1), np.array([start])
+                    deltas, np.zeros(n), np.ones(n), np.ones(1), np.array([start])
                 )
                 for it, a in enumerate(iterates, 1):
                     if score(a) == 0.0:

@@ -358,13 +358,31 @@ class TestSinglePass:
         assert all(c == 1 for c in counts.values()), counts
 
 
+def scaled_times(traj, scale):
+    return replace(traj, times=tuple(scale * t for t in traj.times))
+
+
+def assert_same_answers(got, want, tol=1e-12):
+    """Two ``answer_record``s agree: labels, finals, retained sets and picks
+    equal, and confidences within ``tol``."""
+    assert got["decisions"].keys() == want["decisions"].keys()
+    for h, rec in want["decisions"].items():
+        for side in ("internal", "contextual"):
+            (label, conf), (want_label, want_conf) = got["decisions"][h][side], rec[side]
+            assert label == want_label and abs(conf - want_conf) <= tol, (h, side)
+        assert got["decisions"][h]["final"] == rec["final"], h
+    assert (got["retained"], got["chosen"]) == (want["retained"], want["chosen"])
+
+
 class TestNonWholeStepTimes:
-    # Picks at half-step spacing: the trend decision cannot form increments
-    # and falls back to linear, and every pick is a singleton.
+    # Half-step stamps are modelled over their real intervals, not rounded:
+    # every answer is the unit grid's.  While stamps were rounded to steps the
+    # trend decision could not form increments here and answered linear at
+    # confidence 0.5, so (NONLINEAR_WIENER, 11) picked linear_wiener.
     EXPECTED = {
         (SimKind.LINEAR_WIENER, 11): "linear_wiener",
         (SimKind.LINEAR_WIENER, 29): "linear_wiener",
-        (SimKind.NONLINEAR_WIENER, 11): "linear_wiener",
+        (SimKind.NONLINEAR_WIENER, 11): "nonlinear_wiener",
         (SimKind.NONLINEAR_WIENER, 29): "nonlinear_wiener",
         (SimKind.HOMOG_GAMMA, 11): "homog_gamma",
         (SimKind.HOMOG_GAMMA, 29): "homog_gamma",
@@ -373,16 +391,16 @@ class TestNonWholeStepTimes:
     }
 
     @pytest.mark.parametrize("kind, seed", list(EXPECTED))
-    def test_half_step_picks(self, bank, kind, seed):
+    def test_half_step_picks_equal_unit_grid_picks(self, bank, kind, seed):
         traj = make_path(kind, seed=seed, n_percent=70)
-        half = replace(traj, times=tuple(0.5 * t for t in traj.times))
-        case1 = run_inference(InferenceInput.for_case(Case.CASE1, half), bank)
-        case2 = run_inference(InferenceInput.for_case(Case.CASE2, half), bank)
-        expected = self.EXPECTED[(kind, seed)]
-        family = "gamma_family" if "gamma" in expected else "wiener_family"
-        assert (case1.chosen.id, case2.chosen.id) == (family, expected)
-        assert case1.scores is None and case2.scores is None
-        assert case2.decisions[Hierarchy.TREND].internal == Answer(Trend.LINEAR, 0.5)
+        half = scaled_times(traj, 0.5)
+        for case in Case:
+            got = run_inference(InferenceInput.for_case(case, half), bank)
+            want = run_inference(InferenceInput.for_case(case, traj), bank)
+            assert_same_answers(answer_record(got), answer_record(want))
+        assert got.chosen.id == self.EXPECTED[(kind, seed)]
+        assert got.decisions[Hierarchy.TREND].internal != Answer(Trend.LINEAR, 0.5)
+        assert not got.diagnostics
 
 
 def answer_pin_inputs():
@@ -450,3 +468,14 @@ class TestPinnedAnswers:
         assert inputs.keys() == ANSWER_PINS.keys()
         for name, inp in inputs.items():
             assert answer_record(run_inference(inp, bank)) == ANSWER_PINS[name], name
+
+
+class TestTimeUnit:
+    """Answers do not depend on the unit of the time stamps."""
+
+    @pytest.mark.parametrize("scale", [0.5, 2.0])
+    def test_pinned_inferences_with_scaled_stamps(self, bank, scale):
+        inputs = answer_pin_inputs()
+        for name, inp in inputs.items():
+            scaled = replace(inp, trajectory=scaled_times(inp.trajectory, scale))
+            assert_same_answers(answer_record(run_inference(scaled, bank)), ANSWER_PINS[name])

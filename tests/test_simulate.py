@@ -14,27 +14,35 @@ from degselect.simulate import (
     load_trajectories,
     save_trajectories,
     split_dataset,
-    time_transform_at,
+    time_transform,
     truncate_at_progress,
 )
 
 
 class TestTimeTransform:
-    def test_first_step_is_one_for_any_beta(self):
+    def test_first_unit_interval_is_one_for_any_beta(self):
         for beta in (0.5, 1.0, 1.7, 3.0):
-            assert time_transform_at(1, beta) == pytest.approx(1.0)
+            assert time_transform(0.0, 1.0, beta) == pytest.approx(1.0)
 
-    def test_hand_value(self):
-        assert time_transform_at(2, 2.0) == pytest.approx(3.0)
+    def test_hand_values(self):
+        assert time_transform(1.0, 2.0, 2.0) == pytest.approx(3.0)
+        assert time_transform(0.5, 2.5, 2.0) == pytest.approx(6.0)
 
-    def test_identity_at_beta_one(self):
-        assert time_transform_at(np.arange(1, 50), 1.0) == pytest.approx(np.ones(49))
+    def test_interval_lengths_at_beta_one(self):
+        t = np.cumsum(np.random.default_rng(1).uniform(0.1, 3.0, 50))
+        assert time_transform(t[:-1], t[1:], 1.0) == pytest.approx(np.diff(t), rel=1e-12)
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 1.5, 2.0])
     def test_telescoping_sum(self, beta):
-        n = 10_000
-        total = float(np.sum(time_transform_at(np.arange(1, n + 1), beta)))
-        assert total == pytest.approx(n**beta, rel=1e-9)
+        t = np.concatenate([[0.0], np.cumsum(np.random.default_rng(2).uniform(0.3, 1.7, 10_000))])
+        total = float(np.sum(time_transform(t[:-1], t[1:], beta)))
+        assert total == pytest.approx(t[-1] ** beta, rel=1e-9)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.5, 2.0])
+    def test_time_unit_scales_by_its_power(self, beta):
+        t = np.arange(20.0)
+        scaled = time_transform(2.5 * t[:-1], 2.5 * t[1:], beta)
+        assert scaled == pytest.approx(2.5**beta * time_transform(t[:-1], t[1:], beta), rel=1e-12)
 
 
 class TestGenerate:
@@ -103,7 +111,7 @@ class TestGenerate:
             seed=23,
         )
         traj = generate(params).trajectory
-        d = time_transform_at(np.arange(1, n + 1), beta)
+        d = time_transform(np.arange(n), np.arange(1, n + 1), beta)
         normalized = np.diff(traj.values) / d
         tol = 3 * 0.4 / math.sqrt(n) * float(np.max(1.0 / d))
         assert abs(float(np.mean(normalized)) - 0.3) < tol
@@ -114,7 +122,7 @@ def reference_generate(params):
     element converted by ``float``."""
     rng = np.random.default_rng(params.seed)
     n = params.max_steps
-    d = time_transform_at(np.arange(1, n + 1), params.beta)
+    d = time_transform(np.arange(n), np.arange(1, n + 1), params.beta)
     if params.kind is SimKind.LINEAR_WIENER:
         deltas = rng.normal(params.m, params.s, size=n)
     elif params.kind is SimKind.NONLINEAR_WIENER:
