@@ -5,10 +5,12 @@ is one kernel per family, which fits at given exponents of the time transform
 d_j = t_j^beta - t_{j-1}^beta: the Wiener kernel is closed-form, the gamma
 kernel solves the shape score equation by Newton iteration.  The linear fits
 are these kernels at the fixed exponent 1, where d_j = t_j - t_{j-1}.  The two
-nonlinear fits profile the exponent over a bounded grid, evaluated as row
-blocks of one exponents-by-increments array, refined by Brent's method.  Each
-fitter also fits several training subsets of one series at once, as rows of a
-mask over its increments; ``fit_folds`` fits the cross-validation folds so.
+nonlinear fits profile the exponent over a grid on [0.2, 5] that holds 1,
+evaluated as row blocks of one exponents-by-increments array, refined by
+Brent's method: the Wiener fit, whose profile may have several maxima, over 25
+points, the unimodal gamma profile over every 4th of them.  Each fitter also
+fits several training subsets of one series at once, as rows of a mask over
+its increments; ``fit_folds`` fits the cross-validation folds so.
 
 At each profiled exponent the non-homogeneous gamma fit solves the score
 equation of the shape rate alpha in 1/alpha, in which the equation is nearly
@@ -18,7 +20,8 @@ its slope is sum_j a_j^2 (psi'(a_j) - 1/a_j), and each term lies in
 then secant steps through the last two iterates, converge from a start far
 off on either side in a few steps, and evaluate trigamma once per solve.
 Each solve is warm-started from the rates already solved for the same
-problem (``_warm_start``).
+problem (``_warm_start``).  The fit at the chosen exponent is the search's
+own row there: its iterations and converged flag describe that solve.
 """
 
 from __future__ import annotations
@@ -39,9 +42,9 @@ def _trigamma(x: np.ndarray) -> np.ndarray:
     stays within 1e-12.  The shape-rate solve calls it once, for its first
     (Newton) step; its later steps are secant steps.  Every element takes
     all six steps, with no mask.  Measured on a 2-core x86 host (Python
-    3.11, numpy 2.4, scipy 1.17): 54 us for the 26 x 50 block of a short
-    window's exponent grid (polygamma 437 us, psi 16 us) and 233 us for
-    10,000 elements (polygamma 3.8 ms, psi 242 us).
+    3.11, numpy 2.4, scipy 1.17): 39 us for the 7 x 50 block of a short
+    window's gamma exponent grid (polygamma 131 us, psi 7 us) and 278 us
+    for 10,000 elements (polygamma 3.8 ms, psi 225 us).
     """
     z = np.asarray(x, dtype=float)
     # Shift past 6 with psi'(z) = psi'(z+1) + 1/z^2, then the series in 1/z.
@@ -75,7 +78,6 @@ PROFILE_BLOCK = 8192
 
 # The nested linear case beta = 1 is kept exact on the grid.
 _BETA_GRID = np.unique(np.append(np.geomspace(*BETA_BOUNDS, BETA_GRID_SIZE), 1.0))
-_BETA_ONE = int(np.flatnonzero(_BETA_GRID == 1.0)[0])
 
 
 class FitError(ValueError):
@@ -185,15 +187,17 @@ def _brent_max(a: float, b: float, tol: float) -> Generator[float, float, tuple[
 
 
 def _profile_beta(
-    profile_ll: Callable[[np.ndarray, np.ndarray], np.ndarray], n: int, problems: int
+    profile_ll: Callable[[np.ndarray, np.ndarray], np.ndarray], grid, n: int, problems: int
 ) -> np.ndarray:
-    """Maximize ``problems`` profile log-likelihoods over the bounded exponent range.
+    """Maximize ``problems`` profile log-likelihoods over the exponent range of ``grid``.
 
     ``profile_ll(rows, betas)`` maps problem indices and exponents, one pair
-    per row, to profile log-likelihoods.  Each problem's grid, and then one
-    Brent step of every problem still refining, go to it in blocks of at most
+    per row, to profile log-likelihoods.  Each problem's ``grid``, which
+    holds 1, and then one Brent step of every problem still refining between
+    the grid neighbours of its best point, go to it in blocks of at most
     ``PROFILE_BLOCK`` rows x ``n`` increments.  Returns each problem's
-    maximizer, NaN where no grid exponent gives a finite profile likelihood.
+    maximizer, an exponent it was evaluated at: NaN where no grid exponent
+    gives a finite profile likelihood.
     """
     per_block = max(1, PROFILE_BLOCK // n)
 
@@ -206,15 +210,15 @@ def _profile_beta(
         )
         return np.where(np.isfinite(vals), vals, NEG_INF)
 
-    size = _BETA_GRID.size
-    grid = evaluate(np.repeat(np.arange(problems), size), np.tile(_BETA_GRID, problems))
-    grid = grid.reshape(problems, size)
-    top = grid.argmax(axis=1)
+    size = grid.size
+    grid_ll = evaluate(np.repeat(np.arange(problems), size), np.tile(grid, problems))
+    grid_ll = grid_ll.reshape(problems, size)
+    top = grid_ll.argmax(axis=1)
     beta, best = np.full(problems, math.nan), np.full(problems, NEG_INF)
     searches = {
-        p: _brent_max(_BETA_GRID[max(i - 1, 0)], _BETA_GRID[min(i + 1, size - 1)], BETA_TOL)
+        p: _brent_max(grid[max(i - 1, 0)], grid[min(i + 1, size - 1)], BETA_TOL)
         for p, i in enumerate(top)
-        if grid[p, i] > NEG_INF
+        if grid_ll[p, i] > NEG_INF
     }
     pending = {p: next(search) for p, search in searches.items()}
     while pending:
@@ -229,10 +233,10 @@ def _profile_beta(
         pending = stepped
     # Guard the nested case: never do worse than the grid maximum or beta = 1.
     every = np.arange(problems)
-    for j in (top, _BETA_ONE):
-        better = grid[every, j] > best
-        beta = np.where(better, _BETA_GRID[j], beta)
-        best = np.where(better, grid[every, j], best)
+    for j in (top, int(np.flatnonzero(grid == 1.0)[0])):
+        better = grid_ll[every, j] > best
+        beta = np.where(better, grid[j], beta)
+        best = np.where(better, grid_ll[every, j], best)
     return beta
 
 
@@ -308,6 +312,7 @@ def _wiener_profile_rows(
 def _nonlinear_wiener_rows(deltas, t0, t1, mask) -> list:
     beta = _profile_beta(
         lambda rows, b: _wiener_profile_rows(deltas, t0, t1, b, _take(mask, rows))[2],
+        _BETA_GRID,
         deltas.size,
         _problems(mask),
     )
@@ -477,28 +482,29 @@ def _warm_start(betas: np.ndarray, known_b: list, known_a: list) -> np.ndarray:
 
 def _nonhomog_gamma_rows(deltas, t0, t1, mask) -> list:
     problems = _problems(mask)
-    # Per problem, the exponents and shape rates solved so far.
-    solved = [([], []) for _ in range(problems)]
+    # Per problem, each exponent solved so far -> its row's (shape rate,
+    # scale, loglik, iterations, converged).
+    solved = [{} for _ in range(problems)]
 
     def profile_ll(rows: np.ndarray, betas: np.ndarray) -> np.ndarray:
         # shape varies smoothly with the exponent: start each row from its own
         # problem's rows solved so far
         init = np.full(betas.size, math.nan)
         for p in set(rows.tolist()):
-            known_b, known_a = solved[p]
-            if known_b:
+            known = solved[p]
+            if known:
                 at = rows == p
-                init[at] = _warm_start(betas[at], known_b, known_a)
-        alpha, _, ll, _, _ = _gamma_profile_rows(deltas, t0, t1, betas, init, _take(mask, rows))
-        for p, b, a in zip(rows.tolist(), betas.tolist(), alpha.tolist()):
-            solved[p][0].append(b)
-            solved[p][1].append(a)
-        return ll
+                init[at] = _warm_start(betas[at], list(known), [r[0] for r in known.values()])
+        out = _gamma_profile_rows(deltas, t0, t1, betas, init, _take(mask, rows))
+        for p, b, *row in zip(rows.tolist(), betas.tolist(), *(v.tolist() for v in out)):
+            solved[p][b] = row
+        return out[2]
 
-    beta = _profile_beta(profile_ll, deltas.size, problems)
-    alpha, theta, ll, iterations, converged = _gamma_profile_rows(
-        deltas, t0, t1, _solved(beta), None, mask
-    )
+    # Every 4th grid exponent, with 0.2, 1 and 5, brackets the unimodal profile.
+    beta = _profile_beta(profile_ll, _BETA_GRID[::4], deltas.size, problems)
+    # The fit at each maximizer, or at beta = 1 for a failed search, is a row
+    # the search solved: a missing one is a KeyError, not a fresh solve.
+    fits = [solved[p][b] for p, b in enumerate(_solved(beta).tolist())]
     return [
         _profile_failure(b, l)
         or FitResult(
@@ -509,7 +515,7 @@ def _nonhomog_gamma_rows(deltas, t0, t1, mask) -> list:
             bool(c),
             int(i),
         )
-        for b, a, t, l, i, c in zip(beta, alpha, theta, ll, iterations, converged)
+        for b, (a, t, l, i, c) in zip(beta, fits)
     ]
 
 
@@ -533,13 +539,18 @@ def _training_error(key: tuple[Family, Trend], x, t0, t1) -> Optional[FitError]:
         return FitError("increments must be finite")
     if key[0] is Family.GAMMA and np.any(x <= 0):
         return NonPositiveIncrementError("gamma model requires positive increments")
-    if key[1] is Trend.NONLINEAR:
-        if t0[0] < 0:  # t**beta of a negative time stamp is not real
-            return FitError(f"{name} fit needs time stamps >= 0, got {t0[0]}")
-        if key[0] is Family.GAMMA:
-            r = x / time_transform(t0, t1, 1.0)  # constant when x is proportional to dt
-            if math.log(float(np.mean(r))) - float(np.mean(np.log(r))) <= DISPERSION_FLOOR:
-                return FitError("zero-dispersion increments: gamma profile is unbounded")
+    error = _stamp_error(key, t0)
+    if not error and key == (Family.GAMMA, Trend.NONLINEAR):
+        r = x / time_transform(t0, t1, 1.0)  # constant when x is proportional to dt
+        if math.log(float(np.mean(r))) - float(np.mean(np.log(r))) <= DISPERSION_FLOOR:
+            error = FitError("zero-dispersion increments: gamma profile is unbounded")
+    return error
+
+
+def _stamp_error(key: tuple[Family, Trend], t0) -> Optional[FitError]:
+    """Why the model for ``key`` cannot use intervals from the starts ``t0``, or None."""
+    if key[1] is Trend.NONLINEAR and t0.size and t0[0] < 0:  # t**beta of t < 0 is not real
+        return FitError(f"{_ROW_FITTERS[key][0]} model needs time stamps >= 0, got {t0[0]}")
     return None
 
 
@@ -580,11 +591,15 @@ def loglik(
     span: slice = slice(None),
 ) -> float:
     """Sum of the log densities of the increments ``inc[span]``; -inf when gamma
-    is inapplicable."""
+    is inapplicable.  FitError, as the fitters raise it, for a nonlinear model
+    on intervals from a negative time stamp."""
     deltas, t0, t1 = (a[span] for a in inc.arrays)
     nonlinear = model.trend is Trend.NONLINEAR  # a linear model is the exponent-1 model
     if nonlinear and "beta" not in params:
         raise ValueError(f"{model.id} params need beta")
+    stamps = _stamp_error((model.family, model.trend), t0)
+    if stamps:
+        raise stamps
     d = time_transform(t0, t1, params["beta"] if nonlinear else 1.0)
     if model.family is Family.WIENER:
         if "m" not in params or "s" not in params:

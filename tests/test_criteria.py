@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,14 @@ class TestInapplicableFits:
         assert np.any(deltas < 0)  # the fixture path must exercise the branch
         for mid in ("homog_gamma", "nonhomog_gamma"):
             assert score(by_id(case2_set, mid), traj, Criterion.EAL) == math.inf
+
+    def test_nonlinear_cv_inf_on_a_path_from_a_negative_stamp(self, case2_set):
+        traj = make_path(SimKind.NONHOMOG_GAMMA, seed=21, n_percent=70)
+        shifted = replace(traj, times=tuple(t - 5.0 for t in traj.times))
+        for mid in ("nonlinear_wiener", "nonhomog_gamma"):
+            notes = []
+            assert score(by_id(case2_set, mid), shifted, Criterion.CV, notes) == math.inf
+            assert "time stamps >= 0, got -5.0" in notes[0]
 
     def test_notes_record_failure_reason(self, case2_set):
         traj = make_path(SimKind.LINEAR_WIENER, seed=21, n_percent=70)

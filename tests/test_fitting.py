@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 from scipy.special import gammaln, polygamma, psi
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import norm
@@ -27,6 +28,7 @@ from degselect.fitting import (
     _gamma_loglik,
     _gamma_profile_rows,
     _profile_beta,
+    _training_error,
     _trigamma,
     _warm_start,
     _wiener_profile_rows,
@@ -39,7 +41,7 @@ from degselect.fitting import (
     increments,
     loglik,
 )
-from degselect.model_space import default_case_sets
+from degselect.model_space import Family, Trend, default_case_sets
 from degselect.simulate import (
     SimKind,
     SimParams,
@@ -681,6 +683,19 @@ class TestInspectionIntervals:
         with pytest.raises(FitError, match="^fold 2: .* got -5.0"):
             fit_folds(model, inc, fold_training_mask(len(inc), 5)[0])
 
+    def test_loglik_of_a_nonlinear_model_rejects_a_negative_first_start(self):
+        inc = series(long_run(SimKind.NONHOMOG_GAMMA, seed=2, n=60).deltas, start=-5.0)
+        params = {"m": 0.1, "s": 0.2, "alpha": 0.6, "theta": 0.1, "beta": 1.5}
+        for model_id in ("nonlinear_wiener", "nonhomog_gamma"):
+            model = next(m for m in CASE2 if m.id == model_id)
+            # As the package's test filter does: a RuntimeWarning is an error.
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(FitError, match="time stamps >= 0, got -5.0"):
+                    loglik(model, params, inc)
+                # A span from a stamp >= 0 is scored.
+                assert math.isfinite(loglik(model, params, inc, slice(10, None)))
+
     def test_linear_fits_of_a_shifted_path_equal_the_unshifted_ones(self):
         deltas = long_run(SimKind.HOMOG_GAMMA, seed=2, n=60).deltas
         for fitter in (fit_linear_wiener, fit_homog_gamma):
@@ -765,7 +780,7 @@ class TestLockstepRefinement:
                 vals = -x * x + amp[rows] * np.cos(freq[rows] * x)
                 return np.where(dead[rows], np.nan, vals)
 
-            return _profile_beta(profile_ll, n, len(rows_of)), calls
+            return _profile_beta(profile_ll, _BETA_GRID, n, len(rows_of)), calls
 
         together, calls = run(problems)
         for p, problem in enumerate(problems):
@@ -1154,6 +1169,135 @@ class TestWarmStart:
         assert flat.tolist() == [2.0, 7.0]
         # the solve clips these to [SHAPE_MIN, SHAPE_MAX]
         assert steep[1] == pytest.approx(SHAPE_MAX) and 0.0 <= steep[0] < SHAPE_MIN
+
+
+GAMMA_SUBGRID = _BETA_GRID[::4]
+
+
+@st.composite
+def positive_shape_series(draw):
+    """``conftest.shape_paths`` made positive: each increment |delta| + 1e-3,
+    over the path's own unit or irregular intervals from its own start."""
+    inc = increments(draw(shape_paths()))
+    return replace(inc, deltas=tuple((np.abs(inc.arrays[0]) + 1e-3).tolist()))
+
+
+gamma_search_inputs = st.one_of(positive_increments.map(series), positive_shape_series())
+
+
+def gamma_profile_on(inc, betas):
+    """The non-homogeneous gamma profile log-likelihoods of ``inc`` at
+    ``betas``, each solved from its moment start; -inf where not finite."""
+    ll = _gamma_profile_rows(*inc.arrays, np.atleast_1d(betas))[2]
+    return np.where(np.isfinite(ll), ll, -np.inf)
+
+
+def full_grid_gamma_search(inc):
+    """Reference: the non-homogeneous gamma profile maximized over the full
+    25-point exponent grid, then by scipy's bounded scalar search between the
+    grid neighbours of the best point.  Returns the better (loglik, beta)."""
+    grid = gamma_profile_on(inc, _BETA_GRID)
+    i = int(grid.argmax())
+    bracket = (_BETA_GRID[max(i - 1, 0)], _BETA_GRID[min(i + 1, _BETA_GRID.size - 1)])
+    res = minimize_scalar(
+        lambda b: -gamma_profile_on(inc, b)[0],
+        bounds=bracket,
+        method="bounded",
+        options={"xatol": 1e-9},
+    )
+    return max((-res.fun, res.x), (grid[i], _BETA_GRID[i]))
+
+
+def applicable_gamma_profile(inc):
+    """Whether the non-homogeneous gamma fit accepts ``inc``."""
+    return _training_error((Family.GAMMA, Trend.NONLINEAR), *inc.arrays) is None
+
+
+class TestGammaSubgridSearch:
+    """The non-homogeneous gamma fit searches every 4th exponent of the grid,
+    then refines between the neighbours of the best of them.  Series are
+    limited to 300 increments: on 10k-step paths with beta above 3 the
+    profile's own rounding, not the search, sets the agreement."""
+
+    def test_subgrid_is_every_4th_grid_exponent_with_the_bounds_and_1(self):
+        assert _BETA_GRID.size == 25
+        np.testing.assert_allclose(
+            GAMMA_SUBGRID, [0.2, 0.342, 0.585, 1.0, 1.71, 2.92, 5.0], rtol=2e-3
+        )
+        assert (GAMMA_SUBGRID[0], GAMMA_SUBGRID[3], GAMMA_SUBGRID[-1]) == (0.2, 1.0, 5.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(inc=gamma_search_inputs)
+    def test_subgrid_bracket_holds_the_full_grid_maximum(self, inc):
+        assume(applicable_gamma_profile(inc))
+        full = gamma_profile_on(inc, _BETA_GRID)
+        k = int(full[::4].argmax())
+        lo, hi = GAMMA_SUBGRID[max(k - 1, 0)], GAMMA_SUBGRID[min(k + 1, GAMMA_SUBGRID.size - 1)]
+        assert lo <= _BETA_GRID[full.argmax()] <= hi, (lo, hi, full)
+
+    @settings(max_examples=60, deadline=None)
+    @given(inc=gamma_search_inputs)
+    def test_loglik_matches_a_full_grid_search(self, inc):
+        assume(applicable_gamma_profile(inc))
+        fit = fit_nonhomog_gamma(inc)
+        ref_ll, ref_beta = full_grid_gamma_search(inc)
+        assert abs(fit.loglik - ref_ll) <= 1e-8 * max(1.0, abs(ref_ll)), (fit, ref_beta)
+
+
+class TestSearchRowsAreReused:
+    """The non-homogeneous gamma fit at the chosen exponent is the row its
+    search solved there: no exponent is solved twice for one problem."""
+
+    KINDS = (SimKind.HOMOG_GAMMA, SimKind.NONHOMOG_GAMMA)
+
+    @staticmethod
+    def record_solves(monkeypatch):
+        """(problem, beta) of each shape-rate row solved from here on; a
+        problem is its training mask row, None for a whole series."""
+        import degselect.fitting as fitting
+
+        solve, solved = fitting._gamma_profile_rows, []
+
+        def recorded(*args):
+            betas, mask = args[3], args[5]
+            for r, b in enumerate(betas.tolist()):
+                solved.append((None if mask is None else mask[r].tobytes(), b))
+            return solve(*args)
+
+        monkeypatch.setattr(fitting, "_gamma_profile_rows", recorded)
+        return solved
+
+    @classmethod
+    def inputs(cls):
+        for kind in cls.KINDS:
+            for seed in (1, 3, 5):
+                traj = generate(default_params(kind, seed=seed)).trajectory
+                for pct in (30, 70, 100):
+                    yield increments(truncate_at_progress(traj, pct))
+
+    def test_no_row_is_solved_twice_in_a_fit_or_a_fold_batch(self, monkeypatch):
+        solved = self.record_solves(monkeypatch)
+        model = next(m for m in CASE2 if m.id == "nonhomog_gamma")
+        for inc in self.inputs():
+            bounds = fold_training_mask(len(inc), 5)[0]
+            for fit in (fit_nonhomog_gamma, lambda i: fit_folds(model, i, bounds)):
+                solved.clear()
+                fit(inc)
+                assert solved and len(set(solved)) == len(solved), solved
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_10k_step_fit_solves_at_most_20_rows(self, monkeypatch, kind):
+        solved = self.record_solves(monkeypatch)
+        fit_nonhomog_gamma(long_run(kind, seed=4, n=10_000))
+        assert len(solved) <= 20, len(solved)  # 35 with a fresh solve and all 25 exponents
+
+    def test_loglik_reproduces_the_fit(self):
+        model = next(m for m in CASE2 if m.id == "nonhomog_gamma")
+        long = [long_run(kind, seed=4, n=n) for kind in self.KINDS for n in (2000, 10_000)]
+        for inc in [*self.inputs(), *long]:
+            fit = fit_nonhomog_gamma(inc)
+            got = loglik(model, fit.params, inc)
+            assert abs(got - fit.loglik) <= 1e-12 * abs(fit.loglik), (got, fit.loglik)
 
 
 def test_profile_fits_leave_scipy_optimize_unimported():

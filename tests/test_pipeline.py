@@ -460,7 +460,11 @@ class TestPinnedAnswers:
     after 9cd1a9a, whose shape-rate solve takes secant steps in 1/alpha after
     its first Newton step, re-recorded the 40 whose trend confidences moved
     (30 ``homog_gamma`` and 10 ``nonhomog_gamma`` case-2 windows, by at most
-    4.6e-14).  Every label, final decision, retained set and pick is as
+    4.6e-14).  The commit after 779aeb9, whose gamma exponent search runs on
+    every 4th grid exponent and takes its fit at the maximizer from the
+    search, re-recorded the 48 whose trend confidences moved (30
+    ``homog_gamma`` and 18 ``nonhomog_gamma`` case-2 windows, by at most
+    7.2e-13).  Every label, final decision, retained set and pick is as
     recorded at 256c22e."""
 
     def test_matches_recorded_answers(self, bank):
