@@ -38,6 +38,7 @@ from .fitting import (
 from .model_space import (
     CandidateModel,
     CandidateSet,
+    Case,
     Decision,
     Family,
     Hierarchy,
@@ -48,7 +49,6 @@ from .model_space import (
     structural_label,
 )
 from .pipeline import (
-    Case,
     InferenceInput,
     PipelineConfig,
     SelectionResult,

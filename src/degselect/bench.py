@@ -14,8 +14,8 @@ import numpy as np
 from .criteria import Criterion, FitTable, NoApplicableModelError, select_argmin
 from .decisions import ProviderPair, RemoteTextGenProvider, default_providers
 from .evidence import EvidenceBank, default_bank
-from .model_space import CandidateSet, Family, default_case_sets
-from .pipeline import Case, InferenceInput, PipelineConfig, run_inference
+from .model_space import Case, Family, Hierarchy, condition, default_case_sets
+from .pipeline import InferenceInput, PipelineConfig, run_inference
 from .simulate import (
     SimKind,
     Trajectory,
@@ -40,11 +40,9 @@ CONTEXT_BY_FAMILY = {
     ),
 }
 
-CASE1_LABEL_BY_KIND = {
-    SimKind.LINEAR_WIENER: "wiener_family",
-    SimKind.HOMOG_GAMMA: "gamma_family",
-}
-_KIND_BY_CASE1_LABEL = {label: kind for kind, label in CASE1_LABEL_BY_KIND.items()}
+# Generating family of a labelled unit, by its label: a model id of either
+# case.  A SimKind's value is its case-2 model id.
+_FAMILY_BY_ID = {m.id: m.family for cset in default_case_sets() for m in cset}
 
 CASE_KINDS = {
     Case.CASE1: (SimKind.LINEAR_WIENER, SimKind.HOMOG_GAMMA),
@@ -57,13 +55,6 @@ CASE_KINDS = {
 }
 
 DEFAULT_PER_CLASS = {Case.CASE1: 60, Case.CASE2: 120}
-
-KIND_FAMILY = {
-    SimKind.LINEAR_WIENER: Family.WIENER,
-    SimKind.NONLINEAR_WIENER: Family.WIENER,
-    SimKind.HOMOG_GAMMA: Family.GAMMA,
-    SimKind.NONHOMOG_GAMMA: Family.GAMMA,
-}
 
 CENSOR_RETRIES = 10
 
@@ -89,7 +80,6 @@ class ExperimentConfig:
     criterion: Criterion = Criterion.EAL
     provider_mode: ProviderMode = ProviderMode.HEURISTIC
     perturbation: Perturbation = Perturbation.NONE
-    output_path: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not self.n_values:
@@ -158,9 +148,16 @@ def compute_metrics(
 
 
 def generate_dataset(case: Case, per_class_count: int, seed: int) -> list[Trajectory]:
-    """Labeled run-to-failure trajectories, one independent stream per unit."""
+    """Labeled run-to-failure trajectories, one independent stream per unit.
+
+    A case-2 unit is labelled with its kind's model, a case-1 unit with the
+    case-1 model of that model's family.
+    """
     trajs = []
     for kind_idx, kind in enumerate(CASE_KINDS[case]):
+        label = kind.value
+        if case is Case.CASE1:
+            (label,) = condition(case.candidates, {Hierarchy.FAMILY: _FAMILY_BY_ID[label]}).ids()
         for unit in range(per_class_count):
             base = seed + 1_000_003 * kind_idx + 97 * unit
             result = None
@@ -176,8 +173,8 @@ def generate_dataset(case: Case, per_class_count: int, seed: int) -> list[Trajec
                     f"unit {kind.value}-{unit} censored after {CENSOR_RETRIES} retries"
                 )
             traj = result.trajectory
-            if case is Case.CASE1:
-                traj = replace(traj, true_model_id=CASE1_LABEL_BY_KIND[kind])
+            if traj.true_model_id != label:
+                traj = replace(traj, true_model_id=label)
             trajs.append(traj)
     return trajs
 
@@ -187,13 +184,12 @@ def correct_context(traj: Trajectory) -> str:
 
 
 def wrong_context(traj: Trajectory) -> str:
-    other = Family.GAMMA if _family_of(traj) is Family.WIENER else Family.WIENER
-    return CONTEXT_BY_FAMILY[other]
+    family = _family_of(traj)
+    return next(text for fam, text in CONTEXT_BY_FAMILY.items() if fam is not family)
 
 
 def _family_of(traj: Trajectory) -> Family:
-    """Generating family of a labelled unit; case-1 labels name the family."""
-    return KIND_FAMILY[_KIND_BY_CASE1_LABEL.get(traj.true_model_id) or SimKind(traj.true_model_id)]
+    return _FAMILY_BY_ID[traj.true_model_id]
 
 
 def perturb_input(
@@ -234,11 +230,6 @@ def _make_providers(cfg: ExperimentConfig) -> ProviderPair:
     return default_providers()
 
 
-def _candidate_set(case: Case) -> CandidateSet:
-    case1, case2 = default_case_sets()
-    return case1 if case is Case.CASE1 else case2
-
-
 def _proposed_by_window(
     cfg: ExperimentConfig, bank: Optional[EvidenceBank], modes: Sequence[Perturbation]
 ):
@@ -248,7 +239,7 @@ def _proposed_by_window(
     bank = bank or default_bank()
     providers = _make_providers(cfg)
     pipe_cfg = PipelineConfig(criterion=cfg.criterion)
-    classes = _candidate_set(cfg.case).ids()
+    classes = cfg.case.candidates.ids()
     per_class = cfg.per_class_count or DEFAULT_PER_CLASS[cfg.case]
     split = split_dataset(generate_dataset(cfg.case, per_class, cfg.seed), seed=cfg.seed)
     for n in cfg.n_values:
@@ -277,7 +268,7 @@ def run_experiment(
     cfg: ExperimentConfig, bank: Optional[EvidenceBank] = None
 ) -> MetricsReport:
     """Full protocol: generate, split, truncate, run all methods, score."""
-    cset = _candidate_set(cfg.case)
+    cset = cfg.case.candidates
     candidates = cset.ids()
     report = MetricsReport(case=cfg.case)
     for n, test, proposed, fits in _proposed_by_window(cfg, bank, (cfg.perturbation,)):
@@ -303,9 +294,6 @@ def run_experiment(
             metrics = compute_metrics(true_labels, predictions, candidates)
             metrics.runtime_seconds = time.perf_counter() - start
             report.entries[(n, crit.value)] = metrics
-
-    if cfg.output_path:
-        emit_report(report, cfg.output_path, "csv")
     return report
 
 
@@ -317,8 +305,6 @@ def run_robustness(
     for n, _, proposed, _ in _proposed_by_window(cfg, bank, tuple(Perturbation)):
         for mode, metrics in proposed.items():
             report.entries[(n, mode.value)] = metrics
-    if cfg.output_path:
-        emit_report(report, cfg.output_path, "csv")
     return report
 
 

@@ -19,8 +19,8 @@ from .bench import (
 )
 from .criteria import Criterion
 from .evidence import default_bank, load_bank
-from .model_space import Hierarchy, Uncertain
-from .pipeline import Case, InferenceInput, PipelineConfig, run_inference
+from .model_space import Case, Uncertain
+from .pipeline import InferenceInput, PipelineConfig, run_inference
 from .simulate import load_trajectories, save_trajectories
 
 
@@ -60,7 +60,6 @@ def _experiment_config(args) -> ExperimentConfig:
         criterion=Criterion(args.criterion),
         provider_mode=ProviderMode(args.provider_mode),
         perturbation=Perturbation(args.perturbation),
-        output_path=args.output,
     )
     if args.config:
         overrides = _load_config_file(args.config)
@@ -111,11 +110,15 @@ def cmd_select(args) -> int:
     return 0
 
 
+def _write_reports(report, args) -> None:
+    for path, fmt in ((args.output, "csv"), (args.markdown, "markdown")):
+        if path:
+            emit_report(report, path, fmt)
+
+
 def cmd_bench(args) -> int:
-    cfg = _experiment_config(args)
-    report = run_experiment(cfg)
-    if args.markdown:
-        emit_report(report, args.markdown, "markdown")
+    report = run_experiment(_experiment_config(args))
+    _write_reports(report, args)
     for (n, method), m in sorted(report.entries.items()):
         print(
             f"n={n:3d} {method:10s} acc={m.accuracy:.3f} prec={m.macro_precision:.3f} "
@@ -125,10 +128,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_robustness(args) -> int:
-    cfg = _experiment_config(args)
-    report = run_robustness(cfg)
-    if args.markdown:
-        emit_report(report, args.markdown, "markdown")
+    report = run_robustness(_experiment_config(args))
+    _write_reports(report, args)
     for (n, mode), m in sorted(report.entries.items()):
         print(
             f"n={n:3d} {mode:14s} acc={m.accuracy:.3f} prec={m.macro_precision:.3f} "
@@ -137,8 +138,11 @@ def cmd_robustness(args) -> int:
     return 0
 
 
+_CASES = [c.value for c in Case]
+
+
 def _add_experiment_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--case", choices=["case1", "case2"], default="case1")
+    p.add_argument("--case", choices=_CASES, default="case1")
     p.add_argument("--n-values", dest="n_values", type=int, nargs="+", default=[30, 50, 70])
     p.add_argument("--per-class-count", type=int, default=None)
     p.add_argument("--seed", type=int, default=2024)
@@ -164,7 +168,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="emit a simulated dataset file")
-    gen.add_argument("--case", choices=["case1", "case2"], default="case1")
+    gen.add_argument("--case", choices=_CASES, default="case1")
     gen.add_argument("--per-class-count", type=int, default=None)
     gen.add_argument("--seed", type=int, default=2024)
     gen.add_argument("--output", required=True)
@@ -173,7 +177,7 @@ def main(argv=None) -> int:
     sel = sub.add_parser("select", help="single-trajectory inference")
     sel.add_argument("--trajectory", required=True, help="trajectory record file")
     sel.add_argument("--context", default="", help="domain context text")
-    sel.add_argument("--case", choices=["case1", "case2"], default="case2")
+    sel.add_argument("--case", choices=_CASES, default="case2")
     sel.add_argument("--criterion", choices=[c.value for c in Criterion], default="eal")
     sel.add_argument("--bank", help="evidence bank file (default: shipped bank)")
     sel.set_defaults(func=cmd_select)

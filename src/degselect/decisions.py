@@ -23,8 +23,8 @@ from .evidence import (
     retrieve_top_k,
 )
 from .model_space import (
-    Decision, Family, Hierarchy, Label, Trend, Uncertain, condition, default_case_sets,
-    label_hierarchy, parse_label,
+    LABEL_SPACES, Case, Decision, Family, Hierarchy, Label, Trend, Uncertain, condition,
+    label_hierarchy, parse_label, structural_label,
 )
 from .simulate import Trajectory
 
@@ -145,7 +145,7 @@ def _decide_family(obs: Observation) -> Answer:
 def _decide_trend(obs: Observation) -> Answer:
     # The linear and nonlinear case-2 models of the threshold family.
     family = _threshold_family(obs)[0]
-    linear, nonlinear = condition(default_case_sets()[1], {Hierarchy.FAMILY: family})
+    linear, nonlinear = condition(Case.CASE2.candidates, {Hierarchy.FAMILY: family})
     lls = []
     for model in (linear, nonlinear):
         try:
@@ -169,15 +169,8 @@ class HeuristicProvider:
         return obs.heuristic(hierarchy)
 
 
-def _label_sign(label: Label) -> float:
-    # Sign convention: +1 for Wiener / nonlinear, -1 for gamma / linear.
-    return 1.0 if label in (Family.WIENER, Trend.NONLINEAR) else -1.0
-
-
-def _sign_label(hierarchy: Hierarchy, positive: bool) -> Label:
-    if hierarchy is Hierarchy.FAMILY:
-        return Family.WIENER if positive else Family.GAMMA
-    return Trend.NONLINEAR if positive else Trend.LINEAR
+# Each label's sign in the evidence blend.
+_SIGN = {Family.WIENER: 1.0, Family.GAMMA: -1.0, Trend.NONLINEAR: 1.0, Trend.LINEAR: -1.0}
 
 
 class EvidenceBlendProvider:
@@ -187,14 +180,14 @@ class EvidenceBlendProvider:
         self, hierarchy: Hierarchy, obs: Observation, evidence: Optional[RetrievedSet] = None
     ) -> Answer:
         base = obs.heuristic(hierarchy)
-        f = _label_sign(base.label) * (2.0 * base.confidence - 1.0)
+        f = _SIGN[base.label] * (2.0 * base.confidence - 1.0)
         weights, votes = [], []
         for record, s in evidence or ():
-            hint = record.hint.for_hierarchy(hierarchy) if record.hint else None
+            hint = structural_label(record.hint, hierarchy) if record.hint else None
             if hint is None:
                 continue
             weights.append(s)
-            votes.append(s * _label_sign(hint))
+            votes.append(s * _SIGN[hint])
         if weights:
             u = 0.5 * (sum(votes) / sum(weights)) + 0.5 * f
         else:
@@ -202,7 +195,7 @@ class EvidenceBlendProvider:
         if u == 0.0:
             label = base.label
         else:
-            label = _sign_label(hierarchy, u > 0.0)
+            label = next(x for x in LABEL_SPACES[hierarchy][0] if (_SIGN[x] > 0.0) == (u > 0.0))
         return Answer(label, 0.5 + 0.49 * abs(u))
 
 
@@ -223,9 +216,7 @@ class RemoteTextGenProvider:
     def _render_prompt(
         self, hierarchy: Hierarchy, obs: Observation, evidence: Optional[RetrievedSet]
     ) -> str:
-        labels = (
-            ("W", "G") if hierarchy is Hierarchy.FAMILY else ("L", "NL")
-        )
+        labels = [label.value for label in LABEL_SPACES[hierarchy][0]]
         lines = [
             "You are selecting the structure of a degradation model.",
             f"Observed trajectory characteristics: {obs.query.text}.",
@@ -234,7 +225,7 @@ class RemoteTextGenProvider:
             lines.append("Evidence:")
             lines.extend(f"- {r.proposition}" for r in evidence.records())
         lines.append(
-            f"Answer on the first line with one label from {{{labels[0]}, {labels[1]}}} "
+            f"Answer on the first line with one label from {{{', '.join(labels)}}} "
             "followed by a confidence in [0, 1], e.g. "
             f"'{labels[0]} 0.8'."
         )
@@ -307,7 +298,6 @@ def default_providers() -> ProviderPair:
 
 @dataclass(frozen=True)
 class HierarchyDecisionRecord:
-    hierarchy: Hierarchy
     internal: Answer
     contextual: Answer
     final: Decision
@@ -318,7 +308,7 @@ def decide_all_hierarchies(
     obs: Observation,
     bank: EvidenceBank,
     providers: ProviderPair,
-    hierarchies: tuple[Hierarchy, ...] = (Hierarchy.FAMILY, Hierarchy.TREND),
+    hierarchies: tuple[Hierarchy, ...] = tuple(Hierarchy),
 ) -> dict[Hierarchy, HierarchyDecisionRecord]:
     """Retrieve the top ``DEFAULT_TOP_K`` records once, then answer twice and
     arbitrate at the default margin per hierarchy."""
@@ -329,10 +319,6 @@ def decide_all_hierarchies(
         contextual = providers.contextual.decide(h, obs, retrieved)
         final = arbitrate(internal, contextual, ArbitrationConfig())
         records[h] = HierarchyDecisionRecord(
-            hierarchy=h,
-            internal=internal,
-            contextual=contextual,
-            final=final,
-            evidence=retrieved,
+            internal=internal, contextual=contextual, final=final, evidence=retrieved
         )
     return records

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model_space import Family, Hierarchy, Trend
+from .model_space import LABEL_SPACES, Family, Trend
 from .simulate import Trajectory
 
 BM25_K1 = 1.2
@@ -42,9 +42,6 @@ class EvidenceCategory(Enum):
 class EvidenceHint:
     family: Optional[Family] = None
     trend: Optional[Trend] = None
-
-    def for_hierarchy(self, h: Hierarchy):
-        return self.family if h is Hierarchy.FAMILY else self.trend
 
 
 @dataclass(frozen=True)
@@ -136,8 +133,7 @@ def _parse_record(rec: dict) -> EvidenceRecord:
     if rec.get("hint") is not None:
         hraw = rec["hint"]
         hint = EvidenceHint(
-            family=Family(hraw["family"]) if hraw.get("family") else None,
-            trend=Trend(hraw["trend"]) if hraw.get("trend") else None,
+            **{attr: space(hraw[attr]) for space, attr in LABEL_SPACES.values() if hraw.get(attr)}
         )
     return EvidenceRecord(
         id=int(rec["id"]),

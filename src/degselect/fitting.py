@@ -117,10 +117,8 @@ class IncrementSeries:
 
 @dataclass(frozen=True)
 class FitResult:
-    model_id: str
     params: Mapping[str, float]
     loglik: float
-    k: int
     converged: bool
     iterations: int
 
@@ -288,7 +286,7 @@ def _linear_wiener_rows(deltas, t0, t1, mask) -> list:
         # at or below it.
         DegenerateVarianceError(f"increment variance at or below floor {VARIANCE_FLOOR}")
         if v <= VARIANCE_FLOOR
-        else FitResult("linear_wiener", {"m": float(m), "s": math.sqrt(v)}, float(l), 2, True, 0)
+        else FitResult({"m": float(m), "s": math.sqrt(v)}, float(l), True, 0)
         for m, v, l in zip(m_hat, s2, ll)
     ]
 
@@ -319,14 +317,7 @@ def _nonlinear_wiener_rows(deltas, t0, t1, mask) -> list:
     m_hat, s2, ll = _wiener_profile_rows(deltas, t0, t1, _solved(beta), mask)
     return [
         _profile_failure(b, l)
-        or FitResult(
-            "nonlinear_wiener",
-            {"m": float(m), "s": math.sqrt(v), "beta": float(b)},
-            float(l),
-            3,
-            True,
-            0,
-        )
+        or FitResult({"m": float(m), "s": math.sqrt(v), "beta": float(b)}, float(l), True, 0)
         for b, m, v, l in zip(beta, m_hat, s2, ll)
     ]
 
@@ -359,12 +350,7 @@ def _homog_gamma_rows(deltas, t0, t1, mask) -> list:
     )
     return [
         FitResult(
-            "homog_gamma",
-            {"alpha": float(a), "theta": float(t)},
-            float(l),
-            2,
-            bool(c) and not f,
-            0 if f else int(i),
+            {"alpha": float(a), "theta": float(t)}, float(l), bool(c) and not f, 0 if f else int(i)
         )
         for a, t, l, i, c, f in zip(alpha, theta, ll, iterations, converged, flat)
     ]
@@ -508,12 +494,7 @@ def _nonhomog_gamma_rows(deltas, t0, t1, mask) -> list:
     return [
         _profile_failure(b, l)
         or FitResult(
-            "nonhomog_gamma",
-            {"alpha": float(a), "theta": float(t), "beta": float(b)},
-            float(l),
-            3,
-            bool(c),
-            int(i),
+            {"alpha": float(a), "theta": float(t), "beta": float(b)}, float(l), bool(c), int(i)
         )
         for b, (a, t, l, i, c) in zip(beta, fits)
     ]

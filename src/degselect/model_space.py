@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Optional, Union
 
 
 class Hierarchy(Enum):
@@ -30,6 +30,14 @@ class Trend(Enum):
 
 Label = Union[Family, Trend]
 
+# Per hierarchy: its label enum, and the attribute of a candidate model (or of
+# an evidence hint) that carries its label.
+LABEL_SPACES = {
+    Hierarchy.FAMILY: (Family, "family"),
+    Hierarchy.TREND: (Trend, "trend"),
+}
+_HIERARCHY_OF_SPACE = {space: h for h, (space, _) in LABEL_SPACES.items()}
+
 
 @dataclass(frozen=True)
 class Uncertain:
@@ -43,18 +51,16 @@ Decision = Union[Family, Trend, Uncertain]
 
 def label_hierarchy(label: Label) -> Hierarchy:
     """Hierarchy a label belongs to."""
-    if isinstance(label, Family):
-        return Hierarchy.FAMILY
-    if isinstance(label, Trend):
-        return Hierarchy.TREND
-    raise TypeError(f"not a hierarchy label: {label!r}")
+    try:
+        return _HIERARCHY_OF_SPACE[type(label)]
+    except KeyError:
+        raise TypeError(f"not a hierarchy label: {label!r}") from None
 
 
 def parse_label(hierarchy: Hierarchy, token: str) -> Label:
     """Parse a label token ("W", "G", "L", "NL") for the given hierarchy."""
-    space = Family if hierarchy is Hierarchy.FAMILY else Trend
     try:
-        return space(token)
+        return LABEL_SPACES[hierarchy][0](token)
     except ValueError:
         raise ValueError(f"invalid {hierarchy.value} label: {token!r}") from None
 
@@ -71,9 +77,10 @@ class CandidateModel:
             raise ValueError(f"param_count must be >= 2, got {self.param_count}")
 
 
-def structural_label(model: CandidateModel, h: Hierarchy) -> Label:
-    """Structural label of a model on one hierarchy."""
-    return model.family if h is Hierarchy.FAMILY else model.trend
+def structural_label(labelled, h: Hierarchy) -> Optional[Label]:
+    """Label on one hierarchy of a candidate model, or of an evidence hint
+    (None where the hint names no label)."""
+    return getattr(labelled, LABEL_SPACES[h][1])
 
 
 @dataclass(frozen=True)
@@ -134,31 +141,41 @@ def condition(
     return CandidateSet(retained)
 
 
-# Model ids shared with the simulator and the benchmark harness.
-WIENER_FAMILY = "wiener_family"
-GAMMA_FAMILY = "gamma_family"
-LINEAR_WIENER = "linear_wiener"
-NONLINEAR_WIENER = "nonlinear_wiener"
-HOMOG_GAMMA = "homog_gamma"
-NONHOMOG_GAMMA = "nonhomog_gamma"
+class Case(Enum):
+    """One of the two studies: a candidate set, decided on the hierarchies
+    where its models differ."""
+
+    CASE1 = "case1"  # family level only
+    CASE2 = "case2"  # family and trend
+
+    @property
+    def candidates(self) -> CandidateSet:
+        return _CASE_SETS[self]
+
+    @property
+    def hierarchies(self) -> tuple[Hierarchy, ...]:
+        return tuple(
+            h for h in Hierarchy if len({structural_label(m, h) for m in self.candidates}) > 1
+        )
 
 
-_CASE_SETS = (
-    CandidateSet.of(
+_CASE_SETS = {
+    Case.CASE1: CandidateSet.of(
         [
-            CandidateModel(WIENER_FAMILY, Family.WIENER, Trend.LINEAR, 2),
-            CandidateModel(GAMMA_FAMILY, Family.GAMMA, Trend.LINEAR, 2),
+            CandidateModel("wiener_family", Family.WIENER, Trend.LINEAR, 2),
+            CandidateModel("gamma_family", Family.GAMMA, Trend.LINEAR, 2),
         ]
     ),
-    CandidateSet.of(
+    Case.CASE2: CandidateSet.of(
         [
-            CandidateModel(LINEAR_WIENER, Family.WIENER, Trend.LINEAR, 2),
-            CandidateModel(NONLINEAR_WIENER, Family.WIENER, Trend.NONLINEAR, 3),
-            CandidateModel(HOMOG_GAMMA, Family.GAMMA, Trend.LINEAR, 2),
-            CandidateModel(NONHOMOG_GAMMA, Family.GAMMA, Trend.NONLINEAR, 3),
+            CandidateModel("linear_wiener", Family.WIENER, Trend.LINEAR, 2),
+            CandidateModel("nonlinear_wiener", Family.WIENER, Trend.NONLINEAR, 3),
+            CandidateModel("homog_gamma", Family.GAMMA, Trend.LINEAR, 2),
+            CandidateModel("nonhomog_gamma", Family.GAMMA, Trend.NONLINEAR, 3),
         ]
     ),
-)
+}
+_DEFAULT_CASE_SETS = tuple(_CASE_SETS.values())
 
 
 def default_case_sets() -> tuple[CandidateSet, CandidateSet]:
@@ -166,4 +183,4 @@ def default_case_sets() -> tuple[CandidateSet, CandidateSet]:
 
     Both are frozen and built once, so every call returns the same two sets.
     """
-    return _CASE_SETS
+    return _DEFAULT_CASE_SETS

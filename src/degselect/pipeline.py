@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Optional
 
 from .criteria import Criterion, FitTable, ScoreTable, select_argmin
@@ -19,10 +18,10 @@ from .evidence import EvidenceBank
 from .model_space import (
     CandidateModel,
     CandidateSet,
+    Case,
     EmptyRetainedSetError,  # raised by condition; importable from here
     Hierarchy,
     condition,
-    default_case_sets,
 )
 from .simulate import Trajectory
 
@@ -34,24 +33,16 @@ _BANNED_WORDS = tuple(
 MIN_POINTS = 4  # below: too short for the linear fitters
 
 
-class Case(Enum):
-    CASE1 = "case1"  # family level only
-    CASE2 = "case2"  # family and trend
-
-
 @dataclass(frozen=True)
 class InferenceInput:
     trajectory: Trajectory
     context: str
     candidates: CandidateSet
-    hierarchies: tuple[Hierarchy, ...] = (Hierarchy.FAMILY, Hierarchy.TREND)
+    hierarchies: tuple[Hierarchy, ...] = tuple(Hierarchy)
 
     @classmethod
     def for_case(cls, case: Case, trajectory: Trajectory, context: str = "") -> "InferenceInput":
-        case1, case2 = default_case_sets()
-        if case is Case.CASE1:
-            return cls(trajectory, context, case1, (Hierarchy.FAMILY,))
-        return cls(trajectory, context, case2, (Hierarchy.FAMILY, Hierarchy.TREND))
+        return cls(trajectory, context, case.candidates, case.hierarchies)
 
 
 @dataclass(frozen=True)

@@ -146,24 +146,16 @@ class WindowTooShortError(ValueError):
     pass
 
 
-def truncate_at_progress(
-    traj: Trajectory, n_percent: int, threshold: Optional[float] = None
-) -> Trajectory:
+def truncate_at_progress(traj: Trajectory, n_percent: int) -> Trajectory:
     """Keep observations up to a percentage of the realized failure time.
 
-    The failure time is the first crossing of ``threshold`` when given,
-    otherwise the final observation time (run-to-failure trajectories end at
-    the first crossing).  Observations with t <= ceil(n% * FHT) are kept.
+    The failure time is the final observation time: run-to-failure
+    trajectories end at the first crossing.  Observations with
+    t <= ceil(n% * FHT) are kept.
     """
     if not 0 < n_percent <= 100:
         raise ValueError(f"n_percent must be in (0, 100], got {n_percent}")
-    if threshold is not None:
-        fht = first_hitting_time(traj, threshold)
-        if fht is None:
-            raise ValueError("trajectory never reaches the failure threshold")
-    else:
-        fht = traj.times[-1]
-    cutoff = math.ceil(n_percent / 100.0 * fht)
+    cutoff = math.ceil(n_percent / 100.0 * traj.times[-1])
     keep = bisect_right(traj.times, cutoff)  # times increase strictly
     if keep < 2:
         raise WindowTooShortError(f"truncation at {n_percent}% leaves {keep} points")

@@ -24,7 +24,7 @@ from degselect.cli import main as cli_main
 from degselect.criteria import Criterion
 from degselect.model_space import Family
 from degselect.pipeline import Case, InferenceInput
-from degselect.simulate import SimKind
+from degselect.simulate import SimKind, Trajectory
 
 
 def parse_report_csv(path):
@@ -78,6 +78,21 @@ class TestGenerateDataset:
         assert labels.count("wiener_family") == 6
         assert labels.count("gamma_family") == 6
 
+    def test_case1_labels_name_the_family_of_each_kind(self):
+        expected = {
+            SimKind.LINEAR_WIENER: ("wiener_family", Family.WIENER),
+            SimKind.HOMOG_GAMMA: ("gamma_family", Family.GAMMA),
+        }
+        trajs = generate_dataset(Case.CASE1, 5, seed=1)
+        kinds = Counter()
+        for t in trajs:
+            kind = SimKind(t.unit_id.rsplit("-", 1)[0])
+            label, family = expected[kind]
+            assert t.true_model_id == label
+            assert correct_context(t) == CONTEXT_BY_FAMILY[family]
+            kinds[kind] += 1
+        assert kinds == {kind: 5 for kind in expected}
+
     def test_case2_kinds(self):
         trajs = generate_dataset(Case.CASE2, 5, seed=1)
         labels = {t.true_model_id for t in trajs}
@@ -102,6 +117,23 @@ class TestContextsAndPerturbations:
                 assert ctx == CONTEXT_BY_FAMILY[Family.GAMMA]
             else:
                 assert ctx == CONTEXT_BY_FAMILY[Family.WIENER]
+
+    @pytest.mark.parametrize(
+        "model_id,family",
+        [
+            ("wiener_family", Family.WIENER),
+            ("gamma_family", Family.GAMMA),
+            ("linear_wiener", Family.WIENER),
+            ("nonlinear_wiener", Family.WIENER),
+            ("homog_gamma", Family.GAMMA),
+            ("nonhomog_gamma", Family.GAMMA),
+        ],
+    )
+    def test_contexts_of_every_model_id(self, model_id, family):
+        other = Family.GAMMA if family is Family.WIENER else Family.WIENER
+        traj = Trajectory("u", (0.0, 1.0), (0.0, 1.0), true_model_id=model_id)
+        assert correct_context(traj) == CONTEXT_BY_FAMILY[family]
+        assert wrong_context(traj) == CONTEXT_BY_FAMILY[other]
 
     def test_wrong_context_swaps_family(self):
         trajs = generate_dataset(Case.CASE1, 5, seed=1)

@@ -357,6 +357,28 @@ class TestRemoteProvider:
         assert "proposition 1" in prompt
         assert handler.requests_seen[0]["max_tokens"] == 64
 
+    @pytest.mark.parametrize(
+        "hierarchy,line",
+        [
+            (
+                Hierarchy.FAMILY,
+                "Answer on the first line with one label from {W, G} followed by "
+                "a confidence in [0, 1], e.g. 'W 0.8'.",
+            ),
+            (
+                Hierarchy.TREND,
+                "Answer on the first line with one label from {L, NL} followed by "
+                "a confidence in [0, 1], e.g. 'L 0.8'.",
+            ),
+        ],
+    )
+    def test_prompt_label_instruction(self, stub_server, hierarchy, line):
+        url, handler = stub_server
+        handler.responses = [(200, {"text": line.split("'")[1]})]  # the example answer
+        obs = Observation.of(make_path(SimKind.HOMOG_GAMMA, seed=11))
+        RemoteTextGenProvider(url).decide(hierarchy, obs)
+        assert handler.requests_seen[0]["prompt"].splitlines()[-1] == line
+
     def test_out_of_range_confidence_clamped_with_diagnostic(self, stub_server):
         url, handler = stub_server
         handler.responses = [(200, {"text": "W 1.7"})]

@@ -22,7 +22,7 @@ from degselect.evidence import (
     retrieve_top_k,
     tokenize,
 )
-from degselect.model_space import Family, Hierarchy, Trend
+from degselect.model_space import Family, Hierarchy, Trend, structural_label
 from degselect.pipeline import Case, InferenceInput, run_inference
 from degselect.simulate import SimKind, Trajectory, truncate_at_progress
 
@@ -414,5 +414,5 @@ class TestBuildQuery:
 
 def test_hint_for_hierarchy():
     h = EvidenceHint(family=Family.GAMMA, trend=Trend.NONLINEAR)
-    assert h.for_hierarchy(Hierarchy.FAMILY) is Family.GAMMA
-    assert h.for_hierarchy(Hierarchy.TREND) is Trend.NONLINEAR
+    assert structural_label(h, Hierarchy.FAMILY) is Family.GAMMA
+    assert structural_label(h, Hierarchy.TREND) is Trend.NONLINEAR

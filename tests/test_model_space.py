@@ -5,17 +5,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from degselect.evidence import EvidenceHint
 from degselect.model_space import (
     CandidateModel,
     CandidateSet,
+    Case,
     Family,
     Hierarchy,
     Trend,
     Uncertain,
     condition,
     default_case_sets,
+    label_hierarchy,
+    parse_label,
     structural_label,
 )
+from degselect.simulate import SimKind
 
 CASE1, CASE2 = default_case_sets()
 
@@ -30,6 +35,41 @@ def test_structural_label_family_and_trend():
     assert structural_label(lw, Hierarchy.TREND) is Trend.LINEAR
     ng = by_id(CASE2, "nonhomog_gamma")
     assert structural_label(ng, Hierarchy.TREND) is Trend.NONLINEAR
+
+
+# Every label with its hierarchy and the attribute of a model or hint that carries it.
+LABELS = [
+    (Hierarchy.FAMILY, Family.WIENER, "family"),
+    (Hierarchy.FAMILY, Family.GAMMA, "family"),
+    (Hierarchy.TREND, Trend.LINEAR, "trend"),
+    (Hierarchy.TREND, Trend.NONLINEAR, "trend"),
+]
+
+
+def test_label_table_covers_every_label():
+    assert {label for _, label, _ in LABELS} == set(Family) | set(Trend)
+
+
+@pytest.mark.parametrize("h,label,attr", LABELS)
+def test_label_vocabulary(h, label, attr):
+    assert parse_label(h, label.value) is label
+    assert label_hierarchy(label) is h
+    models = [m for cset in default_case_sets() for m in cset if getattr(m, attr) is label]
+    assert models and all(structural_label(m, h) is label for m in models)
+    other = Hierarchy.TREND if h is Hierarchy.FAMILY else Hierarchy.FAMILY
+    hint = EvidenceHint(**{attr: label})
+    assert structural_label(hint, h) is label
+    assert structural_label(hint, other) is None
+
+
+def test_sim_kinds_are_the_case2_model_ids():
+    assert {k.value for k in SimKind} == set(CASE2.ids())
+
+
+def test_cases_own_their_sets_and_hierarchies():
+    assert (Case.CASE1.candidates, Case.CASE2.candidates) == (CASE1, CASE2)
+    assert Case.CASE1.hierarchies == (Hierarchy.FAMILY,)
+    assert Case.CASE2.hierarchies == (Hierarchy.FAMILY, Hierarchy.TREND)
 
 
 def test_nonlinear_wiener_label_pair():

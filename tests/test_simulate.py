@@ -234,11 +234,6 @@ class TestTruncate:
         assert t70.times[: len(t30)] == t30.times
         assert t70.values[: len(t30)] == t30.values
 
-    def test_explicit_threshold(self):
-        traj = self._ramp(100)
-        out = truncate_at_progress(traj, 50, threshold=40.0)
-        assert out.times[-1] == 20.0
-
 
 class TestSplit:
     def _units(self, n, label="k"):
