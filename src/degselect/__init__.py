@@ -1,6 +1,6 @@
 """Knowledge-conditioned selection of stochastic degradation models."""
 
-from .criteria import Criterion, ScoreTable, score, select_argmin
+from .criteria import Criterion, FitTable, ScoreTable, score, select_argmin
 from .decisions import (
     Answer,
     ArbitrationConfig,

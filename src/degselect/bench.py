@@ -285,9 +285,9 @@ def run_experiment(
         for crit in Criterion:
             start = time.perf_counter()
             predictions = []
-            for traj, fits in zip(test, tables):
+            for table in tables:
                 try:
-                    chosen, _ = select_argmin(cset, traj, crit, fits)
+                    chosen, _ = select_argmin(cset, table, crit)
                     predictions.append(chosen.id)
                 except NoApplicableModelError:
                     predictions.append(candidates[0])
@@ -300,7 +300,10 @@ def run_experiment(
 def run_robustness(
     cfg: ExperimentConfig, bank: Optional[EvidenceBank] = None
 ) -> MetricsReport:
-    """Perturbation sweep: proposed pipeline under all four input modes."""
+    """Perturbation sweep: proposed pipeline under all four input modes; a
+    config that names one mode is refused."""
+    if cfg.perturbation is not Perturbation.NONE:
+        raise ValueError(f"run_robustness sweeps every mode; got {cfg.perturbation.value!r}")
     report = MetricsReport(case=cfg.case)
     for n, _, proposed, _ in _proposed_by_window(cfg, bank, tuple(Perturbation)):
         for mode, metrics in proposed.items():

@@ -86,27 +86,27 @@ def cmd_generate(args) -> int:
 
 
 def cmd_select(args) -> int:
+    """One compact JSON object per line, one line per trajectory of the file."""
     trajs = load_trajectories(args.trajectory)
     if not trajs:
         print("trajectory file is empty", file=sys.stderr)
         return 1
     bank = load_bank(args.bank) if args.bank else default_bank()
-    inp = InferenceInput.for_case(Case(args.case), trajs[0], args.context)
+    case = Case(args.case)
     cfg = PipelineConfig(criterion=Criterion(args.criterion))
-    result = run_inference(inp, bank, cfg=cfg)
-    out = {
-        "chosen": result.chosen.id,
-        "decisions": {
-            h.value: _decision_str(rec.final) for h, rec in result.decisions.items()
-        },
-        "retained": list(result.retained.ids()),
-        "scores": dict(result.scores.entries) if result.scores else None,
-        "evidence": {
-            h.value: [r.id for r, _ in rec.evidence] for h, rec in result.decisions.items()
-        },
-        "diagnostics": result.diagnostics,
-    }
-    print(json.dumps(out, indent=2))
+    for traj in trajs:
+        result = run_inference(InferenceInput.for_case(case, traj, args.context), bank, cfg=cfg)
+        records = result.decisions.items()
+        out = {
+            "unit_id": traj.unit_id,
+            "chosen": result.chosen.id,
+            "decisions": {h.value: _decision_str(rec.final) for h, rec in records},
+            "retained": list(result.retained.ids()),
+            "scores": dict(result.scores.entries) if result.scores else None,
+            "evidence": {h.value: [r.id for r, _ in rec.evidence] for h, rec in records},
+            "diagnostics": result.diagnostics,
+        }
+        print(json.dumps(out, separators=(",", ":")))
     return 0
 
 
@@ -174,7 +174,7 @@ def main(argv=None) -> int:
     gen.add_argument("--output", required=True)
     gen.set_defaults(func=cmd_generate)
 
-    sel = sub.add_parser("select", help="single-trajectory inference")
+    sel = sub.add_parser("select", help="inference on every trajectory of a file")
     sel.add_argument("--trajectory", required=True, help="trajectory record file")
     sel.add_argument("--context", default="", help="domain context text")
     sel.add_argument("--case", choices=_CASES, default="case2")

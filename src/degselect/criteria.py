@@ -108,19 +108,12 @@ def _cv_score(model: CandidateModel, inc: IncrementSeries) -> float:
 
 def score(
     model: CandidateModel,
-    traj: Trajectory,
+    fits: FitTable,
     criterion: Criterion,
     notes: Optional[list[str]] = None,
-    fits: Optional[FitTable] = None,
 ) -> float:
-    """Score one candidate on one trajectory; +inf when the fit fails.
-
-    ``fits``, a table built for ``traj``, shares the fit with other calls.
-    """
-    if fits is None:
-        fits = FitTable(traj)
-    elif fits.traj != traj:
-        raise ValueError("fit table was built for a different trajectory")
+    """Score one candidate on the trajectory of ``fits``; +inf when the fit
+    fails.  The table shares the fit with other calls."""
     n = len(fits.inc)
     try:
         if criterion is Criterion.CV:
@@ -145,24 +138,18 @@ def score(
 
 
 def select_argmin(
-    cset: CandidateSet,
-    traj: Trajectory,
-    criterion: Criterion,
-    fits: Optional[FitTable] = None,
-) -> tuple[CandidateModel, ScoreTable]:
-    """Minimum-score model of a candidate set.
+    cset: CandidateSet, fits: FitTable, criterion: Criterion
+) -> tuple[CandidateModel, Optional[ScoreTable]]:
+    """Minimum-score model of a candidate set, on the trajectory of ``fits``.
 
-    A singleton set short-circuits without scoring.  Ties break by fewer
-    parameters, then lexicographic id.  ``fits``, a table built for ``traj``,
-    shares fits with other calls; by default each call has its own.
+    A singleton set is returned unscored, as ``(model, None)``.  Ties break by
+    fewer parameters, then lexicographic id.
     """
-    table = ScoreTable(criterion=criterion)
     if len(cset) == 1:
-        return next(iter(cset)), table
-    if fits is None:
-        fits = FitTable(traj)
+        return next(iter(cset)), None
+    table = ScoreTable(criterion=criterion)
     for m in cset:
-        table.entries[m.id] = score(m, traj, criterion, notes=table.notes, fits=fits)
+        table.entries[m.id] = score(m, fits, criterion, notes=table.notes)
     if all(v == INF for v in table.entries.values()):
         raise NoApplicableModelError(f"no applicable model among {list(cset.ids())}")
     best = min(cset, key=lambda m: (table.entries[m.id], m.param_count, m.id))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Union
 
 
@@ -112,6 +113,13 @@ class CandidateSet:
     def ids(self) -> tuple[str, ...]:
         return tuple(m.id for m in self.models)
 
+    @cached_property
+    def hierarchies(self) -> tuple[Hierarchy, ...]:
+        """The hierarchies worth deciding: those where the models' labels differ."""
+        return tuple(
+            h for h in Hierarchy if len({structural_label(m, h) for m in self.models}) > 1
+        )
+
 
 class EmptyRetainedSetError(ValueError):
     """Confident decisions that no candidate model satisfies together."""
@@ -142,8 +150,7 @@ def condition(
 
 
 class Case(Enum):
-    """One of the two studies: a candidate set, decided on the hierarchies
-    where its models differ."""
+    """One of the two studies, named by its candidate set."""
 
     CASE1 = "case1"  # family level only
     CASE2 = "case2"  # family and trend
@@ -151,12 +158,6 @@ class Case(Enum):
     @property
     def candidates(self) -> CandidateSet:
         return _CASE_SETS[self]
-
-    @property
-    def hierarchies(self) -> tuple[Hierarchy, ...]:
-        return tuple(
-            h for h in Hierarchy if len({structural_label(m, h) for m in self.candidates}) > 1
-        )
 
 
 _CASE_SETS = {

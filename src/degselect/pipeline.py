@@ -38,11 +38,10 @@ class InferenceInput:
     trajectory: Trajectory
     context: str
     candidates: CandidateSet
-    hierarchies: tuple[Hierarchy, ...] = tuple(Hierarchy)
 
     @classmethod
     def for_case(cls, case: Case, trajectory: Trajectory, context: str = "") -> "InferenceInput":
-        return cls(trajectory, context, case.candidates, case.hierarchies)
+        return cls(trajectory, context, case.candidates)
 
 
 @dataclass(frozen=True)
@@ -88,23 +87,18 @@ def run_inference(
     providers: Optional[ProviderPair] = None,
     cfg: PipelineConfig = PipelineConfig(),
 ) -> SelectionResult:
-    """Decide each in-scope hierarchy, condition the space, pick the model."""
+    """Decide the hierarchies the candidates differ on, condition, pick the model."""
     providers = providers or default_providers()
     diagnostics = validate_input(input)
     if cfg.strict_leakage and any("leak" in w for w in diagnostics):
         raise LeakageError("; ".join(diagnostics))
 
     obs = Observation.of(input.trajectory, input.context)
-    records = decide_all_hierarchies(obs, bank, providers, hierarchies=input.hierarchies)
+    records = decide_all_hierarchies(obs, bank, providers, input.candidates.hierarchies)
     diagnostics.extend(obs.diagnostics)
-    retained = condition(
-        input.candidates, {h: rec.final for h, rec in records.items()}
-    )
-    if len(retained) == 1:
-        chosen = next(iter(retained))
-        scores = None
-    else:
-        chosen, scores = select_argmin(retained, input.trajectory, cfg.criterion, obs.fits)
+    retained = condition(input.candidates, {h: rec.final for h, rec in records.items()})
+    chosen, scores = select_argmin(retained, obs.fits, cfg.criterion)
+    if scores is not None:
         diagnostics.extend(scores.notes)
     obs.fits.release_increments()  # a kept result pins its fits, not a copy of the data
     return SelectionResult(

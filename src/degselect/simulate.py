@@ -110,16 +110,11 @@ def generate(params: SimParams, unit_id: str = "unit") -> SimResult:
     rng = np.random.default_rng(params.seed)
     n = params.max_steps
     t = np.arange(n + 1.0)
-    if params.kind is SimKind.LINEAR_WIENER:
-        deltas = rng.normal(params.m, params.s, size=n)
-    elif params.kind is SimKind.NONLINEAR_WIENER:
-        deltas = rng.normal(params.m * time_transform(t[:-1], t[1:], params.beta), params.s)
-    elif params.kind is SimKind.HOMOG_GAMMA:
-        deltas = rng.gamma(shape=params.alpha, scale=params.theta, size=n)
+    d = time_transform(t[:-1], t[1:], params.beta)  # all ones for the linear kinds
+    if params.kind in (SimKind.LINEAR_WIENER, SimKind.NONLINEAR_WIENER):
+        deltas = rng.normal(params.m * d, params.s)
     else:
-        deltas = rng.gamma(
-            shape=params.alpha * time_transform(t[:-1], t[1:], params.beta), scale=params.theta
-        )
+        deltas = rng.gamma(shape=params.alpha * d, scale=params.theta)
 
     x = np.concatenate([[0.0], np.cumsum(deltas)])
     crossed = np.nonzero(x >= params.failure_threshold)[0]

@@ -20,7 +20,7 @@ from degselect.bench import (
     run_experiment,
     run_robustness,
 )
-from degselect.criteria import Criterion, select_argmin
+from degselect.criteria import Criterion, FitTable, select_argmin
 from degselect.decisions import Answer, ArbitrationConfig, ProviderPair, arbitrate
 from degselect.evidence import (
     EvidenceBank,
@@ -266,7 +266,7 @@ def test_criterion_5_criterion_sanity():
         if result.censored:
             continue
         traj = truncate_at_progress(result.trajectory, 70)
-        chosen, _ = select_argmin(CASE2, traj, Criterion.EAL)
+        chosen, _ = select_argmin(CASE2, FitTable(traj), Criterion.EAL)
         correct70 += int(chosen.id == kind.value)
         total70 += 1
     rate70 = correct70 / total70
@@ -278,7 +278,7 @@ def test_criterion_5_criterion_sanity():
             kind, seed=777 + 13 * i, failure_threshold=1e9, max_steps=500
         )
         traj = generate(params).trajectory
-        chosen, _ = select_argmin(CASE2, traj, Criterion.EAL)
+        chosen, _ = select_argmin(CASE2, FitTable(traj), Criterion.EAL)
         correct_long += int(chosen.id == kind.value)
     rate_long = correct_long / 200
 
@@ -493,7 +493,7 @@ def test_criterion_10_baseline_degeneration(bank):
         assert all(
             isinstance(rec.final, Uncertain) for rec in result.decisions.values()
         )
-        baseline, _ = select_argmin(CASE2, traj, Criterion.EAL)
+        baseline, _ = select_argmin(CASE2, FitTable(traj), Criterion.EAL)
         identical += int(result.chosen.id == baseline.id)
     ok = identical == len(test)
     report(

@@ -24,7 +24,7 @@ from degselect.cli import main as cli_main
 from degselect.criteria import Criterion
 from degselect.model_space import Family
 from degselect.pipeline import Case, InferenceInput
-from degselect.simulate import SimKind, Trajectory
+from degselect.simulate import SimKind, Trajectory, load_trajectories
 
 
 def parse_report_csv(path):
@@ -265,6 +265,11 @@ class TestRunRobustness:
         report = run_robustness(SMALL, bank=bank)
         assert len(report.entries) == len(SMALL.n_values) * len(Perturbation)
 
+    @pytest.mark.parametrize("mode", [m for m in Perturbation if m is not Perturbation.NONE])
+    def test_a_named_perturbation_is_refused(self, bank, mode):
+        with pytest.raises(ValueError, match=mode.value):
+            run_robustness(replace(SMALL, perturbation=mode), bank=bank)
+
 
 class TestExperimentConfig:
     def test_validation(self):
@@ -309,14 +314,19 @@ class TestCli:
             ["select", "--trajectory", str(data), "--case", "case2", "--context", "bearing wear"]
         )
         assert rc == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["chosen"] in (
-            "linear_wiener",
-            "nonlinear_wiener",
-            "homog_gamma",
-            "nonhomog_gamma",
-        )
-        assert set(out["decisions"]) <= {"F", "T"} or len(out["decisions"]) == 2
+        # One object per line, one line per trajectory of the file, in file order.
+        lines = capsys.readouterr().out.splitlines()
+        outs = [json.loads(line) for line in lines]
+        assert [out["unit_id"] for out in outs] == [t.unit_id for t in load_trajectories(data)]
+        assert len(outs) == 20
+        for out in outs:
+            assert out["chosen"] in (
+                "linear_wiener",
+                "nonlinear_wiener",
+                "homog_gamma",
+                "nonhomog_gamma",
+            )
+            assert set(out["decisions"]) == {"F", "T"}
 
         # Without --per-class-count, case 2 uses its protocol size, 120 per class.
         rc = cli_main(["generate", "--case", "case2", "--seed", "3", "--output", str(data)])
@@ -361,6 +371,11 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "wrong_both" in out
+
+    def test_robustness_refuses_a_perturbation_flag(self):
+        argv = ["robustness", "--case", "case1", "--n-values", "50", "--per-class-count", "5"]
+        with pytest.raises(ValueError, match="wrong_hi"):
+            cli_main(argv + ["--perturbation", "wrong_hi"])
 
     def test_config_file_overrides(self, tmp_path, capsys, monkeypatch):
         import degselect.cli as cli

@@ -44,25 +44,25 @@ class TestScoreFormulas:
 
     def test_aic(self, setup):
         traj, model, fit, n = setup
-        assert score(model, traj, Criterion.AIC) == pytest.approx(
+        assert score(model, FitTable(traj), Criterion.AIC) == pytest.approx(
             2 * 2 - 2 * fit.loglik
         )
 
     def test_bic(self, setup):
         traj, model, fit, n = setup
-        assert score(model, traj, Criterion.BIC) == pytest.approx(
+        assert score(model, FitTable(traj), Criterion.BIC) == pytest.approx(
             2 * math.log(n) - 2 * fit.loglik
         )
 
     def test_mdl_is_half_bic(self, setup):
         traj, model, fit, n = setup
-        assert score(model, traj, Criterion.MDL) == pytest.approx(
-            0.5 * score(model, traj, Criterion.BIC)
+        assert score(model, FitTable(traj), Criterion.MDL) == pytest.approx(
+            0.5 * score(model, FitTable(traj), Criterion.BIC)
         )
 
     def test_eal(self, setup):
         traj, model, fit, n = setup
-        assert score(model, traj, Criterion.EAL) == pytest.approx(-fit.loglik / n)
+        assert score(model, FitTable(traj), Criterion.EAL) == pytest.approx(-fit.loglik / n)
 
     def test_k_uses_declared_param_count(self, setup, case2_set):
         traj, _, _, n = setup
@@ -70,7 +70,8 @@ class TestScoreFormulas:
         non = by_id(case2_set, "nonlinear_wiener")
         fit_lin = fit_model(lin, increments(traj))
         fit_non = fit_model(non, increments(traj))
-        gap = score(non, traj, Criterion.AIC) - score(lin, traj, Criterion.AIC)
+        fits = FitTable(traj)
+        gap = score(non, fits, Criterion.AIC) - score(lin, fits, Criterion.AIC)
         assert gap == pytest.approx(2 * (3 - 2) - 2 * (fit_non.loglik - fit_lin.loglik))
 
 
@@ -80,20 +81,21 @@ class TestInapplicableFits:
         deltas = np.diff(traj.values)
         assert np.any(deltas < 0)  # the fixture path must exercise the branch
         for mid in ("homog_gamma", "nonhomog_gamma"):
-            assert score(by_id(case2_set, mid), traj, Criterion.EAL) == math.inf
+            assert score(by_id(case2_set, mid), FitTable(traj), Criterion.EAL) == math.inf
 
     def test_nonlinear_cv_inf_on_a_path_from_a_negative_stamp(self, case2_set):
         traj = make_path(SimKind.NONHOMOG_GAMMA, seed=21, n_percent=70)
         shifted = replace(traj, times=tuple(t - 5.0 for t in traj.times))
         for mid in ("nonlinear_wiener", "nonhomog_gamma"):
             notes = []
-            assert score(by_id(case2_set, mid), shifted, Criterion.CV, notes) == math.inf
+            model = by_id(case2_set, mid)
+            assert score(model, FitTable(shifted), Criterion.CV, notes) == math.inf
             assert "time stamps >= 0, got -5.0" in notes[0]
 
     def test_notes_record_failure_reason(self, case2_set):
         traj = make_path(SimKind.LINEAR_WIENER, seed=21, n_percent=70)
         notes = []
-        score(by_id(case2_set, "homog_gamma"), traj, Criterion.AIC, notes=notes)
+        score(by_id(case2_set, "homog_gamma"), FitTable(traj), Criterion.AIC, notes=notes)
         assert notes and "homog_gamma" in notes[0]
 
 
@@ -116,7 +118,8 @@ class TestCrossValidation:
     def test_too_few_increments_is_inf(self, case2_set):
         traj = Trajectory("u", tuple(map(float, range(6))), (0.0, 0.4, 1.1, 1.4, 2.2, 2.5))
         notes = []
-        assert score(by_id(case2_set, "linear_wiener"), traj, Criterion.CV, notes) == math.inf
+        model = by_id(case2_set, "linear_wiener")
+        assert score(model, FitTable(traj), Criterion.CV, notes) == math.inf
         assert notes == ["linear_wiener: cross-validation needs at least 10 increments, got 5"]
 
     @pytest.mark.parametrize("model_id", [k.value for k in SimKind])
@@ -137,7 +140,7 @@ class TestCrossValidation:
             held = IncrementSeries(inc.deltas[lo:hi], inc.starts[lo:hi], inc.ends[lo:hi])
             fit = fit_model(model, train)
             expected.append(-loglik(model, fit.params, held) / len(held))
-        assert score(model, traj, Criterion.CV) == pytest.approx(
+        assert score(model, FitTable(traj), Criterion.CV) == pytest.approx(
             float(np.mean(expected)), rel=1e-5
         )
 
@@ -151,23 +154,23 @@ class TestCrossValidation:
             pin = CV_PINS[name]
             assert len(traj) - 1 == pin["n"], name
             for model in case2_set:
-                got, want = score(model, traj, Criterion.CV), pin["scores"][model.id]
+                got, want = score(model, FitTable(traj), Criterion.CV), pin["scores"][model.id]
                 if want is None:
                     assert got == math.inf, (name, model.id)
                 else:
                     assert abs(got - want) <= 1e-5 * abs(want), (name, model.id, got, want)
             try:
-                pick = select_argmin(case2_set, traj, Criterion.CV)[0].id
+                pick = select_argmin(case2_set, FitTable(traj), Criterion.CV)[0].id
             except NoApplicableModelError:
                 pick = None
             assert pick == pin["pick"], name
 
     def test_gamma_cv_inf_on_negative_increments(self, case2_set):
         traj = make_path(SimKind.LINEAR_WIENER, seed=21, n_percent=70)
-        assert score(by_id(case2_set, "homog_gamma"), traj, Criterion.CV) == math.inf
+        assert score(by_id(case2_set, "homog_gamma"), FitTable(traj), Criterion.CV) == math.inf
 
     def test_cv_finite_on_gamma_path(self, case2_set, gamma_path):
-        val = score(by_id(case2_set, "homog_gamma"), gamma_path, Criterion.CV)
+        val = score(by_id(case2_set, "homog_gamma"), FitTable(gamma_path), Criterion.CV)
         assert math.isfinite(val)
 
     @pytest.mark.parametrize("model_id", ["homog_gamma", "nonhomog_gamma"])
@@ -178,7 +181,8 @@ class TestCrossValidation:
         deltas = [-0.1] + [0.3 + 0.05 * (i % 3) for i in range(19)]
         traj = Trajectory("u", tuple(map(float, range(21))), tuple(np.cumsum([1.0] + deltas)))
         notes = []
-        assert score(by_id(case2_set, model_id), traj, Criterion.CV, notes) == math.inf
+        model = by_id(case2_set, model_id)
+        assert score(model, FitTable(traj), Criterion.CV, notes) == math.inf
         assert notes == [f"{model_id}: fold 2: gamma model requires positive increments"]
 
     def test_note_on_non_finite_held_out_likelihood(self, case2_set, wiener_path, monkeypatch):
@@ -187,26 +191,26 @@ class TestCrossValidation:
         monkeypatch.setattr(crit, "loglik", lambda *args: -math.inf)
         notes = []
         model = by_id(case2_set, "linear_wiener")
-        assert score(model, wiener_path, Criterion.CV, notes) == math.inf
+        assert score(model, FitTable(wiener_path), Criterion.CV, notes) == math.inf
         assert notes == ["linear_wiener: fold 1: non-finite held-out log-likelihood"]
 
     def test_select_argmin_notes_cv_failures(self, case2_set, wiener_path):
-        _, table = select_argmin(case2_set, wiener_path, Criterion.CV)
+        _, table = select_argmin(case2_set, FitTable(wiener_path), Criterion.CV)
         assert [note.split(":")[0] for note in table.notes] == ["homog_gamma", "nonhomog_gamma"]
 
 
 class TestSelectArgmin:
     def test_picks_minimum_score(self, case2_set, gamma_path):
-        chosen, table = select_argmin(case2_set, gamma_path, Criterion.BIC)
+        chosen, table = select_argmin(case2_set, FitTable(gamma_path), Criterion.BIC)
         finite = {k: v for k, v in table.entries.items() if math.isfinite(v)}
         assert chosen.id == min(finite, key=finite.get)
 
     def test_singleton_short_circuits(self, case2_set, wiener_path):
         only = CandidateSet.of([by_id(case2_set, "homog_gamma")])
-        chosen, table = select_argmin(only, wiener_path, Criterion.EAL)
+        chosen, table = select_argmin(only, FitTable(wiener_path), Criterion.EAL)
         # No scoring happens, so even an otherwise-inapplicable model is kept.
         assert chosen.id == "homog_gamma"
-        assert table.entries == {}
+        assert table is None
 
     def test_all_inf_raises(self, wiener_path):
         gammas = CandidateSet.of(
@@ -216,7 +220,7 @@ class TestSelectArgmin:
             ]
         )
         with pytest.raises(NoApplicableModelError):
-            select_argmin(gammas, wiener_path, Criterion.AIC)
+            select_argmin(gammas, FitTable(wiener_path), Criterion.AIC)
 
     def test_tie_breaks_by_param_count_then_id(self, wiener_path, monkeypatch):
         import degselect.criteria as crit
@@ -229,22 +233,22 @@ class TestSelectArgmin:
                 CandidateModel("a", Family.WIENER, Trend.LINEAR, 2),
             ]
         )
-        chosen, _ = crit.select_argmin(models, wiener_path, Criterion.AIC)
+        chosen, _ = crit.select_argmin(models, FitTable(wiener_path), Criterion.AIC)
         assert chosen.id == "a"
 
     def test_bic_prefers_true_family_on_gamma_path(self, case2_set, gamma_path):
-        chosen, _ = select_argmin(case2_set, gamma_path, Criterion.BIC)
+        chosen, _ = select_argmin(case2_set, FitTable(gamma_path), Criterion.BIC)
         assert chosen.family is Family.GAMMA
 
     def test_eal_never_prefers_nested_submodel(self, case2_set, wiener_path):
         # Without a complexity penalty the 3-parameter superset model always
         # matches or beats its nested 2-parameter version.
-        _, table = select_argmin(case2_set, wiener_path, Criterion.EAL)
+        _, table = select_argmin(case2_set, FitTable(wiener_path), Criterion.EAL)
         assert table.entries["nonlinear_wiener"] <= table.entries["linear_wiener"] + 1e-12
 
     @pytest.mark.parametrize("criterion", list(Criterion))
     def test_every_criterion_selects_something(self, criterion, case2_set, gamma_path):
-        chosen, _ = select_argmin(case2_set, gamma_path, criterion)
+        chosen, _ = select_argmin(case2_set, FitTable(gamma_path), criterion)
         assert chosen in list(case2_set)
 
 
@@ -264,7 +268,7 @@ class TestFitTable:
         monkeypatch.setattr(crit, "fit_model", counting_fit_model)
         fits = FitTable(traj)
         for criterion in (Criterion.AIC, Criterion.BIC, Criterion.MDL, Criterion.EAL):
-            select_argmin(case2_set, traj, criterion, fits)
+            select_argmin(case2_set, fits, criterion)
         for model in case2_set:
             try:
                 assert fits.fit(model) is fits.fit(model)
@@ -295,7 +299,3 @@ class TestFitTable:
         assert fits.fit(by_id(case2_set, "linear_wiener")).loglik == fit_model(
             by_id(case2_set, "linear_wiener"), increments(gamma_path)
         ).loglik
-
-    def test_table_of_another_trajectory_rejected(self, case2_set, gamma_path, wiener_path):
-        with pytest.raises(ValueError, match="different trajectory"):
-            select_argmin(case2_set, gamma_path, Criterion.AIC, FitTable(wiener_path))

@@ -68,8 +68,24 @@ def test_sim_kinds_are_the_case2_model_ids():
 
 def test_cases_own_their_sets_and_hierarchies():
     assert (Case.CASE1.candidates, Case.CASE2.candidates) == (CASE1, CASE2)
-    assert Case.CASE1.hierarchies == (Hierarchy.FAMILY,)
-    assert Case.CASE2.hierarchies == (Hierarchy.FAMILY, Hierarchy.TREND)
+    assert Case.CASE1.candidates.hierarchies == (Hierarchy.FAMILY,)
+    assert Case.CASE2.candidates.hierarchies == (Hierarchy.FAMILY, Hierarchy.TREND)
+
+
+@pytest.mark.parametrize(
+    "ids, hierarchies",
+    [
+        (CASE1.ids(), (Hierarchy.FAMILY,)),
+        (CASE2.ids(), (Hierarchy.FAMILY, Hierarchy.TREND)),
+        (("homog_gamma", "nonhomog_gamma"), (Hierarchy.TREND,)),
+        (("linear_wiener", "homog_gamma"), (Hierarchy.FAMILY,)),
+        (("linear_wiener", "nonhomog_gamma"), (Hierarchy.FAMILY, Hierarchy.TREND)),
+    ]
+    + [((mid,), ()) for mid in CASE1.ids() + CASE2.ids()],
+)
+def test_candidate_set_hierarchies_are_where_labels_differ(ids, hierarchies):
+    models = {m.id: m for cset in (CASE1, CASE2) for m in cset}
+    assert CandidateSet.of(models[mid] for mid in ids).hierarchies == hierarchies
 
 
 def test_nonlinear_wiener_label_pair():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from degselect.bench import correct_context
 from degselect.criteria import Criterion, FitTable, NoApplicableModelError
 from degselect.decisions import Answer, HeuristicProvider, ProviderPair, default_providers
-from degselect.model_space import Family, Hierarchy, Trend, Uncertain
+from degselect.model_space import CandidateSet, Family, Hierarchy, Trend, Uncertain
 from degselect.pipeline import (
     Case,
     EmptyRetainedSetError,
@@ -23,7 +23,13 @@ from degselect.pipeline import (
     run_inference,
     validate_input,
 )
-from degselect.simulate import SimKind, Trajectory
+from degselect.simulate import (
+    SimKind,
+    Trajectory,
+    default_params,
+    generate,
+    truncate_at_progress,
+)
 
 from conftest import make_path
 
@@ -83,13 +89,13 @@ class TestInferenceInput:
     def test_case1_restricts_to_family(self):
         traj = make_path(SimKind.HOMOG_GAMMA, seed=11)
         inp = InferenceInput.for_case(Case.CASE1, traj)
-        assert inp.hierarchies == (Hierarchy.FAMILY,)
+        assert inp.candidates.hierarchies == (Hierarchy.FAMILY,)
         assert len(inp.candidates) == 2
 
     def test_case2_uses_both_hierarchies(self):
         traj = make_path(SimKind.HOMOG_GAMMA, seed=11)
         inp = InferenceInput.for_case(Case.CASE2, traj)
-        assert inp.hierarchies == (Hierarchy.FAMILY, Hierarchy.TREND)
+        assert inp.candidates.hierarchies == (Hierarchy.FAMILY, Hierarchy.TREND)
         assert len(inp.candidates) == 4
 
 
@@ -204,16 +210,40 @@ class TestRunInference:
         assert out.scores.criterion is Criterion.BIC
 
     def test_empty_retained_set_raises(self, bank):
-        from degselect.model_space import CandidateModel, CandidateSet
-
-        wieners_only = CandidateSet.of(
-            [CandidateModel("linear_wiener", Family.WIENER, Trend.LINEAR, 2)]
+        # The two models differ on both hierarchies, so both are decided, and
+        # no model is gamma and linear.
+        cset = CandidateSet.of(
+            m for m in Case.CASE2.candidates if m.id in ("linear_wiener", "nonhomog_gamma")
         )
         traj = make_path(SimKind.HOMOG_GAMMA, seed=11, n_percent=70)
-        inp = InferenceInput(traj, "", wieners_only, (Hierarchy.FAMILY,))
-        pair = fixed_pair(family=Family.GAMMA)
+        inp = InferenceInput(traj, "", cset)
+        pair = fixed_pair(family=Family.GAMMA, trend=Trend.LINEAR)
         with pytest.raises(EmptyRetainedSetError):
             run_inference(inp, bank, providers=pair)
+
+    def test_gamma_only_set_decides_the_trend_only(self, bank):
+        cset = CandidateSet.of(m for m in Case.CASE2.candidates if m.family is Family.GAMMA)
+        traj = make_path(SimKind.NONHOMOG_GAMMA, seed=11, n_percent=70)
+        out = run_inference(InferenceInput(traj, "", cset), bank)
+        assert set(out.decisions) == {Hierarchy.TREND}
+        assert out.chosen.family is Family.GAMMA
+
+    def test_a_direct_input_decides_what_its_set_needs(self, bank):
+        """A case-1 set passed directly, not through ``for_case``, decides the
+        family only: it never raises, and agrees with ``for_case``."""
+        for kind in SimKind:
+            for seed in range(1, 11):
+                traj = generate(default_params(kind, seed=seed)).trajectory
+                for pct in (30, 50, 70):
+                    window = truncate_at_progress(traj, pct)
+                    direct = run_inference(
+                        InferenceInput(window, "", Case.CASE1.candidates), bank
+                    )
+                    via_case = run_inference(InferenceInput.for_case(Case.CASE1, window), bank)
+                    assert direct.chosen == via_case.chosen, (kind, seed, pct)
+                    assert {h: r.final for h, r in direct.decisions.items()} == {
+                        h: r.final for h, r in via_case.decisions.items()
+                    }, (kind, seed, pct)
 
     def test_diagnostics_carry_fit_failures(self, bank):
         traj = make_path(SimKind.LINEAR_WIENER, seed=11, n_percent=70)
