@@ -191,7 +191,10 @@ def main(argv=None) -> int:
     rob.set_defaults(func=cmd_robustness)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # a bad value in the flags, config file or input file
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

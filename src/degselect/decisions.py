@@ -311,7 +311,10 @@ def decide_all_hierarchies(
     hierarchies: tuple[Hierarchy, ...] = tuple(Hierarchy),
 ) -> dict[Hierarchy, HierarchyDecisionRecord]:
     """Retrieve the top ``DEFAULT_TOP_K`` records once, then answer twice and
-    arbitrate at the default margin per hierarchy."""
+    arbitrate at the default margin per hierarchy; with no hierarchy to
+    decide, retrieve nothing."""
+    if not hierarchies:
+        return {}
     retrieved = retrieve_top_k(bank, obs.query)
     records: dict[Hierarchy, HierarchyDecisionRecord] = {}
     for h in hierarchies:

@@ -5,12 +5,16 @@ is one kernel per family, which fits at given exponents of the time transform
 d_j = t_j^beta - t_{j-1}^beta: the Wiener kernel is closed-form, the gamma
 kernel solves the shape score equation by Newton iteration.  The linear fits
 are these kernels at the fixed exponent 1, where d_j = t_j - t_{j-1}.  The two
-nonlinear fits profile the exponent over a grid on [0.2, 5] that holds 1,
-evaluated as row blocks of one exponents-by-increments array, refined by
-Brent's method: the Wiener fit, whose profile may have several maxima, over 25
-points, the unimodal gamma profile over every 4th of them.  Each fitter also
-fits several training subsets of one series at once, as rows of a mask over
-its increments; ``fit_folds`` fits the cross-validation folds so.
+nonlinear fits profile the exponent on [0.2, 5], evaluated as row blocks of
+one exponents-by-increments array, from a grid that holds 1.  The Wiener
+fit, whose profile may have several maxima, evaluates all 25 grid points and
+refines the best by Brent's method on the values.  The gamma kernel also
+returns the profile's slope in the exponent, so the gamma fit walks every 4th
+grid point out from 1 in the direction of the slope, stops at the first sign
+change, and finds the slope's zero there by Brent's zero finder.  Each fitter
+also fits several training subsets of one series at once, as rows of a mask
+over its increments; ``fit_folds`` fits the cross-validation folds so, every
+fold's search in lockstep with the others.
 
 At each profiled exponent the non-homogeneous gamma fit solves the score
 equation of the shape rate alpha in 1/alpha, in which the equation is nearly
@@ -129,14 +133,18 @@ def increments(traj: Trajectory) -> IncrementSeries:
     return IncrementSeries(tuple(deltas.tolist()), traj.times[:-1], traj.times[1:])
 
 
-def _brent_max(a: float, b: float, tol: float) -> Generator[float, float, tuple[float, float]]:
-    """Maximizer of a function on [a, b] and its value, by Brent's method.
+def _block_rows(n: int) -> int:
+    """Profile rows of ``n`` increments that fit in one ``PROFILE_BLOCK``, at least 1."""
+    return max(1, PROFILE_BLOCK // n)
+
+
+def _brent_max(a: float, b: float, tol: float) -> Generator[float, float, None]:
+    """Search for the maximizer of a function on [a, b] by Brent's method.
 
     Parabolic steps through the three best points, with a golden-section step
     whenever the parabola is unsafe (Brent 1973, ch. 5); stops when the
     maximizer is located to within ``tol``.  A coroutine: it yields each
-    abscissa to evaluate, is sent the function's value there, and returns
-    (maximizer, value), so one driver can step many searches in lockstep.
+    abscissa to evaluate and is sent the function's value there.
     """
     golden = 0.5 * (3.0 - math.sqrt(5.0))
     x = w = v = a + golden * (b - a)
@@ -147,7 +155,7 @@ def _brent_max(a: float, b: float, tol: float) -> Generator[float, float, tuple[
         tol1 = 1.5e-8 * abs(x) + tol / 3.0
         tol2 = 2.0 * tol1
         if abs(x - mid) <= tol2 - 0.5 * (b - a):
-            return x, -fx
+            return
         parabolic = False
         if abs(e) > tol1:
             r = (x - w) * (fx - fv)
@@ -184,57 +192,162 @@ def _brent_max(a: float, b: float, tol: float) -> Generator[float, float, tuple[
                 v, fv = u, fu
 
 
-def _profile_beta(
-    profile_ll: Callable[[np.ndarray, np.ndarray], np.ndarray], grid, n: int, problems: int
-) -> np.ndarray:
-    """Maximize ``problems`` profile log-likelihoods over the exponent range of ``grid``.
+def _brent_zero(
+    a: float, b: float, fa: float, fb: float, tol: float
+) -> Generator[float, float, None]:
+    """Search for a zero of a function that changes sign on [a, b], by Brent's method.
 
-    ``profile_ll(rows, betas)`` maps problem indices and exponents, one pair
-    per row, to profile log-likelihoods.  Each problem's ``grid``, which
-    holds 1, and then one Brent step of every problem still refining between
-    the grid neighbours of its best point, go to it in blocks of at most
-    ``PROFILE_BLOCK`` rows x ``n`` increments.  Returns each problem's
-    maximizer, an exponent it was evaluated at: NaN where no grid exponent
-    gives a finite profile likelihood.
+    Inverse quadratic and secant steps, with a bisection step whenever they
+    are unsafe (Brent 1973, ch. 4, ``zeroin``); ``fa`` and ``fb`` are the
+    function's values at the ends.  Stops when the zero is located to within
+    ``tol``.  A coroutine: it yields each abscissa to evaluate and is sent
+    the function's value there.
     """
-    per_block = max(1, PROFILE_BLOCK // n)
+    eps = np.finfo(float).eps
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 2.0 * eps * abs(b) + 0.5 * tol
+        xm = 0.5 * (c - b)
+        if abs(xm) <= tol1 or fb == 0.0:
+            return
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * xm * s, 1.0 - s
+            else:  # inverse quadratic
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = xm
+        else:
+            d = e = xm
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
+        fb = yield b
+        if fb * math.copysign(1.0, fc) > 0.0:
+            c, fc = a, fa
+            d = e = b - a
 
-    def evaluate(rows: np.ndarray, betas: np.ndarray) -> np.ndarray:
-        vals = np.concatenate(
-            [
-                profile_ll(rows[k : k + per_block], betas[k : k + per_block])
-                for k in range(0, rows.size, per_block)
-            ]
-        )
-        return np.where(np.isfinite(vals), vals, NEG_INF)
 
-    size = grid.size
-    grid_ll = evaluate(np.repeat(np.arange(problems), size), np.tile(grid, problems))
-    grid_ll = grid_ll.reshape(problems, size)
-    top = grid_ll.argmax(axis=1)
-    beta, best = np.full(problems, math.nan), np.full(problems, NEG_INF)
-    searches = {
-        p: _brent_max(grid[max(i - 1, 0)], grid[min(i + 1, size - 1)], BETA_TOL)
-        for p, i in enumerate(top)
-        if grid_ll[p, i] > NEG_INF
-    }
-    pending = {p: next(search) for p, search in searches.items()}
+def _one_at_a_time(search: Generator[float, float, None], field: int):
+    """Run a search that asks for one abscissa at a time as a profile search,
+    sending it output ``field`` of the profile at each."""
+    x = next(search)
+    while True:
+        out = yield np.array([x])
+        try:
+            x = search.send(float(out[field][0]))
+        except StopIteration:
+            return
+
+
+def _grid_search(grid: np.ndarray, known: Optional[dict] = None):
+    """Profile search: every exponent of ``grid`` not in ``known`` (exponent ->
+    profile log-likelihood), then Brent's method between the grid neighbours
+    of the best."""
+    ll = dict(known or {})
+    ask = np.array([b for b in grid.tolist() if b not in ll])
+    if ask.size:
+        out = yield ask
+        ll.update(zip(ask.tolist(), out[0].tolist()))
+    vals = np.array([ll[b] for b in grid.tolist()])
+    i = int(vals.argmax())
+    if vals[i] > NEG_INF:
+        bracket = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+        yield from _one_at_a_time(_brent_max(*bracket, BETA_TOL), 0)
+
+
+def _slope_search(grid: np.ndarray, n: int):
+    """Profile search on the profile's value and its slope in the exponent.
+
+    Walks ``grid`` out from its exponent 1 in the direction of the slope there,
+    asking for ``_block_rows(n)`` exponents at a time (the first block, before
+    the direction is known, the nearest on both sides), up to the first grid
+    interval over which the slope changes sign; then Brent's zero finder on
+    the slope in that interval.  The walk ends at a grid bound the profile
+    still rises to.  Where an exponent of the walk has a non-finite value or
+    slope, the rest of the grid and Brent's method on the values take over
+    (``_grid_search``).
+    """
+    one = int(np.flatnonzero(grid == 1.0)[0])
+    per_block = _block_rows(n)
+    ll, slope = {}, {}
+
+    def evaluate(idx):
+        out = yield grid[idx]
+        for i, v, s in zip(idx, out[0].tolist(), out[1].tolist()):
+            ll[i], slope[i] = v, s
+
+    outward = sorted(range(grid.size), key=lambda i: abs(i - one))
+    yield from evaluate(outward[:per_block])
+    step = 1 if slope[one] > 0.0 else -1
+    i = one
+    while slope[i] != 0.0:
+        if not (ll[i] > NEG_INF and math.isfinite(slope[i])):
+            known = {grid[k]: v for k, v in ll.items()}
+            yield from _grid_search(grid, known)
+            return
+        j = i + step
+        if not 0 <= j < grid.size:
+            return
+        if j not in ll:
+            ahead = range(j, j + step * per_block, step)
+            yield from evaluate([k for k in ahead if 0 <= k < grid.size])
+        if slope[j] * step < 0.0:
+            root = _brent_zero(grid[i], grid[j], slope[i], slope[j], BETA_TOL)
+            yield from _one_at_a_time(root, 1)
+            return
+        i = j
+
+
+def _profile_beta(profile: Callable, searches: list, n: int) -> np.ndarray:
+    """Maximize one profile log-likelihood per search over the exponent, in lockstep.
+
+    A search is a coroutine: it yields an array of exponents to evaluate, is
+    sent the profile's outputs at them, and returns when done.
+    ``profile(rows, betas)`` maps problem indices and exponents, one pair per
+    row, to a tuple of per-row outputs: the profile log-likelihoods, first,
+    and whatever else the search reads.  Each step evaluates what every
+    search still running asks for, in blocks of at most ``PROFILE_BLOCK``
+    rows x ``n`` increments.  Returns each problem's exponent of highest
+    finite profile likelihood among those evaluated (the first in a step,
+    the later on a tie between steps): NaN where none is finite.
+    """
+    per_block = _block_rows(n)
+    beta, best = np.full(len(searches), math.nan), np.full(len(searches), NEG_INF)
+    pending = {p: next(search) for p, search in enumerate(searches)}
     while pending:
-        rows = np.fromiter(pending, dtype=int, count=len(pending))
-        lls = evaluate(rows, np.fromiter(pending.values(), dtype=float, count=len(pending)))
-        stepped = {}
-        for p, ll in zip(rows.tolist(), lls.tolist()):
+        asked = list(pending.values())
+        rows = np.repeat(list(pending), [a.size for a in asked])
+        betas = np.concatenate(asked)
+        blocks = [
+            profile(rows[k : k + per_block], betas[k : k + per_block])
+            for k in range(0, rows.size, per_block)
+        ]
+        outs = [np.concatenate(v) for v in zip(*blocks)]
+        outs[0] = np.where(np.isfinite(outs[0]), outs[0], NEG_INF)
+        stepped, start = {}, 0
+        for p, at in zip(pending, asked):
+            mine = tuple(v[start : start + at.size] for v in outs)
+            start += at.size
+            i = int(mine[0].argmax())
+            if mine[0][i] > NEG_INF and mine[0][i] >= best[p]:
+                beta[p], best[p] = at[i], mine[0][i]
             try:
-                stepped[p] = searches[p].send(ll)
-            except StopIteration as stop:
-                beta[p], best[p] = stop.value
+                stepped[p] = searches[p].send(mine)
+            except StopIteration:
+                pass
         pending = stepped
-    # Guard the nested case: never do worse than the grid maximum or beta = 1.
-    every = np.arange(problems)
-    for j in (top, int(np.flatnonzero(grid == 1.0)[0])):
-        better = grid_ll[every, j] > best
-        beta = np.where(better, grid[j], beta)
-        best = np.where(better, grid_ll[every, j], best)
     return beta
 
 
@@ -309,10 +422,9 @@ def _wiener_profile_rows(
 
 def _nonlinear_wiener_rows(deltas, t0, t1, mask) -> list:
     beta = _profile_beta(
-        lambda rows, b: _wiener_profile_rows(deltas, t0, t1, b, _take(mask, rows))[2],
-        _BETA_GRID,
+        lambda rows, b: _wiener_profile_rows(deltas, t0, t1, b, _take(mask, rows))[2:],
+        [_grid_search(_BETA_GRID) for _ in range(_problems(mask))],
         deltas.size,
-        _problems(mask),
     )
     m_hat, s2, ll = _wiener_profile_rows(deltas, t0, t1, _solved(beta), mask)
     return [
@@ -345,7 +457,7 @@ def _homog_gamma_rows(deltas, t0, t1, mask) -> list:
         init = (3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
         init /= total / _counts(deltas.size, mask)
     init[flat] = SHAPE_MAX
-    alpha, theta, ll, iterations, converged = _gamma_profile_rows(
+    alpha, theta, ll, iterations, converged, _ = _gamma_profile_rows(
         deltas, t0, t1, np.ones(s.size), init, mask
     )
     return [
@@ -363,7 +475,7 @@ def _gamma_profile_rows(
     betas: np.ndarray,
     init: Optional[np.ndarray] = None,
     mask: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """MLE of (shape rate, scale) of gamma increments over (t0, t1], per exponent in ``betas``.
 
     The scale is profiled out analytically; the remaining score equation in
@@ -376,15 +488,24 @@ def _gamma_profile_rows(
     ends, so a step landing on an end, as one does where the score is
     exactly 0, is kept.  A row starts from ``init`` or, where that is None
     or NaN, from a moment estimate.  ``mask`` (rows x increments,
-    1 = training) fits each row to its own training increments.  Returns
+    1 = training) fits each row to its own training increments.
+
+    Each row also gets the profile loglik's slope in the exponent.  By the
+    envelope theorem it is the partial derivative at the solved (alpha,
+    theta), alpha * sum_j d'_j (log x_j - log theta - psi(alpha d_j)) with
+    d'_j = dd_j/dbeta; each iteration sums d'_j psi from the psi it
+    evaluates, and a row's slope is extrapolated from its last two iterates
+    to the rate it returns.  Returns
     per-row (shape rate, scale, loglik, iterations, converged before the
-    100-iteration cap).
+    100-iteration cap, slope in beta).
     """
     d = _masked(time_transform(t0, t1, betas[:, None]), mask)
+    d_beta = _masked(_time_transform_slope(t0, t1, betas[:, None]), mask)
     # Held-out columns see shape 1 with weight 0: finite psi, trigamma, gammaln.
     hole = np.zeros((betas.size, 1)) if mask is None else 1.0 - mask
-    sum_d = d.sum(axis=1)
-    sum_dlog = d @ np.log(deltas)
+    log_x = np.log(deltas)
+    sum_d, sum_d_beta = d.sum(axis=1), d_beta.sum(axis=1)
+    sum_dlog, sum_d_beta_log = d @ log_x, d_beta @ log_x
     c = (deltas.sum() if mask is None else mask @ deltas) / sum_d  # = alpha * theta at the optimum
 
     alpha = np.full(betas.size, math.nan) if init is None else np.asarray(init, dtype=float)
@@ -399,19 +520,22 @@ def _gamma_profile_rows(
     alpha = np.clip(alpha, SHAPE_MIN, SHAPE_MAX)
 
     rows = betas.size
-    out_alpha = np.empty(rows)
+    out_alpha, out_slope = np.empty(rows), np.empty(rows)
     iterations = np.full(rows, 100)
     converged = np.zeros(rows, dtype=bool)
     # The loop runs on the rows not yet converged; ``idx`` maps them back.
     idx = np.arange(rows)
     lo, hi = np.full(rows, SHAPE_MIN), np.full(rows, SHAPE_MAX)
     dd, hh, sd, sdl, cc = d, hole, sum_d, sum_dlog, c
+    db, sdb, sdbl = d_beta, sum_d_beta, sum_d_beta_log
     # A zero or NaN slope gives a step to 0 or NaN, which the bracket test
     # rejects.
     with np.errstate(divide="ignore", invalid="ignore"):
         for it in range(1, 101):
             shape = alpha[:, None] * dd + hh
-            g = sdl - sd * np.log(cc / alpha) - (dd * psi(shape)).sum(axis=1)
+            digamma, log_theta = psi(shape), np.log(cc / alpha)
+            g = sdl - sd * log_theta - (dd * digamma).sum(axis=1)
+            s = alpha * (sdbl - sdb * log_theta - (db * digamma).sum(axis=1))
             # score decreases in alpha: keep a shrinking root bracket as safeguard
             up = g > 0
             lo = np.where(up, alpha, lo)
@@ -427,22 +551,37 @@ def _gamma_profile_rows(
                 nxt = alpha / (1.0 - alpha * g / slope)
             nxt = np.where((lo <= nxt) & (nxt <= hi), nxt, 0.5 * (lo + hi))
             done = np.abs(nxt - alpha) < 1e-10 * np.maximum(1.0, alpha)
-            alpha_prev, g_prev, alpha = alpha, g, nxt
+            # The slope in beta at the next iterate, extrapolated through the
+            # last two: below alpha = 1 the stopping rule is absolute, so the
+            # last step can be a sizeable part of alpha (at beta = 3 on a
+            # 2k-step path the last iterate's slope was 6e-4 relative off).
+            ahead = 0.0 if it == 1 else (s - s_prev) * (nxt - alpha) / (alpha - alpha_prev)
+            out_slope[idx] = s + ahead
+            alpha_prev, g_prev, s_prev, alpha = alpha, g, s, nxt
             if done.any():
                 out_alpha[idx[done]] = alpha[done]
                 iterations[idx[done]] = it
                 converged[idx[done]] = True
                 keep = ~done
                 idx, alpha, lo, hi = idx[keep], alpha[keep], lo[keep], hi[keep]
-                alpha_prev, g_prev = alpha_prev[keep], g_prev[keep]
-                dd, hh = dd[keep], hh[keep]
-                sd, sdl, cc = sd[keep], sdl[keep], cc[keep]
+                alpha_prev, g_prev, s_prev = alpha_prev[keep], g_prev[keep], s_prev[keep]
+                dd, hh, db = dd[keep], hh[keep], db[keep]
+                sd, sdl, cc, sdb, sdbl = sd[keep], sdl[keep], cc[keep], sdb[keep], sdbl[keep]
                 if not idx.size:
                     break
     out_alpha[idx] = alpha
     theta = c / out_alpha
     ll = _gamma_loglik(deltas, out_alpha[:, None] * d + hole, theta[:, None], mask)
-    return out_alpha, theta, ll, iterations, converged
+    return out_alpha, theta, ll, iterations, converged, out_slope
+
+
+def _time_transform_slope(t0, t1, beta) -> np.ndarray:
+    """The time-transform increments' derivatives in the exponent,
+    dd_j/dbeta = t1_j^beta ln t1_j - t0_j^beta ln t0_j, where t^beta ln t is
+    0 at t = 0 (and, unused by any fit, at t < 0)."""
+    t0, t1 = (np.asarray(t, dtype=float) for t in (t0, t1))
+    log_t0, log_t1 = (np.log(t, out=np.zeros_like(t), where=t > 0) for t in (t0, t1))
+    return t1**beta * log_t1 - t0**beta * log_t0
 
 
 def _warm_start(betas: np.ndarray, known_b: list, known_a: list) -> np.ndarray:
@@ -469,10 +608,10 @@ def _warm_start(betas: np.ndarray, known_b: list, known_a: list) -> np.ndarray:
 def _nonhomog_gamma_rows(deltas, t0, t1, mask) -> list:
     problems = _problems(mask)
     # Per problem, each exponent solved so far -> its row's (shape rate,
-    # scale, loglik, iterations, converged).
+    # scale, loglik, iterations, converged, slope in beta).
     solved = [{} for _ in range(problems)]
 
-    def profile_ll(rows: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    def profile(rows: np.ndarray, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # shape varies smoothly with the exponent: start each row from its own
         # problem's rows solved so far
         init = np.full(betas.size, math.nan)
@@ -484,10 +623,12 @@ def _nonhomog_gamma_rows(deltas, t0, t1, mask) -> list:
         out = _gamma_profile_rows(deltas, t0, t1, betas, init, _take(mask, rows))
         for p, b, *row in zip(rows.tolist(), betas.tolist(), *(v.tolist() for v in out)):
             solved[p][b] = row
-        return out[2]
+        return out[2], out[5]
 
-    # Every 4th grid exponent, with 0.2, 1 and 5, brackets the unimodal profile.
-    beta = _profile_beta(profile_ll, _BETA_GRID[::4], deltas.size, problems)
+    # Every 4th grid exponent, with 0.2, 1 and 5: the unimodal profile's
+    # slope changes sign once between two of them.
+    searches = [_slope_search(_BETA_GRID[::4], deltas.size) for _ in range(problems)]
+    beta = _profile_beta(profile, searches, deltas.size)
     # The fit at each maximizer, or at beta = 1 for a failed search, is a row
     # the search solved: a missing one is a KeyError, not a fresh solve.
     fits = [solved[p][b] for p, b in enumerate(_solved(beta).tolist())]
@@ -496,7 +637,7 @@ def _nonhomog_gamma_rows(deltas, t0, t1, mask) -> list:
         or FitResult(
             {"alpha": float(a), "theta": float(t), "beta": float(b)}, float(l), bool(c), int(i)
         )
-        for b, (a, t, l, i, c) in zip(beta, fits)
+        for b, (a, t, l, i, c, _) in zip(beta, fits)
     ]
 
 

@@ -372,10 +372,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert "wrong_both" in out
 
-    def test_robustness_refuses_a_perturbation_flag(self):
+    @staticmethod
+    def usage_error(capsys, argv) -> str:
+        """The message ``argv`` exits with, as argparse reports a usage error."""
+        with pytest.raises(SystemExit) as exit_:
+            cli_main(argv)
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return err.splitlines()[-1]
+
+    def test_robustness_refuses_a_perturbation_flag(self, capsys):
         argv = ["robustness", "--case", "case1", "--n-values", "50", "--per-class-count", "5"]
-        with pytest.raises(ValueError, match="wrong_hi"):
-            cli_main(argv + ["--perturbation", "wrong_hi"])
+        msg = self.usage_error(capsys, argv + ["--perturbation", "wrong_hi"])
+        assert msg == "degselect: error: run_robustness sweeps every mode; got 'wrong_hi'", msg
 
     def test_config_file_overrides(self, tmp_path, capsys, monkeypatch):
         import degselect.cli as cli
@@ -398,14 +408,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "n= 30" in out and "n= 70" in out and "n= 50" not in out
 
-    def test_unknown_config_key(self, tmp_path):
+    def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("seeds = 9\n")
-        with pytest.raises(ValueError, match="seeds"):
-            cli_main(["bench", "--case", "case1", "--config", str(cfg)])
+        msg = self.usage_error(capsys, ["bench", "--case", "case1", "--config", str(cfg)])
+        assert msg.startswith("degselect: error: unknown config key(s) ['seeds']"), msg
 
-    def test_bad_config_line(self, tmp_path):
+    def test_bad_config_line(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("this is not key value\n")
-        with pytest.raises(ValueError):
-            cli_main(["bench", "--case", "case1", "--config", str(cfg)])
+        msg = self.usage_error(capsys, ["bench", "--case", "case1", "--config", str(cfg)])
+        assert msg.startswith("degselect: error: bad config line"), msg
+

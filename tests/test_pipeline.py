@@ -245,6 +245,20 @@ class TestRunInference:
                         h: r.final for h, r in via_case.decisions.items()
                     }, (kind, seed, pct)
 
+    def test_a_set_with_nothing_to_decide_retrieves_no_evidence(self, bank, monkeypatch):
+        import degselect.decisions as dec
+
+        calls = []
+        retrieve = dec.retrieve_top_k
+        monkeypatch.setattr(
+            dec, "retrieve_top_k", lambda *a, **kw: calls.append(a) or retrieve(*a, **kw)
+        )
+        linear_wiener = next(m for m in Case.CASE2.candidates if m.id == "linear_wiener")
+        for kind in SimKind:
+            traj = make_path(kind, seed=11, n_percent=70)
+            out = run_inference(InferenceInput(traj, "", CandidateSet.of([linear_wiener])), bank)
+            assert (out.chosen, out.decisions, calls) == (linear_wiener, {}, [])
+
     def test_diagnostics_carry_fit_failures(self, bank):
         traj = make_path(SimKind.LINEAR_WIENER, seed=11, n_percent=70)
         inp = InferenceInput.for_case(Case.CASE2, traj)
@@ -494,7 +508,11 @@ class TestPinnedAnswers:
     every 4th grid exponent and takes its fit at the maximizer from the
     search, re-recorded the 48 whose trend confidences moved (30
     ``homog_gamma`` and 18 ``nonhomog_gamma`` case-2 windows, by at most
-    7.2e-13).  Every label, final decision, retained set and pick is as
+    7.2e-13).  The commit after b18097a, whose gamma exponent search walks
+    the grid by the profile's slope and finds the slope's zero by Brent's
+    zero finder, re-recorded the 48 whose trend confidences moved (30
+    ``homog_gamma`` and 18 ``nonhomog_gamma`` case-2 windows, by at most
+    6.3e-13).  Every label, final decision, retained set and pick is as
     recorded at 256c22e."""
 
     def test_matches_recorded_answers(self, bank):
