@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
@@ -197,16 +196,16 @@ def feature_summary(traj: Trajectory) -> FeatureSummary:
     """Shape features of the observed trajectory, from one differencing."""
     if len(traj) < 3:
         raise ValueError("feature summary needs at least 3 observations")
-    values = np.asarray(traj.values)
+    times, values = (np.asarray(v, dtype=float) for v in (traj.times, traj.values))
     deltas = np.diff(values)
     n = len(deltas)
     lo, hi = float(deltas.min()), float(deltas.max())
     neg_frac = int(np.count_nonzero(deltas < 0.0)) / n
     # Times increase strictly, so the positive ones are a suffix.
-    first = bisect_right(traj.times, 0.0)
-    if len(traj) - first >= 2:
+    first = int(np.searchsorted(times, 0.0, side="right"))
+    if times.size - first >= 2:
         # Least-squares slope of log y on log t, centred.
-        logt = np.log(traj.times[first:])
+        logt = np.log(times[first:])
         logy = np.log(np.maximum(values[first:], EPS))
         dt = logt - logt.sum() / len(logt)
         slope = float(dt @ (logy - logy.sum() / len(logy)) / (dt @ dt))

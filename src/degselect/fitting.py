@@ -3,9 +3,12 @@
 All fitters consume increments over their real inspection intervals.  There
 is one kernel per family, which fits at given exponents of the time transform
 d_j = t_j^beta - t_{j-1}^beta: the Wiener kernel is closed-form, the gamma
-kernel solves the shape score equation by Newton iteration.  The linear fits
-are these kernels at the fixed exponent 1, where d_j = t_j - t_{j-1}.  The two
-nonlinear fits profile the exponent on [0.2, 5], evaluated as row blocks of
+kernel solves the shape score equation by Newton iteration.  What depends
+only on the series is done once per series (``_SeriesTerms``): the time
+stamps and their logarithms, and the increments' logarithms; a kernel row
+takes t^beta once per stamp.  The linear fits are these kernels at the
+fixed exponent 1, where d_j = t_j - t_{j-1}.  The two nonlinear fits
+profile the exponent on [0.2, 5], evaluated as row blocks of
 one exponents-by-increments array, from a grid that holds 1.  The Wiener
 fit, whose profile may have several maxima, evaluates all 25 grid points and
 refines the best by Brent's method on the values.  The gamma kernel also
@@ -26,6 +29,8 @@ off on either side in a few steps, and evaluate trigamma once per solve.
 Each solve is warm-started from the rates already solved for the same
 problem (``_warm_start``).  The fit at the chosen exponent is the search's
 own row there: its iterations and converged flag describe that solve.
+Above ``PROFILE_BLOCK // 2`` increments a whole-series search's first row,
+at beta = 1, is the homogeneous fit's solve, made once per series for both.
 """
 
 from __future__ import annotations
@@ -96,27 +101,95 @@ class NonPositiveIncrementError(FitError):
     """Gamma models are inapplicable to non-positive increments."""
 
 
-@dataclass(frozen=True)
 class IncrementSeries:
     """Increment j is the change over the interval (starts[j], ends[j]]; the
-    intervals are non-empty, in time order, and may leave gaps (CV folds)."""
+    intervals are non-empty, in time order, and may leave gaps between them.
 
-    deltas: tuple[float, ...]
-    starts: tuple[float, ...]
-    ends: tuple[float, ...]
+    Held as float arrays, ``arrays``: an array passed in is held, not copied.
+    ``deltas``, ``starts`` and ``ends`` read them back as tuples.  Series
+    with equal arrays are equal and hash alike.
+    """
 
-    def __post_init__(self) -> None:
-        x, t0, t1 = self.arrays
+    def __init__(self, deltas, starts, ends) -> None:
+        x, t0, t1 = (np.asarray(v, dtype=float) for v in (deltas, starts, ends))
         if not (x.size == t0.size == t1.size and np.all(t0 < t1) and np.all(t1[:-1] <= t0[1:])):
             raise ValueError("need one non-empty interval per increment, in time order")
+        self.arrays = x, t0, t1
+
+    deltas = property(lambda self: tuple(self.arrays[0].tolist()))
+    starts = property(lambda self: tuple(self.arrays[1].tolist()))
+    ends = property(lambda self: tuple(self.arrays[2].tolist()))
 
     @cached_property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(deltas, starts, ends) as float arrays, converted once."""
-        return tuple(np.asarray(v, dtype=float) for v in (self.deltas, self.starts, self.ends))
+    def _terms(self) -> "_SeriesTerms":
+        """What the kernels read of the series, computed at the first fit."""
+        return _SeriesTerms(*self.arrays)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IncrementSeries):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in zip(self.arrays, other.arrays))
+
+    def __hash__(self) -> int:
+        return hash(tuple((a + 0.0).tobytes() for a in self.arrays))  # + 0.0: -0.0 == 0.0
 
     def __len__(self) -> int:
-        return len(self.deltas)
+        return self.arrays[0].size
+
+    def __repr__(self) -> str:
+        return f"IncrementSeries(<{len(self)} increments>)"
+
+
+class _SeriesTerms:
+    """The work on one increment series that every kernel call reads, done once.
+
+    The stamps are the interval ends in time order: where the intervals
+    abut, as they do for ``increments(traj)``, each shared end once (the
+    trajectory's times); else each interval's own two ends.  A kernel row
+    takes t^beta once per stamp; d_j = t1_j^beta -
+    t0_j^beta, ``time_transform``'s formula, and its derivative in the
+    exponent d'_j = t1_j^beta ln t1_j - t0_j^beta ln t0_j are differences of
+    the stamps' t^beta and t^beta ln t (``transform``).  ln t is 0 at t <= 0,
+    so t^beta ln t is 0 at t = 0 (and, unused by any fit, at t < 0).  ln t
+    and ln x are taken at their first use: only gamma fits, on positive
+    increments, read them.
+    """
+
+    def __init__(self, deltas: np.ndarray, t0: np.ndarray, t1: np.ndarray) -> None:
+        self.deltas, self.t0, self.t1 = deltas, t0, t1
+        if np.array_equal(t1[:-1], t0[1:]):
+            self.stamps, self._step = np.concatenate([t0[:1], t1]), 1
+        else:
+            self.stamps, self._step = np.column_stack([t0, t1]).ravel(), 2
+
+    @cached_property
+    def log_t(self) -> np.ndarray:
+        return np.log(self.stamps, out=np.zeros_like(self.stamps), where=self.stamps > 0)
+
+    @cached_property
+    def log_x(self) -> np.ndarray:
+        return np.log(self.deltas)
+
+    @cached_property
+    def homog_gamma(self) -> tuple:
+        """The homogeneous gamma solve of the whole series, ``_homog_gamma_solve``'s
+        output: made once, and read by both gamma fits."""
+        return _homog_gamma_solve(self, None)
+
+    def _between(self, at_stamps: np.ndarray) -> np.ndarray:
+        """Per row of a value per stamp, each interval's end value minus its
+        start value.  Of slices, so C-ordered, and the kernels' dot products
+        sum in the order they do on a fresh array (a fancy-index gather is
+        Fortran-ordered, and moved the last bits of gamma fits)."""
+        step = self._step
+        return at_stamps[:, 1::step] - at_stamps[:, :-1:step]
+
+    def transform(self, betas: np.ndarray, slope: bool = False):
+        """d (exponents x increments) at each exponent of ``betas``; with
+        ``slope``, the pair (d, d')."""
+        powers = self.stamps ** betas[:, None]
+        d = self._between(powers)
+        return (d, self._between(powers * self.log_t)) if slope else d
 
 
 @dataclass(frozen=True)
@@ -129,8 +202,8 @@ class FitResult:
 
 def increments(traj: Trajectory) -> IncrementSeries:
     """Successive differences of the trajectory, each over its inspection interval."""
-    deltas = np.diff(np.asarray(traj.values)).astype(float, copy=False)
-    return IncrementSeries(tuple(deltas.tolist()), traj.times[:-1], traj.times[1:])
+    times, values = (np.asarray(v, dtype=float) for v in (traj.times, traj.values))
+    return IncrementSeries(np.diff(values), times[:-1], times[1:])
 
 
 def _block_rows(n: int) -> int:
@@ -392,8 +465,8 @@ def _solved(beta: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(beta), 1.0, beta)
 
 
-def _linear_wiener_rows(deltas, t0, t1, mask) -> list:
-    m_hat, s2, ll = _wiener_profile_rows(deltas, t0, t1, np.ones(_problems(mask)), mask)
+def _linear_wiener_rows(series: _SeriesTerms, mask) -> list:
+    m_hat, s2, ll = _wiener_profile_rows(series, np.ones(_problems(mask)), mask)
     return [
         # The kernel floors the variance, so a row at the floor had variance
         # at or below it.
@@ -405,13 +478,14 @@ def _linear_wiener_rows(deltas, t0, t1, mask) -> list:
 
 
 def _wiener_profile_rows(
-    deltas: np.ndarray, t0, t1, betas: np.ndarray, mask: Optional[np.ndarray] = None
+    series: _SeriesTerms, betas: np.ndarray, mask: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form (drift, variance, loglik) at each exponent in ``betas``, for
-    increments over the intervals (t0, t1].  ``mask`` (rows x increments,
-    1 = training) fits each row to its own training increments.
+    """Closed-form (drift, variance, loglik) of ``series`` at each exponent in
+    ``betas``.  ``mask`` (rows x increments, 1 = training) fits each row to
+    its own training increments.
     """
-    d = _masked(time_transform(t0, t1, betas[:, None]), mask)
+    deltas = series.deltas
+    d = _masked(series.transform(betas), mask)
     count = _counts(deltas.size, mask)
     m_hat = (d @ deltas) / (d * d).sum(axis=1)
     resid = _masked(deltas - m_hat[:, None] * d, mask)
@@ -420,13 +494,13 @@ def _wiener_profile_rows(
     return m_hat, s2, _normal_loglik(resid, s2, count)
 
 
-def _nonlinear_wiener_rows(deltas, t0, t1, mask) -> list:
+def _nonlinear_wiener_rows(series: _SeriesTerms, mask) -> list:
     beta = _profile_beta(
-        lambda rows, b: _wiener_profile_rows(deltas, t0, t1, b, _take(mask, rows))[2:],
+        lambda rows, b: _wiener_profile_rows(series, b, _take(mask, rows))[2:],
         [_grid_search(_BETA_GRID) for _ in range(_problems(mask))],
-        deltas.size,
+        series.deltas.size,
     )
-    m_hat, s2, ll = _wiener_profile_rows(deltas, t0, t1, _solved(beta), mask)
+    m_hat, s2, ll = _wiener_profile_rows(series, _solved(beta), mask)
     return [
         _profile_failure(b, l)
         or FitResult({"m": float(m), "s": math.sqrt(v), "beta": float(b)}, float(l), True, 0)
@@ -434,21 +508,26 @@ def _nonlinear_wiener_rows(deltas, t0, t1, mask) -> list:
     ]
 
 
-def _gamma_loglik(deltas: np.ndarray, shape: np.ndarray, scale, mask=None) -> np.ndarray:
-    """Gamma log-likelihood of each row of ``shape`` (last axis: increments)."""
-    terms = (
-        (shape - 1.0) * np.log(deltas) - deltas / scale - shape * np.log(scale) - gammaln(shape)
-    )
+def _gamma_loglik(
+    deltas: np.ndarray, shape: np.ndarray, scale, mask=None, log_x=None
+) -> np.ndarray:
+    """Gamma log-likelihood of each row of ``shape`` (last axis: increments);
+    ``log_x``, when given, is ln ``deltas``."""
+    log_x = np.log(deltas) if log_x is None else log_x
+    terms = (shape - 1.0) * log_x - deltas / scale - shape * np.log(scale) - gammaln(shape)
     return _masked(terms, mask).sum(axis=-1)
 
 
-def _homog_gamma_rows(deltas, t0, t1, mask) -> list:
+def _homog_gamma_solve(series: _SeriesTerms, mask) -> tuple[np.ndarray, tuple]:
+    """Which rows are flat, and the gamma kernel's solve at exponent 1 from
+    the homogeneous fit's closed-form start."""
     # Dispersion s = log(sum x / sum dt) - sum dt log(x / dt) / sum dt >= 0 of the
     # training increments x over intervals dt; 0, a flat row, when x is ~ dt.
-    dt = time_transform(t0, t1, 1.0)
+    deltas = series.deltas
+    dt = time_transform(series.t0, series.t1, 1.0)
     w = _masked(dt[None, :], mask)
     total = w.sum(axis=1)
-    mean_log = (w * (np.log(deltas) - np.log(dt))).sum(axis=1) / total
+    mean_log = (w * (series.log_x - np.log(dt))).sum(axis=1) / total
     s = np.log(_masked(deltas[None, :], mask).sum(axis=1) / total) - mean_log
     flat = s <= DISPERSION_FLOOR
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -457,9 +536,12 @@ def _homog_gamma_rows(deltas, t0, t1, mask) -> list:
         init = (3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
         init /= total / _counts(deltas.size, mask)
     init[flat] = SHAPE_MAX
-    alpha, theta, ll, iterations, converged, _ = _gamma_profile_rows(
-        deltas, t0, t1, np.ones(s.size), init, mask
-    )
+    return flat, _gamma_profile_rows(series, np.ones(s.size), init, mask)
+
+
+def _homog_gamma_rows(series: _SeriesTerms, mask) -> list:
+    flat, out = series.homog_gamma if mask is None else _homog_gamma_solve(series, mask)
+    alpha, theta, ll, iterations, converged, _ = out
     return [
         FitResult(
             {"alpha": float(a), "theta": float(t)}, float(l), bool(c) and not f, 0 if f else int(i)
@@ -469,14 +551,12 @@ def _homog_gamma_rows(deltas, t0, t1, mask) -> list:
 
 
 def _gamma_profile_rows(
-    deltas: np.ndarray,
-    t0,
-    t1,
+    series: _SeriesTerms,
     betas: np.ndarray,
     init: Optional[np.ndarray] = None,
     mask: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """MLE of (shape rate, scale) of gamma increments over (t0, t1], per exponent in ``betas``.
+    """MLE of (shape rate, scale) of the gamma increments ``series``, per exponent in ``betas``.
 
     The scale is profiled out analytically; the remaining score equation in
     the shape rate alpha is solved for all rows at once in 1/alpha, where the
@@ -499,11 +579,10 @@ def _gamma_profile_rows(
     per-row (shape rate, scale, loglik, iterations, converged before the
     100-iteration cap, slope in beta).
     """
-    d = _masked(time_transform(t0, t1, betas[:, None]), mask)
-    d_beta = _masked(_time_transform_slope(t0, t1, betas[:, None]), mask)
+    deltas, log_x = series.deltas, series.log_x
+    d, d_beta = (_masked(v, mask) for v in series.transform(betas, slope=True))
     # Held-out columns see shape 1 with weight 0: finite psi, trigamma, gammaln.
     hole = np.zeros((betas.size, 1)) if mask is None else 1.0 - mask
-    log_x = np.log(deltas)
     sum_d, sum_d_beta = d.sum(axis=1), d_beta.sum(axis=1)
     sum_dlog, sum_d_beta_log = d @ log_x, d_beta @ log_x
     c = (deltas.sum() if mask is None else mask @ deltas) / sum_d  # = alpha * theta at the optimum
@@ -571,17 +650,8 @@ def _gamma_profile_rows(
                     break
     out_alpha[idx] = alpha
     theta = c / out_alpha
-    ll = _gamma_loglik(deltas, out_alpha[:, None] * d + hole, theta[:, None], mask)
+    ll = _gamma_loglik(deltas, out_alpha[:, None] * d + hole, theta[:, None], mask, log_x)
     return out_alpha, theta, ll, iterations, converged, out_slope
-
-
-def _time_transform_slope(t0, t1, beta) -> np.ndarray:
-    """The time-transform increments' derivatives in the exponent,
-    dd_j/dbeta = t1_j^beta ln t1_j - t0_j^beta ln t0_j, where t^beta ln t is
-    0 at t = 0 (and, unused by any fit, at t < 0)."""
-    t0, t1 = (np.asarray(t, dtype=float) for t in (t0, t1))
-    log_t0, log_t1 = (np.log(t, out=np.zeros_like(t), where=t > 0) for t in (t0, t1))
-    return t1**beta * log_t1 - t0**beta * log_t0
 
 
 def _warm_start(betas: np.ndarray, known_b: list, known_a: list) -> np.ndarray:
@@ -605,30 +675,37 @@ def _warm_start(betas: np.ndarray, known_b: list, known_a: list) -> np.ndarray:
     return start
 
 
-def _nonhomog_gamma_rows(deltas, t0, t1, mask) -> list:
-    problems = _problems(mask)
+def _nonhomog_gamma_rows(series: _SeriesTerms, mask) -> list:
+    n, problems = series.deltas.size, _problems(mask)
     # Per problem, each exponent solved so far -> its row's (shape rate,
     # scale, loglik, iterations, converged, slope in beta).
     solved = [{} for _ in range(problems)]
+    # Above PROFILE_BLOCK // 2 increments, a whole-series search asks for
+    # beta = 1 alone first: that row is the homogeneous fit's solve, made once
+    # per series for both fits.
+    shared = mask is None and _block_rows(n) == 1
 
     def profile(rows: np.ndarray, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # shape varies smoothly with the exponent: start each row from its own
-        # problem's rows solved so far
-        init = np.full(betas.size, math.nan)
-        for p in set(rows.tolist()):
-            known = solved[p]
-            if known:
-                at = rows == p
-                init[at] = _warm_start(betas[at], list(known), [r[0] for r in known.values()])
-        out = _gamma_profile_rows(deltas, t0, t1, betas, init, _take(mask, rows))
+        if shared and not solved[0] and betas.tolist() == [1.0]:
+            out = series.homog_gamma[1]
+        else:
+            # shape varies smoothly with the exponent: start each row from its
+            # own problem's rows solved so far
+            init = np.full(betas.size, math.nan)
+            for p in set(rows.tolist()):
+                known = solved[p]
+                if known:
+                    at = rows == p
+                    init[at] = _warm_start(betas[at], list(known), [r[0] for r in known.values()])
+            out = _gamma_profile_rows(series, betas, init, _take(mask, rows))
         for p, b, *row in zip(rows.tolist(), betas.tolist(), *(v.tolist() for v in out)):
             solved[p][b] = row
         return out[2], out[5]
 
     # Every 4th grid exponent, with 0.2, 1 and 5: the unimodal profile's
     # slope changes sign once between two of them.
-    searches = [_slope_search(_BETA_GRID[::4], deltas.size) for _ in range(problems)]
-    beta = _profile_beta(profile, searches, deltas.size)
+    searches = [_slope_search(_BETA_GRID[::4], n) for _ in range(problems)]
+    beta = _profile_beta(profile, searches, n)
     # The fit at each maximizer, or at beta = 1 for a failed search, is a row
     # the search solved: a missing one is a KeyError, not a fresh solve.
     fits = [solved[p][b] for p, b in enumerate(_solved(beta).tolist())]
@@ -643,7 +720,7 @@ def _nonhomog_gamma_rows(deltas, t0, t1, mask) -> list:
 
 # Per (family, trend): the fitter's name, its fewest increments, and the
 # function that fits each row of a training mask (None: the whole series)
-# to increments over the intervals (t0, t1].
+# to a series' increments.
 _ROW_FITTERS = {
     (Family.WIENER, Trend.LINEAR): ("linear Wiener", 3, _linear_wiener_rows),
     (Family.WIENER, Trend.NONLINEAR): ("nonlinear Wiener", 4, _nonlinear_wiener_rows),
@@ -678,7 +755,7 @@ def _stamp_error(key: tuple[Family, Trend], t0) -> Optional[FitError]:
 
 def _fit_series(key: tuple[Family, Trend], inc: IncrementSeries) -> FitResult:
     x, t0, t1 = inc.arrays
-    out = _training_error(key, x, t0, t1) or _ROW_FITTERS[key][2](x, t0, t1, None)[0]
+    out = _training_error(key, x, t0, t1) or _ROW_FITTERS[key][2](inc._terms, None)[0]
     if isinstance(out, FitError):
         raise out
     return out
@@ -756,7 +833,7 @@ def fit_folds(model: CandidateModel, inc: IncrementSeries, bounds: np.ndarray) -
     if any(checks):
         outcomes = checks
     else:
-        outcomes = _ROW_FITTERS[key][2](x, t0, t1, train.astype(float))
+        outcomes = _ROW_FITTERS[key][2](inc._terms, train.astype(float))
     for f, out in enumerate(outcomes):
         if isinstance(out, FitError):
             raise type(out)(f"fold {f + 1}: {out}")

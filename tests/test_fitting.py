@@ -17,8 +17,10 @@ from scipy.stats import norm
 
 from degselect.fitting import (
     _BETA_GRID,
+    _SeriesTerms,
     BETA_BOUNDS,
     BETA_TOL,
+    PROFILE_BLOCK,
     SHAPE_MAX,
     SHAPE_MIN,
     VARIANCE_FLOOR,
@@ -427,9 +429,9 @@ class TestProfileProperties:
         x = np.asarray(deltas)
         t = np.arange(x.size + 1.0)
         rows = _gamma_profile_rows if gamma else _wiener_profile_rows
-        batched = rows(x, t[:-1], t[1:], _BETA_GRID)[2]  # profile log-likelihoods
+        batched = rows(_SeriesTerms(x, t[:-1], t[1:]), _BETA_GRID)[2]  # profile log-likelihoods
         for beta, ll in zip(_BETA_GRID, batched):
-            single = rows(x, t[:-1], t[1:], np.array([beta]))[2][0]
+            single = rows(_SeriesTerms(x, t[:-1], t[1:]), np.array([beta]))[2][0]
             assert abs(ll - single) <= 1e-10 * max(1.0, abs(single)), (beta, ll, single)
 
     @settings(max_examples=40, deadline=None)
@@ -712,7 +714,7 @@ class TestInspectionIntervals:
         with pytest.raises(FitError, match="zero-dispersion"):
             fit_nonhomog_gamma(inc)
         # Equal increments over unequal intervals are dispersed.
-        spread = replace(inc, deltas=(0.3,) * 40)
+        spread = IncrementSeries((0.3,) * 40, inc.starts, inc.ends)
         assert fit_homog_gamma(spread).converged
         assert fit_nonhomog_gamma(spread).converged
 
@@ -858,9 +860,10 @@ class TestLockstepRefinement:
         _, train = fold_training_mask(x.size, folds)
         rows = _gamma_profile_rows if gamma else _wiener_profile_rows
         kw = {"init": None} if gamma else {}
-        masked = rows(x, t0, t1, np.full(folds, beta), mask=train.astype(float), **kw)[2]
+        terms = _SeriesTerms(x, t0, t1)
+        masked = rows(terms, np.full(folds, beta), mask=train.astype(float), **kw)[2]
         for ll, keep in zip(masked, train):
-            single = rows(x[keep], t0[keep], t1[keep], np.array([beta]))[2][0]
+            single = rows(_SeriesTerms(x[keep], t0[keep], t1[keep]), np.array([beta]))[2][0]
             assert abs(ll - single) <= 1e-10 * max(1.0, abs(single)), (ll, single)
 
 
@@ -994,9 +997,10 @@ class TestProfileSlope:
         rows = 1 if mask is None else mask.shape[0]
         for beta in betas:
             at, h = np.full(rows, beta), 1e-5 * beta
-            slope = _gamma_profile_rows(x, t0, t1, at, None, mask)[5]
+            slope = _gamma_profile_rows(_SeriesTerms(x, t0, t1), at, None, mask)[5]
             up, down = (
-                _gamma_profile_rows(x, t0, t1, b, None, mask)[2] for b in (at + h, at - h)
+                _gamma_profile_rows(_SeriesTerms(x, t0, t1), b, None, mask)[2]
+                for b in (at + h, at - h)
             )
             central = (up - down) / (2.0 * h)
             gap = np.abs(slope - central)
@@ -1053,7 +1057,9 @@ class TestShapeRateSolve:
             mask, betas = None, np.array([beta])
         init = np.full(betas.size, shape * math.exp(start))
         _, ref_ll, rounding, ref_conv = alpha_step_profile_rows(deltas, steps, betas, init, mask)
-        _, _, ll, _, conv, _ = _gamma_profile_rows(deltas, steps - 1.0, steps, betas, init, mask)
+        _, _, ll, _, conv, _ = _gamma_profile_rows(
+            _SeriesTerms(deltas, steps - 1.0, steps), betas, init, mask
+        )
         assert conv.tolist() == ref_conv.tolist()
         slack = 1e-9 * np.maximum(1.0, np.abs(ref_ll)) + rounding
         assert np.all(ll >= ref_ll - slack), (ll, ref_ll, rounding)
@@ -1120,7 +1126,7 @@ class TestSecantSteps:
             deltas, steps, betas, init, mask
         )
         alpha, _, ll, _, conv, _ = _gamma_profile_rows(
-            deltas, steps - 1.0, steps, betas, init, mask
+            _SeriesTerms(deltas, steps - 1.0, steps), betas, init, mask
         )
         assert conv.tolist() == ref_conv.tolist()
         gap = np.abs(alpha - ref_alpha)
@@ -1210,13 +1216,14 @@ class TestSecantSteps:
                 c = deltas.sum() / sum_d
                 return (sum_dlog - sum_d * np.log(c / a) - (d * psi(a * d)).sum(axis=1))[0]
 
-            root = _gamma_profile_rows(deltas, np.zeros(n), np.ones(n), np.ones(1))[0][0]
+            unit = _SeriesTerms(deltas, np.zeros(n), np.ones(n))
+            root = _gamma_profile_rows(unit, np.ones(1))[0][0]
             near = (root + k * math.ulp(root) for k in range(-8, 9))
             starts = [math.nan, 1e-3, 1e3] + [a for a in near if score(a) == 0.0][:1]
             for start in starts:
                 iterates.clear()
                 alpha, _, _, its, conv, _ = _gamma_profile_rows(
-                    deltas, np.zeros(n), np.ones(n), np.ones(1), np.array([start])
+                    unit, np.ones(1), np.array([start])
                 )
                 for it, a in enumerate(iterates, 1):
                     if score(a) == 0.0:
@@ -1273,7 +1280,7 @@ def positive_shape_series(draw):
     """``conftest.shape_paths`` made positive: each increment |delta| + 1e-3,
     over the path's own unit or irregular intervals from its own start."""
     inc = increments(draw(shape_paths()))
-    return replace(inc, deltas=tuple((np.abs(inc.arrays[0]) + 1e-3).tolist()))
+    return IncrementSeries(np.abs(inc.arrays[0]) + 1e-3, inc.starts, inc.ends)
 
 
 gamma_search_inputs = st.one_of(positive_increments.map(series), positive_shape_series())
@@ -1282,7 +1289,7 @@ gamma_search_inputs = st.one_of(positive_increments.map(series), positive_shape_
 def gamma_profile_on(inc, betas):
     """The non-homogeneous gamma profile log-likelihoods of ``inc`` at
     ``betas``, each solved from its moment start; -inf where not finite."""
-    ll = _gamma_profile_rows(*inc.arrays, np.atleast_1d(betas))[2]
+    ll = _gamma_profile_rows(_SeriesTerms(*inc.arrays), np.atleast_1d(betas))[2]
     return np.where(np.isfinite(ll), ll, -np.inf)
 
 
@@ -1366,7 +1373,7 @@ class TestSearchRowsAreReused:
         solve, solved = fitting._gamma_profile_rows, []
 
         def recorded(*args):
-            betas, mask = args[3], args[5]
+            betas, mask = args[1], args[3]
             for r, b in enumerate(betas.tolist()):
                 solved.append((None if mask is None else mask[r].tobytes(), b))
             return solve(*args)
@@ -1408,6 +1415,221 @@ class TestSearchRowsAreReused:
             fit = fit_nonhomog_gamma(inc)
             got = loglik(model, fit.params, inc)
             assert abs(got - fit.loglik) <= 1e-12 * abs(fit.loglik), (got, fit.loglik)
+
+
+def interval_slope(t0, t1, beta):
+    """d'_j = t1_j^beta ln t1_j - t0_j^beta ln t0_j from each interval's own
+    ends, with ln t = 0 at t <= 0: as the kernels took it on every call
+    before ``_SeriesTerms``."""
+    log_t0, log_t1 = (np.log(t, out=np.zeros_like(t), where=t > 0) for t in (t0, t1))
+    return t1**beta * log_t1 - t0**beta * log_t0
+
+
+class IntervalTerms(_SeriesTerms):
+    """``_SeriesTerms`` whose d and d' are taken per interval on each call,
+    four powers per row: the kernels' path before the stamps' powers."""
+
+    def transform(self, betas, slope=False):
+        d = time_transform(self.t0, self.t1, betas[:, None])
+        return (d, interval_slope(self.t0, self.t1, betas[:, None])) if slope else d
+
+
+def stamp_cases():
+    """(name, deltas, starts, ends) of 400 positive increments over unit,
+    irregular, halved and gapped intervals, from a stamp at 0 or after it."""
+    rng = np.random.default_rng(21)
+    n = 400
+    x = rng.gamma(0.8, 0.5, n)
+    unit = np.arange(n + 1.0)
+    irregular = 0.3 + np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 4.0, n))])
+    keep = np.arange(n) % 3 != 1  # every third interval dropped: a gap before the next
+    for name, t in (("unit", unit + 1.0), ("irregular", irregular), ("halved", unit / 2.0)):
+        yield name, x, t[:-1], t[1:]
+    yield "from 0", x, unit[:-1], unit[1:]
+    yield "gapped", x[keep], irregular[:-1][keep], irregular[1:][keep]
+    yield "gapped from 0", x[keep], unit[:-1][keep], unit[1:][keep]
+
+
+STAMP_CASES = list(stamp_cases())
+TRANSFORM_BETAS = np.concatenate([_BETA_GRID, [0.37, 1.0, 2.2, 4.99]])
+
+
+class TestSeriesTerms:
+    """The kernels take t^beta once per stamp and row, and every kernel
+    output is bit for bit what the per-interval formulas give."""
+
+    @pytest.mark.parametrize("name,x,t0,t1", STAMP_CASES, ids=[c[0] for c in STAMP_CASES])
+    def test_d_and_its_slope_equal_the_interval_formulas_bitwise(self, name, x, t0, t1):
+        terms = _SeriesTerms(x, t0, t1)
+        if not name.startswith("gapped"):  # abutting: each stamp once
+            assert np.array_equal(terms.stamps, np.concatenate([t0[:1], t1]))
+        for betas in (TRANSFORM_BETAS, np.array([1.0]), np.array([2.2])):
+            d, slope = terms.transform(betas, slope=True)
+            assert np.array_equal(d, time_transform(t0, t1, betas[:, None]))
+            assert np.array_equal(slope, interval_slope(t0, t1, betas[:, None]))
+            assert np.array_equal(terms.transform(betas), d)
+
+    @pytest.mark.parametrize("name,x,t0,t1", STAMP_CASES, ids=[c[0] for c in STAMP_CASES])
+    def test_d_is_c_contiguous(self, name, x, t0, t1):
+        terms = _SeriesTerms(x, t0, t1)
+        for betas in (TRANSFORM_BETAS, np.array([1.0])):
+            for d in (terms.transform(betas), *terms.transform(betas, slope=True)):
+                assert d.flags.c_contiguous
+
+    @pytest.mark.parametrize("name,x,t0,t1", STAMP_CASES, ids=[c[0] for c in STAMP_CASES])
+    @pytest.mark.parametrize("gamma", [True, False], ids=["gamma", "wiener"])
+    def test_kernels_equal_the_interval_path_bitwise(self, name, x, t0, t1, gamma):
+        kernel = _gamma_profile_rows if gamma else _wiener_profile_rows
+        ours, theirs = _SeriesTerms(x, t0, t1), IntervalTerms(x, t0, t1)
+        mask = fold_training_mask(x.size, 5)[1].astype(float)
+        # whole rows at every exponent, then masked fold rows
+        runs = ((TRANSFORM_BETAS, None), (np.full(5, 0.7), mask), (np.full(5, 3.1), mask))
+        for betas, rows in runs:
+            got, want = kernel(ours, betas, mask=rows), kernel(theirs, betas, mask=rows)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), name
+
+    @pytest.mark.parametrize(
+        "kind,n",
+        [
+            (SimKind.NONHOMOG_GAMMA, 300),
+            (SimKind.NONHOMOG_GAMMA, 5000),
+            (SimKind.NONLINEAR_WIENER, 300),
+        ],
+    )
+    def test_each_kernel_row_takes_one_power_per_stamp(self, monkeypatch, kind, n):
+        import degselect.fitting as fitting
+
+        powers, rows, unit_powers = [], [], []
+
+        class CountingStamps(np.ndarray):
+            def __pow__(self, beta):
+                out = np.power(self.view(np.ndarray), beta)
+                powers.append(out.size)
+                return out
+
+        def counted(kernel):
+            def wrapped(series, betas, *args, **kwargs):
+                rows.append(betas.size)
+                return kernel(series, betas, *args, **kwargs)
+
+            return wrapped
+
+        def transform(starts, ends, beta):
+            unit_powers.append(beta)
+            return time_transform(starts, ends, beta)
+
+        for name in ("_gamma_profile_rows", "_wiener_profile_rows"):
+            monkeypatch.setattr(fitting, name, counted(getattr(fitting, name)))
+        monkeypatch.setattr(fitting, "time_transform", transform)
+        inc = long_run(kind, seed=4, n=n)
+        inc._terms.stamps = inc._terms.stamps.view(CountingStamps)
+        gamma = kind is SimKind.NONHOMOG_GAMMA
+        for fitter in (fit_homog_gamma, fit_nonhomog_gamma) if gamma else (fit_nonlinear_wiener,):
+            fitter(inc)
+        assert rows and powers == [r * (n + 1) for r in rows]
+        assert set(unit_powers) <= {1.0}  # only the exponent-1 interval lengths, not per row
+
+
+# The shape-rate solves of one non-homogeneous gamma fit of ``long_run(kind,
+# seed=4, n=n)``, as counted at commit 15b2623, before the two gamma fits
+# shared their exponent-1 solve: (kind, n) -> solves.
+PARENT_NONHOMOG_SOLVES = {
+    (SimKind.HOMOG_GAMMA, 2000): 6,
+    (SimKind.NONHOMOG_GAMMA, 2000): 7,
+    (SimKind.HOMOG_GAMMA, 5000): 7,
+    (SimKind.NONHOMOG_GAMMA, 5000): 8,
+}
+
+
+class TestOneUnitExponentSolvePerSeries:
+    """Above PROFILE_BLOCK // 2 increments, the whole-series non-homogeneous
+    gamma search asks for beta = 1 alone first; that row is the homogeneous
+    fit's own solve, made once per series by whichever gamma fit runs first."""
+
+    KINDS = (SimKind.HOMOG_GAMMA, SimKind.NONHOMOG_GAMMA)
+
+    @staticmethod
+    def count_solves(monkeypatch) -> list:
+        import degselect.fitting as fitting
+
+        solve, calls = fitting._gamma_profile_rows, []
+        monkeypatch.setattr(
+            fitting, "_gamma_profile_rows", lambda *a: calls.append(a[1].size) or solve(*a)
+        )
+        return calls
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_either_order_and_a_fresh_series_give_equal_fits(self, kind):
+        assert 5000 > PROFILE_BLOCK // 2
+        first = long_run(kind, seed=4, n=5000)
+        homog, non = fit_homog_gamma(first), fit_nonhomog_gamma(first)
+        second = long_run(kind, seed=4, n=5000)
+        non_first = fit_nonhomog_gamma(second)
+        assert (fit_homog_gamma(second), non_first) == (homog, non)
+        assert fit_nonhomog_gamma(long_run(kind, seed=4, n=5000)) == non
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [2000, 5000])
+    def test_after_the_homogeneous_fit_one_solve_fewer_above_half_a_block(
+        self, monkeypatch, kind, n
+    ):
+        calls = self.count_solves(monkeypatch)
+        fit_nonhomog_gamma(long_run(kind, seed=4, n=n))
+        fresh = len(calls)
+        inc = long_run(kind, seed=4, n=n)
+        fit_homog_gamma(inc)
+        calls.clear()
+        fit_nonhomog_gamma(inc)
+        shared = 1 if n > PROFILE_BLOCK // 2 else 0
+        assert fresh == PARENT_NONHOMOG_SOLVES[kind, n]
+        assert len(calls) == fresh - shared
+
+    # The 2k-step fits, bit for bit as at commit 15b2623 (numpy 2.4.6, scipy
+    # 1.17.1): (alpha, theta, beta or None, loglik, iterations) as float.hex.
+    PARENT_2K_FITS = {
+        (SimKind.HOMOG_GAMMA, "homog"): (
+            "0x1.7d6d14eb0891fp+2", "0x1.58adc58bdfcf5p-4", None, "0x1.bc0a0bd0a24f4p+8", 3
+        ),
+        (SimKind.HOMOG_GAMMA, "nonhomog"): (
+            "0x1.5c6e0eafe6891p+2", "0x1.58592d41cf0d9p-4", "0x1.031466ac9443dp+0",
+            "0x1.bcf8d52e7daa5p+8", 2,
+        ),
+        (SimKind.NONHOMOG_GAMMA, "homog"): (
+            "0x1.11d1784c5393bp+2", "0x1.0c184eb1da014p-1", None, "-0x1.620ac51185507p+11", 3
+        ),
+        (SimKind.NONHOMOG_GAMMA, "nonhomog"): (
+            "0x1.2071823efa114p-1", "0x1.5756f57e2ae62p-4", "0x1.81fcdd72eab64p+0",
+            "-0x1.0317097f0c348p+10", 2,
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_2k_step_series_shares_nothing_and_fits_as_before(self, kind):
+        for order in (("homog", "nonhomog"), ("nonhomog", "homog")):
+            inc = long_run(kind, seed=4, n=2000)
+            for which in order:
+                fit = (fit_homog_gamma if which == "homog" else fit_nonhomog_gamma)(inc)
+                alpha, theta, beta, ll, iterations = self.PARENT_2K_FITS[kind, which]
+                got = (fit.params["alpha"], fit.params["theta"], fit.params.get("beta"), fit.loglik)
+                want = (alpha, theta, beta, ll)
+                assert tuple(None if v is None else v.hex() for v in got) == want
+                assert (fit.converged, fit.iterations) == (True, iterations)
+
+    @pytest.mark.parametrize(
+        "kind,parent", [(SimKind.HOMOG_GAMMA, 7), (SimKind.NONHOMOG_GAMMA, 10)]
+    )
+    def test_a_10k_step_trend_decision_makes_one_solve_fewer(self, monkeypatch, kind, parent):
+        # ``parent``: the decision's shape-rate solves at commit 15b2623.
+        from degselect.decisions import Observation
+        from degselect.model_space import Hierarchy
+
+        traj = generate(
+            default_params(kind, seed=1, max_steps=10_000, failure_threshold=math.inf)
+        ).trajectory
+        obs = Observation.of(traj)
+        calls = self.count_solves(monkeypatch)
+        obs.heuristic(Hierarchy.TREND)
+        assert len(calls) == parent - 1
 
 
 def test_profile_fits_leave_scipy_optimize_unimported():

@@ -1,4 +1,7 @@
+import gc
 import json
+import math
+import types
 from collections import Counter
 from contextlib import ExitStack, contextmanager
 from dataclasses import replace
@@ -337,6 +340,23 @@ def integer_time_paths(draw):
     return Trajectory("u", tuple(float(t) for t in range(n + 1)), tuple(map(float, values)))
 
 
+def reachable_arrays(root) -> list:
+    """The ndarrays reachable from ``root`` through containers, instances and
+    exceptions; classes, modules and functions are not followed."""
+    seen, todo, found = set(), [root], []
+    opaque = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, opaque):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        else:
+            todo.extend(gc.get_referents(obj))
+    return found
+
+
 class TestSinglePass:
     def test_one_nonhomog_gamma_fit_per_inference(self, bank):
         traj = make_path(SimKind.HOMOG_GAMMA, seed=11, n_percent=70)
@@ -387,6 +407,27 @@ class TestSinglePass:
         assert out.fits.traj is traj
         assert not counts  # every retained model's fit was made by the inference
         assert "inc" not in vars(out.fits)  # a kept result holds no copy of the data
+
+    @pytest.mark.parametrize(
+        "kind,steps",
+        [
+            (SimKind.HOMOG_GAMMA, None),
+            (SimKind.LINEAR_WIENER, None),
+            (SimKind.NONHOMOG_GAMMA, 10_000),
+        ],
+    )
+    def test_kept_fits_and_trajectory_reach_no_series_array(self, bank, kind, steps):
+        # Seed 8 at 50% scores the trend pair after fitting it; the 10k-step
+        # path shares its gamma fits' exponent-1 solve on the increments.
+        if steps is None:
+            traj = make_path(kind, seed=8, n_percent=50)
+        else:
+            params = default_params(kind, seed=1, max_steps=steps, failure_threshold=math.inf)
+            traj = generate(params).trajectory
+        out = run_inference(InferenceInput.for_case(Case.CASE2, traj), bank)
+        sizes = {len(traj), len(traj) - 1}
+        assert not [a.shape for a in reachable_arrays(vars(out.fits)) if a.size in sizes]
+        assert not [k for k, v in vars(traj).items() if isinstance(v, np.ndarray)]
 
     @settings(max_examples=40, deadline=None)
     @given(traj=integer_time_paths(), contrary=st.booleans())
