@@ -9,12 +9,14 @@ stamps and their logarithms, and the increments' logarithms; a kernel row
 takes t^beta once per stamp.  The linear fits are these kernels at the
 fixed exponent 1, where d_j = t_j - t_{j-1}.  The two nonlinear fits
 profile the exponent on [0.2, 5], evaluated as row blocks of
-one exponents-by-increments array, from a grid that holds 1.  The Wiener
-fit, whose profile may have several maxima, evaluates all 25 grid points and
-refines the best by Brent's method on the values.  The gamma kernel also
-returns the profile's slope in the exponent, so the gamma fit walks every 4th
-grid point out from 1 in the direction of the slope, stops at the first sign
-change, and finds the slope's zero there by Brent's zero finder.  Each fitter
+one exponents-by-increments array, from a grid that holds 1.  Both kernels
+return the profile's slope in the exponent with its value, and both fits
+find the exponent at a zero of that slope by Brent's zero finder, in a grid
+interval over which the slope changes sign.  The Wiener fit, whose profile
+may have several maxima, evaluates all 25 grid points and takes the interval
+beside the best (searched as a finer grid where the slope does not change
+sign over it); the gamma fit walks every 4th grid point out from 1 in the
+direction of the slope and takes the first sign change.  Each fitter
 also fits several training subsets of one series at once, as rows of a mask
 over its increments; ``fit_folds`` fits the cross-validation folds so, every
 fold's search in lockstep with the others.
@@ -43,6 +45,9 @@ from typing import Callable, Generator, Mapping, Optional
 import numpy as np
 from scipy.special import gammaln, psi
 
+from .model_space import CandidateModel, Family, Trend
+from .simulate import Trajectory, time_transform
+
 
 def _trigamma(x: np.ndarray) -> np.ndarray:
     """Vectorized trigamma via six recurrence steps + asymptotic series.
@@ -69,8 +74,6 @@ def _trigamma(x: np.ndarray) -> np.ndarray:
         * (0.5 + inv * (1.0 / 6.0 + inv2 * (-1.0 / 30.0 + inv2 * (1.0 / 42.0 - inv2 / 30.0))))
     )
 
-from .model_space import CandidateModel, Family, Trend
-from .simulate import Trajectory, time_transform
 
 NEG_INF = float("-inf")
 
@@ -151,8 +154,8 @@ class _SeriesTerms:
     exponent d'_j = t1_j^beta ln t1_j - t0_j^beta ln t0_j are differences of
     the stamps' t^beta and t^beta ln t (``transform``).  ln t is 0 at t <= 0,
     so t^beta ln t is 0 at t = 0 (and, unused by any fit, at t < 0).  ln t
-    and ln x are taken at their first use: only gamma fits, on positive
-    increments, read them.
+    and ln x are taken at their first use: every kernel row reads ln t, and
+    only gamma fits, on positive increments, read ln x.
     """
 
     def __init__(self, deltas: np.ndarray, t0: np.ndarray, t1: np.ndarray) -> None:
@@ -211,60 +214,6 @@ def _block_rows(n: int) -> int:
     return max(1, PROFILE_BLOCK // n)
 
 
-def _brent_max(a: float, b: float, tol: float) -> Generator[float, float, None]:
-    """Search for the maximizer of a function on [a, b] by Brent's method.
-
-    Parabolic steps through the three best points, with a golden-section step
-    whenever the parabola is unsafe (Brent 1973, ch. 5); stops when the
-    maximizer is located to within ``tol``.  A coroutine: it yields each
-    abscissa to evaluate and is sent the function's value there.
-    """
-    golden = 0.5 * (3.0 - math.sqrt(5.0))
-    x = w = v = a + golden * (b - a)
-    fx = fw = fv = -(yield x)
-    d = e = 0.0
-    while True:
-        mid = 0.5 * (a + b)
-        tol1 = 1.5e-8 * abs(x) + tol / 3.0
-        tol2 = 2.0 * tol1
-        if abs(x - mid) <= tol2 - 0.5 * (b - a):
-            return
-        parabolic = False
-        if abs(e) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
-                e, d = d, p / q
-                parabolic = True
-                if (x + d) - a < tol2 or b - (x + d) < tol2:
-                    d = tol1 if x <= mid else -tol1
-        if not parabolic:
-            e = (a if x >= mid else b) - x
-            d = golden * e
-        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        fu = -(yield u)
-        if fu <= fx:
-            if u < x:
-                b = x
-            else:
-                a = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-
-
 def _brent_zero(
     a: float, b: float, fa: float, fb: float, tol: float
 ) -> Generator[float, float, None]:
@@ -312,32 +261,42 @@ def _brent_zero(
             d = e = b - a
 
 
-def _one_at_a_time(search: Generator[float, float, None], field: int):
+def _one_at_a_time(search: Generator[float, float, None]):
     """Run a search that asks for one abscissa at a time as a profile search,
-    sending it output ``field`` of the profile at each."""
+    sending it the profile's slope at each."""
     x = next(search)
     while True:
         out = yield np.array([x])
         try:
-            x = search.send(float(out[field][0]))
+            x = search.send(float(out[1][0]))
         except StopIteration:
             return
 
 
 def _grid_search(grid: np.ndarray, known: Optional[dict] = None):
     """Profile search: every exponent of ``grid`` not in ``known`` (exponent ->
-    profile log-likelihood), then Brent's method between the grid neighbours
-    of the best."""
-    ll = dict(known or {})
-    ask = np.array([b for b in grid.tolist() if b not in ll])
+    profile log-likelihood and slope), then Brent's zero finder on the slope
+    in the grid interval the slope at the best exponent points into, where
+    the slope changes sign over it.  Where it does not, the profile rises
+    from the best exponent into an interval whose far end is no higher, so a
+    maximum lies inside: that interval is searched in turn, as a grid of 5
+    exponents, down to ``BETA_TOL``.  Where the slope at the best is 0 or
+    NaN, or points out of ``grid``, the best grid exponent stands."""
+    got = dict(known or {})
+    ask = np.array([b for b in grid.tolist() if b not in got])
     if ask.size:
         out = yield ask
-        ll.update(zip(ask.tolist(), out[0].tolist()))
-    vals = np.array([ll[b] for b in grid.tolist()])
+        got.update(zip(ask.tolist(), zip(out[0].tolist(), out[1].tolist())))
+    vals, slope = np.array([got[b] for b in grid.tolist()]).T
     i = int(vals.argmax())
-    if vals[i] > NEG_INF:
-        bracket = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
-        yield from _one_at_a_time(_brent_max(*bracket, BETA_TOL), 0)
+    step = 1 if slope[i] > 0.0 else -1
+    j = i + step
+    if not (vals[i] > NEG_INF and 0 <= j < grid.size and slope[i] * step > 0.0):
+        return
+    if slope[j] * step < 0.0:
+        yield from _one_at_a_time(_brent_zero(grid[i], grid[j], slope[i], slope[j], BETA_TOL))
+    elif slope[j] * step >= 0.0 and abs(grid[j] - grid[i]) > BETA_TOL:  # not NaN
+        yield from _grid_search(np.linspace(*sorted((grid[i], grid[j])), 5), got)
 
 
 def _slope_search(grid: np.ndarray, n: int):
@@ -349,8 +308,7 @@ def _slope_search(grid: np.ndarray, n: int):
     interval over which the slope changes sign; then Brent's zero finder on
     the slope in that interval.  The walk ends at a grid bound the profile
     still rises to.  Where an exponent of the walk has a non-finite value or
-    slope, the rest of the grid and Brent's method on the values take over
-    (``_grid_search``).
+    slope, the rest of the grid takes over (``_grid_search``).
     """
     one = int(np.flatnonzero(grid == 1.0)[0])
     per_block = _block_rows(n)
@@ -367,8 +325,7 @@ def _slope_search(grid: np.ndarray, n: int):
     i = one
     while slope[i] != 0.0:
         if not (ll[i] > NEG_INF and math.isfinite(slope[i])):
-            known = {grid[k]: v for k, v in ll.items()}
-            yield from _grid_search(grid, known)
+            yield from _grid_search(grid, {grid[k]: (ll[k], slope[k]) for k in ll})
             return
         j = i + step
         if not 0 <= j < grid.size:
@@ -377,8 +334,7 @@ def _slope_search(grid: np.ndarray, n: int):
             ahead = range(j, j + step * per_block, step)
             yield from evaluate([k for k in ahead if 0 <= k < grid.size])
         if slope[j] * step < 0.0:
-            root = _brent_zero(grid[i], grid[j], slope[i], slope[j], BETA_TOL)
-            yield from _one_at_a_time(root, 1)
+            yield from _one_at_a_time(_brent_zero(grid[i], grid[j], slope[i], slope[j], BETA_TOL))
             return
         i = j
 
@@ -389,12 +345,13 @@ def _profile_beta(profile: Callable, searches: list, n: int) -> np.ndarray:
     A search is a coroutine: it yields an array of exponents to evaluate, is
     sent the profile's outputs at them, and returns when done.
     ``profile(rows, betas)`` maps problem indices and exponents, one pair per
-    row, to a tuple of per-row outputs: the profile log-likelihoods, first,
-    and whatever else the search reads.  Each step evaluates what every
-    search still running asks for, in blocks of at most ``PROFILE_BLOCK``
-    rows x ``n`` increments.  Returns each problem's exponent of highest
-    finite profile likelihood among those evaluated (the first in a step,
-    the later on a tie between steps): NaN where none is finite.
+    row, to the two per-row outputs the search reads: the profile
+    log-likelihoods and their slopes in the exponent.  Each step evaluates
+    what every search still running asks for, in blocks of at most
+    ``PROFILE_BLOCK`` rows x ``n`` increments.  Returns each problem's
+    exponent of highest finite profile likelihood among those evaluated (the
+    first in a step, the later on a tie between steps): NaN where none is
+    finite.
     """
     per_block = _block_rows(n)
     beta, best = np.full(len(searches), math.nan), np.full(len(searches), NEG_INF)
@@ -443,13 +400,10 @@ def _take(mask: Optional[np.ndarray], rows: np.ndarray) -> Optional[np.ndarray]:
     return None if mask is None else mask[rows]
 
 
-def _normal_loglik(resid: np.ndarray, var, n=None) -> np.ndarray:
-    """Gaussian log-likelihood of each row of residuals (last axis: increments).
-
-    ``n`` counts each row's increments when held-out residuals are zeroed.
-    """
-    n = resid.shape[-1] if n is None else n
-    return -0.5 * n * np.log(2.0 * math.pi * var) - 0.5 * (resid * resid).sum(axis=-1) / var
+def _normal_loglik(sum_sq, var, n):
+    """Gaussian log-likelihood at variance ``var`` of ``n`` residuals whose
+    squares sum to ``sum_sq``."""
+    return -0.5 * n * np.log(2.0 * math.pi * var) - 0.5 * sum_sq / var
 
 
 def _profile_failure(beta: float, ll: float) -> Optional[FitError]:
@@ -466,7 +420,7 @@ def _solved(beta: np.ndarray) -> np.ndarray:
 
 
 def _linear_wiener_rows(series: _SeriesTerms, mask) -> list:
-    m_hat, s2, ll = _wiener_profile_rows(series, np.ones(_problems(mask)), mask)
+    m_hat, s2, ll, _ = _wiener_profile_rows(series, np.ones(_problems(mask)), mask)
     return [
         # The kernel floors the variance, so a row at the floor had variance
         # at or below it.
@@ -479,19 +433,25 @@ def _linear_wiener_rows(series: _SeriesTerms, mask) -> list:
 
 def _wiener_profile_rows(
     series: _SeriesTerms, betas: np.ndarray, mask: Optional[np.ndarray] = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form (drift, variance, loglik) of ``series`` at each exponent in
-    ``betas``.  ``mask`` (rows x increments, 1 = training) fits each row to
-    its own training increments.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form (drift, variance, loglik, slope in beta) of ``series`` at
+    each exponent in ``betas``.  ``mask`` (rows x increments, 1 = training)
+    fits each row to its own training increments.
+
+    By the envelope theorem the profile loglik's slope in the exponent is its
+    partial derivative at the fitted (m, s^2): m * sum_j r_j d'_j / s^2, with
+    residuals r_j = x_j - m d_j and d'_j = dd_j/dbeta.
     """
     deltas = series.deltas
-    d = _masked(series.transform(betas), mask)
+    d, d_beta = series.transform(betas, slope=True)
+    d = _masked(d, mask)
     count = _counts(deltas.size, mask)
     m_hat = (d @ deltas) / (d * d).sum(axis=1)
     resid = _masked(deltas - m_hat[:, None] * d, mask)
-    s2 = (resid * resid).sum(axis=1) / count
-    s2 = np.maximum(s2, VARIANCE_FLOOR)  # noise-free data stays scorable
-    return m_hat, s2, _normal_loglik(resid, s2, count)
+    sum_sq = (resid * resid).sum(axis=1)
+    s2 = np.maximum(sum_sq / count, VARIANCE_FLOOR)  # noise-free data stays scorable
+    slope = m_hat * np.einsum("ij,ij->i", resid, d_beta) / s2
+    return m_hat, s2, _normal_loglik(sum_sq, s2, count), slope
 
 
 def _nonlinear_wiener_rows(series: _SeriesTerms, mask) -> list:
@@ -500,7 +460,7 @@ def _nonlinear_wiener_rows(series: _SeriesTerms, mask) -> list:
         [_grid_search(_BETA_GRID) for _ in range(_problems(mask))],
         series.deltas.size,
     )
-    m_hat, s2, ll = _wiener_profile_rows(series, _solved(beta), mask)
+    m_hat, s2, ll, _ = _wiener_profile_rows(series, _solved(beta), mask)
     return [
         _profile_failure(b, l)
         or FitResult({"m": float(m), "s": math.sqrt(v), "beta": float(b)}, float(l), True, 0)
@@ -803,7 +763,8 @@ def loglik(
     if model.family is Family.WIENER:
         if "m" not in params or "s" not in params:
             raise ValueError(f"Wiener params need m and s, got {dict(params)}")
-        return float(_normal_loglik(deltas - params["m"] * d, params["s"] ** 2))
+        resid = deltas - params["m"] * d
+        return float(_normal_loglik((resid * resid).sum(), params["s"] ** 2, resid.size))
 
     if "alpha" not in params or "theta" not in params:
         raise ValueError(f"gamma params need alpha and theta, got {dict(params)}")

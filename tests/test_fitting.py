@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.special import gammaln, polygamma, psi
@@ -458,6 +458,69 @@ class TestProfileProperties:
         assert non.loglik >= lin.loglik - 1e-9
 
 
+def wiener_profile_reference(x, t0, t1, beta):
+    """The nonlinear Wiener profile log-likelihood of increments ``x`` over
+    (t0, t1] at ``beta``, from the per-interval transform: the drift and
+    variance at their closed-form maximum, the variance floored as the
+    kernel floors it."""
+    d = time_transform(t0, t1, beta)
+    resid = x - (d @ x) / (d @ d) * d
+    s2 = max(float(resid @ resid) / x.size, VARIANCE_FLOOR)
+    return float(norm.logpdf(resid, scale=math.sqrt(s2)).sum())
+
+
+def bounded_wiener_search(x, t0, t1):
+    """Reference: the Wiener profile at every grid exponent, then scipy's
+    bounded scalar search on each grid interval next to the best grid
+    exponent.  Returns the highest profile log-likelihood found."""
+    vals = [wiener_profile_reference(x, t0, t1, b) for b in _BETA_GRID]
+    k = int(np.argmax(vals))
+    best = vals[k]
+    for lo, hi in ((k - 1, k), (k, k + 1)):
+        if 0 <= lo and hi < _BETA_GRID.size:
+            res = minimize_scalar(
+                lambda b: -wiener_profile_reference(x, t0, t1, b),
+                bounds=(_BETA_GRID[lo], _BETA_GRID[hi]),
+                method="bounded",
+                options={"xatol": 1e-8},
+            )
+            best = max(best, -res.fun)
+    return best
+
+
+class TestWienerSlopeSearch:
+    """The nonlinear Wiener fit takes the zero of the profile's slope in the
+    grid interval beside the best grid exponent, searched as a finer grid
+    where the slope does not change sign over it.  Its log-likelihood is at
+    least that of a bounded search on the values of both intervals, on the
+    whole series and on each fold's training rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        deltas=st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=10, max_size=300),
+        folds=st.sampled_from([None, 2, 3, 5, 6]),
+    )
+    # The slope at the best grid exponent, 4.37, and at 5 are both positive:
+    # no sign change, but a maximum at 4.386 between them.
+    @example(
+        deltas=[0.0, 3.0, -6.0, 0.0, 3.125, 0.0, 7.3125, -9.3125, -7.0, -1.125]
+        + [0.0, 0.0, 0.0, -8.5],
+        folds=None,
+    )
+    def test_loglik_is_at_least_a_bounded_search_on_the_values(self, deltas, folds):
+        inc = series(deltas)
+        x, t0, t1 = inc.arrays
+        if folds is None:
+            fits, rows = [fit_nonlinear_wiener(inc)], [np.ones(x.size, dtype=bool)]
+        else:
+            model = next(m for m in CASE2 if m.id == "nonlinear_wiener")
+            bounds, rows = fold_training_mask(x.size, folds)
+            fits = fit_folds(model, inc, bounds)
+        for fit, keep in zip(fits, rows):
+            ref = bounded_wiener_search(x[keep], t0[keep], t1[keep])
+            assert fit.loglik >= ref - 1e-9 * max(1.0, abs(ref)), (fit, ref)
+
+
 def fold_training_mask(n, folds):
     """Training mask of contiguous folds over n increments (True = training)."""
     bounds = np.linspace(0, n, folds + 1).astype(int)
@@ -757,7 +820,8 @@ class TestInspectionIntervals:
 
 class TestLockstepRefinement:
     """One driver steps the exponent searches of many problems together: the
-    Wiener fit's grid-and-Brent search and the gamma fit's slope search."""
+    Wiener fit's full-grid search and the gamma fit's walk, each ending in
+    Brent's zero finder on the profile's slope."""
 
     SEARCHES = {
         "grid": lambda n: _grid_search(_BETA_GRID),
@@ -834,8 +898,8 @@ class TestLockstepRefinement:
     )
     def test_slope_search_without_a_slope_searches_the_values(self, peak, amp, freq, n):
         """Where the slope is not finite, the gamma search evaluates the rest
-        of its grid and refines by Brent's method on the values, as the
-        Wiener search does on the whole grid."""
+        of its grid, as the Wiener search does the whole grid; with no slope
+        to find a zero of, both return the best grid exponent."""
         grid = _BETA_GRID[::4]
 
         def profile(rows, betas):
@@ -989,31 +1053,40 @@ def newton_profile_rows(deltas, steps, betas, init, mask):
 
 
 class TestProfileSlope:
-    """With each row the gamma kernel returns the profile loglik's slope in
-    the exponent, from the digamma values of its own shape-rate solve."""
+    """With each row both kernels return the profile loglik's slope in the
+    exponent, its partial derivative at the fitted parameters (the envelope
+    theorem): the gamma kernel's from the digamma values of its own
+    shape-rate solve, the Wiener kernel's from its residuals."""
+
+    KERNELS = {
+        SimKind.HOMOG_GAMMA: _gamma_profile_rows,
+        SimKind.NONHOMOG_GAMMA: _gamma_profile_rows,
+        SimKind.LINEAR_WIENER: _wiener_profile_rows,
+        SimKind.NONLINEAR_WIENER: _wiener_profile_rows,
+    }
 
     @staticmethod
-    def assert_matches_a_central_difference(x, t0, t1, mask, betas):
+    def assert_matches_a_central_difference(kernel, x, t0, t1, mask, betas):
         rows = 1 if mask is None else mask.shape[0]
+        terms = _SeriesTerms(x, t0, t1)
         for beta in betas:
             at, h = np.full(rows, beta), 1e-5 * beta
-            slope = _gamma_profile_rows(_SeriesTerms(x, t0, t1), at, None, mask)[5]
-            up, down = (
-                _gamma_profile_rows(_SeriesTerms(x, t0, t1), b, None, mask)[2]
-                for b in (at + h, at - h)
-            )
+            slope = kernel(terms, at, mask=mask)[-1]  # the last output of both kernels
+            up, down = (kernel(terms, b, mask=mask)[2] for b in (at + h, at - h))
             central = (up - down) / (2.0 * h)
             gap = np.abs(slope - central)
             assert np.all(gap <= 1e-5 * np.maximum(1.0, np.abs(central))), (beta, slope, central)
 
-    @pytest.mark.parametrize("kind", [SimKind.HOMOG_GAMMA, SimKind.NONHOMOG_GAMMA])
+    @pytest.mark.parametrize("kind", list(KERNELS))
     @pytest.mark.parametrize("n", [40, 300, 2000])
     @pytest.mark.parametrize("folds", [False, True], ids=["whole", "masked"])
     @pytest.mark.parametrize("start", [0.0, 3.5])  # t^beta ln t is 0 at t = 0
     def test_matches_a_central_difference(self, kind, n, folds, start):
         x, t0, t1 = long_run(kind, seed=n, n=n).arrays
         mask = fold_training_mask(n, 5)[1].astype(float) if folds else None
-        self.assert_matches_a_central_difference(x, t0 + start, t1 + start, mask, _BETA_GRID[::4])
+        self.assert_matches_a_central_difference(
+            self.KERNELS[kind], x, t0 + start, t1 + start, mask, _BETA_GRID[::4]
+        )
 
     @pytest.mark.xfail(
         strict=True,
@@ -1024,7 +1097,9 @@ class TestProfileSlope:
         # Stamps in tenths: one fold row at beta = 5 solves to alpha = 1.28e-8.
         x, t0, t1 = long_run(SimKind.HOMOG_GAMMA, seed=2000, n=2000).arrays
         mask = fold_training_mask(2000, 5)[1].astype(float)
-        self.assert_matches_a_central_difference(x, 0.1 * t0, 0.1 * t1, mask, [5.0])
+        self.assert_matches_a_central_difference(
+            _gamma_profile_rows, x, 0.1 * t0, 0.1 * t1, mask, [5.0]
+        )
 
 
 class TestShapeRateSolve:

@@ -553,8 +553,11 @@ class TestPinnedAnswers:
     the grid by the profile's slope and finds the slope's zero by Brent's
     zero finder, re-recorded the 48 whose trend confidences moved (30
     ``homog_gamma`` and 18 ``nonhomog_gamma`` case-2 windows, by at most
-    6.3e-13).  Every label, final decision, retained set and pick is as
-    recorded at 256c22e."""
+    6.3e-13).  The commit after f0f725f, whose Wiener exponent search finds
+    the zero of the profile's slope, re-recorded the 56 whose trend
+    confidences moved (28 ``linear_wiener`` and 28 ``nonlinear_wiener``
+    case-2 windows, by at most 4.4e-14).  Every label, final decision,
+    retained set and pick is as recorded at 256c22e."""
 
     def test_matches_recorded_answers(self, bank):
         inputs = answer_pin_inputs()
