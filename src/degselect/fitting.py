@@ -499,12 +499,20 @@ def _homog_gamma_solve(series: _SeriesTerms, mask) -> tuple[np.ndarray, tuple]:
     return flat, _gamma_profile_rows(series, np.ones(s.size), init, mask)
 
 
+def _inside(alpha: float, converged) -> bool:
+    """Whether a solve that stopped at shape rate ``alpha`` found a root.  A
+    row whose root lies beyond SHAPE_MIN or SHAPE_MAX stops at that bound, or
+    within its step tolerance 1e-10 * max(1, alpha) of it, as if converged."""
+    tol = 1e-10 * max(1.0, alpha)
+    return bool(converged) and SHAPE_MIN + tol < alpha < SHAPE_MAX - tol
+
+
 def _homog_gamma_rows(series: _SeriesTerms, mask) -> list:
     flat, out = series.homog_gamma if mask is None else _homog_gamma_solve(series, mask)
     alpha, theta, ll, iterations, converged, _ = out
     return [
         FitResult(
-            {"alpha": float(a), "theta": float(t)}, float(l), bool(c) and not f, 0 if f else int(i)
+            {"alpha": float(a), "theta": float(t)}, float(l), _inside(a, c), 0 if f else int(i)
         )
         for a, t, l, i, c, f in zip(alpha, theta, ll, iterations, converged, flat)
     ]
@@ -672,7 +680,10 @@ def _nonhomog_gamma_rows(series: _SeriesTerms, mask) -> list:
     return [
         _profile_failure(b, l)
         or FitResult(
-            {"alpha": float(a), "theta": float(t), "beta": float(b)}, float(l), bool(c), int(i)
+            {"alpha": float(a), "theta": float(t), "beta": float(b)},
+            float(l),
+            _inside(a, c),
+            int(i),
         )
         for b, (a, t, l, i, c, _) in zip(beta, fits)
     ]
