@@ -11,12 +11,14 @@ fixed exponent 1, where d_j = t_j - t_{j-1}.  The two nonlinear fits
 profile the exponent on [0.2, 5], evaluated as row blocks of
 one exponents-by-increments array, from a grid that holds 1.  Both kernels
 return the profile's slope in the exponent with its value, and both fits
-find the exponent at a zero of that slope by Brent's zero finder, in a grid
-interval over which the slope changes sign.  The Wiener fit, whose profile
-may have several maxima, evaluates all 25 grid points and takes the interval
-beside the best (searched as a finer grid where the slope does not change
-sign over it); the gamma fit walks every 4th grid point out from 1 in the
-direction of the slope and takes the first sign change.  Each fitter
+find the exponent at a zero of that slope by one search (``_search``): from
+the best exponent evaluated, it steps the way the slope points, asking for a
+block of grid exponents at a time, to a grid interval over which the slope
+changes sign, and there runs Brent's zero finder (an interval where it does
+not is searched as a finer grid).  The fits differ only in grid and block:
+the Wiener fit, whose profile may have several maxima, evaluates all 25
+grid points at once; the gamma fit walks every 4th grid point out from 1,
+``PROFILE_BLOCK // n`` points at a time.  Each fitter
 also fits several training subsets of one series at once, as rows of a mask
 over its increments; ``fit_folds`` fits the cross-validation folds so, every
 fold's search in lockstep with the others.
@@ -273,70 +275,49 @@ def _one_at_a_time(search: Generator[float, float, None]):
             return
 
 
-def _grid_search(grid: np.ndarray, known: Optional[dict] = None):
-    """Profile search: every exponent of ``grid`` not in ``known`` (exponent ->
-    profile log-likelihood and slope), then Brent's zero finder on the slope
-    in the grid interval the slope at the best exponent points into, where
-    the slope changes sign over it.  Where it does not, the profile rises
-    from the best exponent into an interval whose far end is no higher, so a
-    maximum lies inside: that interval is searched in turn, as a grid of 5
-    exponents, down to ``BETA_TOL``.  Where the slope at the best is 0 or
-    NaN, or points out of ``grid``, the best grid exponent stands."""
+def _search(grid: np.ndarray, block: int, known: Optional[dict] = None):
+    """Profile search on ``grid``, asking for up to ``block`` exponents at a time.
+
+    ``known`` maps exponents already evaluated to their profile
+    log-likelihood and slope.  The first block is the exponents nearest the
+    grid's exponent 1 (on a finer grid, its exponent nearest 1), nearest
+    first.  Then, from the best exponent evaluated: where its value or slope
+    is not finite, the rest of the grid; else the grid interval its slope
+    points into, asking for the block from there on in that direction while
+    the far end is not evaluated.  Where the slope changes sign over the
+    interval, Brent's zero finder on the slope there.  Where it does not,
+    the profile rises from the best exponent into an interval whose far end
+    is no higher, so a maximum lies inside: that interval is searched in
+    turn, as a grid of 5 exponents, down to ``BETA_TOL``.  Where the slope
+    at the best is 0 or NaN, or points out of ``grid``, the best exponent
+    stands.
+    """
     got = dict(known or {})
-    ask = np.array([b for b in grid.tolist() if b not in got])
-    if ask.size:
-        out = yield ask
-        got.update(zip(ask.tolist(), zip(out[0].tolist(), out[1].tolist())))
-    vals, slope = np.array([got[b] for b in grid.tolist()]).T
-    i = int(vals.argmax())
-    step = 1 if slope[i] > 0.0 else -1
-    j = i + step
-    if not (vals[i] > NEG_INF and 0 <= j < grid.size and slope[i] * step > 0.0):
-        return
+    at = grid.tolist()
+    one = int(np.abs(grid - 1.0).argmin())
+    ask = sorted((k for k, b in enumerate(at) if b not in got), key=lambda k: abs(k - one))[:block]
+    while True:
+        if ask:
+            out = yield grid[ask]
+            got.update(zip((at[k] for k in ask), zip(out[0].tolist(), out[1].tolist())))
+        # An exponent not evaluated yet counts as -inf.
+        vals, slope = np.array([got.get(b, (NEG_INF, math.nan)) for b in at]).T
+        i = int(vals.argmax())
+        rest = [k for k, b in enumerate(at) if b not in got]
+        if rest and not (vals[i] > NEG_INF and math.isfinite(slope[i])):
+            ask = rest
+            continue
+        step = 1 if slope[i] > 0.0 else -1
+        j = i + step
+        if not (vals[i] > NEG_INF and 0 <= j < grid.size and slope[i] * step > 0.0):
+            return
+        if j not in rest:
+            break
+        ask = [k for k in range(j, j + step * block, step) if k in rest]
     if slope[j] * step < 0.0:
         yield from _one_at_a_time(_brent_zero(grid[i], grid[j], slope[i], slope[j], BETA_TOL))
     elif slope[j] * step >= 0.0 and abs(grid[j] - grid[i]) > BETA_TOL:  # not NaN
-        yield from _grid_search(np.linspace(*sorted((grid[i], grid[j])), 5), got)
-
-
-def _slope_search(grid: np.ndarray, n: int):
-    """Profile search on the profile's value and its slope in the exponent.
-
-    Walks ``grid`` out from its exponent 1 in the direction of the slope there,
-    asking for ``_block_rows(n)`` exponents at a time (the first block, before
-    the direction is known, the nearest on both sides), up to the first grid
-    interval over which the slope changes sign; then Brent's zero finder on
-    the slope in that interval.  The walk ends at a grid bound the profile
-    still rises to.  Where an exponent of the walk has a non-finite value or
-    slope, the rest of the grid takes over (``_grid_search``).
-    """
-    one = int(np.flatnonzero(grid == 1.0)[0])
-    per_block = _block_rows(n)
-    ll, slope = {}, {}
-
-    def evaluate(idx):
-        out = yield grid[idx]
-        for i, v, s in zip(idx, out[0].tolist(), out[1].tolist()):
-            ll[i], slope[i] = v, s
-
-    outward = sorted(range(grid.size), key=lambda i: abs(i - one))
-    yield from evaluate(outward[:per_block])
-    step = 1 if slope[one] > 0.0 else -1
-    i = one
-    while slope[i] != 0.0:
-        if not (ll[i] > NEG_INF and math.isfinite(slope[i])):
-            yield from _grid_search(grid, {grid[k]: (ll[k], slope[k]) for k in ll})
-            return
-        j = i + step
-        if not 0 <= j < grid.size:
-            return
-        if j not in ll:
-            ahead = range(j, j + step * per_block, step)
-            yield from evaluate([k for k in ahead if 0 <= k < grid.size])
-        if slope[j] * step < 0.0:
-            yield from _one_at_a_time(_brent_zero(grid[i], grid[j], slope[i], slope[j], BETA_TOL))
-            return
-        i = j
+        yield from _search(np.linspace(*sorted((grid[i], grid[j])), 5), block, got)
 
 
 def _profile_beta(profile: Callable, searches: list, n: int) -> np.ndarray:
@@ -457,7 +438,7 @@ def _wiener_profile_rows(
 def _nonlinear_wiener_rows(series: _SeriesTerms, mask) -> list:
     beta = _profile_beta(
         lambda rows, b: _wiener_profile_rows(series, b, _take(mask, rows))[2:],
-        [_grid_search(_BETA_GRID) for _ in range(_problems(mask))],
+        [_search(_BETA_GRID, _BETA_GRID.size) for _ in range(_problems(mask))],
         series.deltas.size,
     )
     m_hat, s2, ll, _ = _wiener_profile_rows(series, _solved(beta), mask)
@@ -671,8 +652,9 @@ def _nonhomog_gamma_rows(series: _SeriesTerms, mask) -> list:
         return out[2], out[5]
 
     # Every 4th grid exponent, with 0.2, 1 and 5: the unimodal profile's
-    # slope changes sign once between two of them.
-    searches = [_slope_search(_BETA_GRID[::4], n) for _ in range(problems)]
+    # slope changes sign once between two of them.  The search walks out to
+    # it from 1, as many exponents at a time as one profile block holds.
+    searches = [_search(_BETA_GRID[::4], _block_rows(n)) for _ in range(problems)]
     beta = _profile_beta(profile, searches, n)
     # The fit at each maximizer, or at beta = 1 for a failed search, is a row
     # the search solved: a missing one is a KeyError, not a fresh solve.

@@ -28,12 +28,12 @@ from degselect.fitting import (
     FitError,
     IncrementSeries,
     NonPositiveIncrementError,
+    _block_rows,
     _brent_zero,
     _gamma_loglik,
     _gamma_profile_rows,
-    _grid_search,
     _profile_beta,
-    _slope_search,
+    _search,
     _training_error,
     _trigamma,
     _warm_start,
@@ -819,13 +819,15 @@ class TestInspectionIntervals:
 
 
 class TestLockstepRefinement:
-    """One driver steps the exponent searches of many problems together: the
-    Wiener fit's full-grid search and the gamma fit's walk, each ending in
-    Brent's zero finder on the profile's slope."""
+    """``_profile_beta`` steps the exponent searches of many problems
+    together.  The one search is run as the Wiener fit runs it, on the whole
+    grid at once, and as the gamma fit does, walking every 4th grid exponent
+    a block at a time; each ends in Brent's zero finder on the profile's
+    slope."""
 
     SEARCHES = {
-        "grid": lambda n: _grid_search(_BETA_GRID),
-        "slope": lambda n: _slope_search(_BETA_GRID[::4], n),
+        "grid": lambda n: _search(_BETA_GRID, _BETA_GRID.size),
+        "walk": lambda n: _search(_BETA_GRID[::4], _block_rows(n)),
     }
 
     @settings(max_examples=40, deadline=None)
@@ -877,17 +879,22 @@ class TestLockstepRefinement:
         ],
     )
     def test_brent_zero_locates_a_sign_change_to_the_tolerance(self, f, a, b, root):
-        search, steps = _brent_zero(a, b, f(a), f(b), BETA_TOL), 0
-        x = next(search)
-        try:
-            while True:
-                steps += 1
-                assert min(a, b) < x < max(a, b)
-                x = search.send(f(x))
-        except StopIteration:
-            pass
-        assert abs(x - root) <= BETA_TOL, (x, root)
-        assert steps <= 25, steps  # bisection alone: about log2(4.8 / 1e-6) = 22
+        def iterates(a, b):
+            search, xs = _brent_zero(a, b, f(a), f(b), BETA_TOL), []
+            try:
+                x = next(search)
+                while True:
+                    xs.append(x)
+                    x = search.send(f(x))
+            except StopIteration:
+                return xs
+
+        xs = iterates(a, b)
+        assert all(min(a, b) < x < max(a, b) for x in xs)
+        assert abs(xs[-1] - root) <= BETA_TOL, (xs[-1], root)
+        assert len(xs) <= 25, xs  # bisection alone: about log2(4.8 / 1e-6) = 22
+        # The profile search enters a bracket from its higher end, either one.
+        assert iterates(b, a) == xs
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -897,17 +904,18 @@ class TestLockstepRefinement:
         n=st.sampled_from([40, 2000, 10_000]),
     )
     def test_slope_search_without_a_slope_searches_the_values(self, peak, amp, freq, n):
-        """Where the slope is not finite, the gamma search evaluates the rest
-        of its grid, as the Wiener search does the whole grid; with no slope
-        to find a zero of, both return the best grid exponent."""
+        """Where the slope is not finite, a search that walks its grid a block
+        at a time evaluates the rest of it, as a search whose first block is
+        the whole grid has; with no slope to find a zero of, both return the
+        best grid exponent."""
         grid = _BETA_GRID[::4]
 
         def profile(rows, betas):
             x = np.log(betas / peak)
             return -x * x + amp * np.cos(freq * x), np.full(betas.size, np.nan)
 
-        by_slope = _profile_beta(profile, [_slope_search(grid, n)], n)
-        by_values = _profile_beta(profile, [_grid_search(grid)], n)
+        by_slope = _profile_beta(profile, [_search(grid, _block_rows(n))], n)
+        by_values = _profile_beta(profile, [_search(grid, grid.size)], n)
         assert by_slope.tolist() == by_values.tolist()
 
     @settings(max_examples=40, deadline=None)
@@ -1402,6 +1410,26 @@ class TestGammaSubgridSearch:
             GAMMA_SUBGRID, [0.2, 0.342, 0.585, 1.0, 1.71, 2.92, 5.0], rtol=2e-3
         )
         assert (GAMMA_SUBGRID[0], GAMMA_SUBGRID[3], GAMMA_SUBGRID[-1]) == (0.2, 1.0, 5.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(peak=st.floats(0.2, 5.0), w=st.floats(1e-3, 1e3))
+    def test_every_block_size_finds_the_same_exponent(self, peak, w):
+        """On a unimodal profile -w ln^2(beta / peak) the search finds one
+        exponent, whether its first block is the whole subgrid or beta = 1
+        alone, and asks for no exponent twice."""
+        found = set()
+        for block in range(1, GAMMA_SUBGRID.size + 1):
+            asked = []
+
+            def profile(rows, betas):
+                asked.extend(betas.tolist())
+                x = np.log(betas / peak)
+                return -w * x * x, -2.0 * w * x / betas
+
+            n = PROFILE_BLOCK // block  # the series length whose block is ``block`` rows
+            found.update(_profile_beta(profile, [_search(GAMMA_SUBGRID, block)], n).tolist())
+            assert len(set(asked)) == len(asked), (block, asked)
+        assert len(found) == 1, found
 
     @settings(max_examples=100, deadline=None)
     @given(inc=gamma_search_inputs)
