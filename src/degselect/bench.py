@@ -96,7 +96,8 @@ class MethodMetrics:
     unit's fits are made once and shared, so the proposed method pays for
     its trend decision's and its scoring's fits, the first baseline
     criterion (AIC) for the other fits the baselines need, and CV for its
-    own fold fits.
+    own fold fits.  CV's non-homogeneous gamma folds start from that
+    model's whole-series fit, which AIC or the proposed method has made.
     """
 
     accuracy: float

@@ -54,13 +54,17 @@ class NoApplicableModelError(ValueError):
 class FitTable:
     """Fits of one trajectory's increments, each (family, trend) run at most once.
 
-    Calls that score the same trajectory share one table; a failed fit is
-    remembered and re-raised.
+    Calls that score the same trajectory share one table.  It holds each
+    model's whole-series fit (``fit``) and its cross-validation fold fits
+    (``folds``); a failed fit or fold batch is remembered and re-raised.
+    The non-homogeneous gamma folds start from that model's whole-series
+    fit, made first if no other call has made it.
     """
 
     def __init__(self, traj: Trajectory):
         self.traj = traj
         self._fits: dict[tuple[Family, Trend], FitResult | FitError] = {}
+        self._folds: dict[tuple[Family, Trend], list[FitResult] | FitError] = {}
 
     @cached_property
     def inc(self) -> IncrementSeries:
@@ -85,19 +89,46 @@ class FitTable:
             raise self._fits[key]
         return self._fits[key]
 
+    def folds(self, model: CandidateModel) -> list[FitResult]:
+        """The model's fit to the training increments of each of the
+        ``CV_FOLDS`` contiguous folds (``_fold_bounds``), made once."""
+        key = (model.family, model.trend)
+        if key not in self._folds:
+            try:
+                bounds = _fold_bounds(len(self.inc))
+                start = None
+                if key == (Family.GAMMA, Trend.NONLINEAR):
+                    try:
+                        start = self.fit(model)
+                    except FitError:
+                        pass  # the folds are fitted unseeded
+                self._folds[key] = fit_folds(model, self.inc, bounds, start)
+            except FitError as exc:
+                self._folds[key] = exc.with_traceback(None)
+        if isinstance(self._folds[key], FitError):
+            raise self._folds[key]
+        return self._folds[key]
 
-def _cv_score(model: CandidateModel, inc: IncrementSeries) -> float:
-    """Mean held-out negative log-likelihood over contiguous folds.
 
-    The folds are fitted as one batched problem; FitError, naming the fold,
-    when one cannot be fitted or scores a non-finite held-out likelihood.
-    """
-    n = len(inc)
+def _fold_bounds(n: int) -> np.ndarray:
+    """Fold f holds out increments ``bounds[f]:bounds[f + 1]`` of ``n``."""
     if n < 2 * CV_FOLDS:
         raise FitError(f"cross-validation needs at least {2 * CV_FOLDS} increments, got {n}")
-    bounds = np.linspace(0, n, CV_FOLDS + 1).astype(int)
+    return np.linspace(0, n, CV_FOLDS + 1).astype(int)
+
+
+def _cv_score(model: CandidateModel, fits: FitTable) -> float:
+    """Mean held-out negative log-likelihood over contiguous folds.
+
+    The folds are fitted as one batched problem, and kept, by the table;
+    FitError, naming the fold, when one cannot be fitted or scores a
+    non-finite held-out likelihood.
+    """
+    folds = fits.folds(model)  # first: a kept fold error's frames hold no increments
+    inc = fits.inc
+    bounds = _fold_bounds(len(inc))
     fold_means = []
-    for f, fit in enumerate(fit_folds(model, inc, bounds)):
+    for f, fit in enumerate(folds):
         lo, hi = bounds[f], bounds[f + 1]
         ll = loglik(model, fit.params, inc, slice(lo, hi))
         if not math.isfinite(ll):
@@ -117,7 +148,7 @@ def score(
     n = len(fits.inc)
     try:
         if criterion is Criterion.CV:
-            return _cv_score(model, fits.inc)
+            return _cv_score(model, fits)
         fit = fits.fit(model)
     except FitError as exc:
         if notes is not None:

@@ -21,7 +21,12 @@ grid points at once; the gamma fit walks every 4th grid point out from 1,
 ``PROFILE_BLOCK // n`` points at a time.  Each fitter
 also fits several training subsets of one series at once, as rows of a mask
 over its increments; ``fit_folds`` fits the cross-validation folds so, every
-fold's search in lockstep with the others.
+fold's search in lockstep with the others.  Given the whole-series
+non-homogeneous gamma fit, a start within a few percent of every fold's
+optimum, ``fit_folds`` solves that model's folds instead by Newton's method
+on the joint log-likelihood in (ln alpha, beta), all folds at once
+(``_seeded_nonhomog_gamma_rows``); a fold that solve cannot finish gets
+its profile-search fit.
 
 At each profiled exponent the non-homogeneous gamma fit solves the score
 equation of the shape rate alpha in 1/alpha, in which the equation is nearly
@@ -195,6 +200,13 @@ class _SeriesTerms:
         powers = self.stamps ** betas[:, None]
         d = self._between(powers)
         return (d, self._between(powers * self.log_t)) if slope else d
+
+    def curvature(self, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(d, d', d'') at each exponent of ``betas``, from one power per stamp:
+        d''_j = t1_j^beta ln^2 t1_j - t0_j^beta ln^2 t0_j."""
+        powers = self.stamps ** betas[:, None]
+        slope = powers * self.log_t
+        return self._between(powers), self._between(slope), self._between(slope * self.log_t)
 
 
 @dataclass(frozen=True)
@@ -671,6 +683,139 @@ def _nonhomog_gamma_rows(series: _SeriesTerms, mask) -> list:
     ]
 
 
+# A joint Newton solve stops once a full step moves beta by less than
+# ``_BETA_STEP`` and ln alpha by less than ``_LOG_ALPHA_STEP``; a row still
+# running after ``_NEWTON_CAP`` evaluations falls back to the profile search.
+_BETA_STEP, _LOG_ALPHA_STEP, _NEWTON_CAP = 1e-9, 1e-10, 20
+# A Newton step whose predicted gain is below this, relative to
+# max(1, |loglik|), gains less than the log-likelihood's rounding resolves:
+# it is taken without the test that the log-likelihood did not fall.
+_LL_RESOLUTION = 1e-12
+
+
+def _joint_terms(series: _SeriesTerms, total, alpha, beta, mask) -> tuple:
+    """The non-homogeneous gamma log-likelihood at each row's (alpha, beta),
+    with the scale theta = sum x / (alpha D) profiled out, and its gradient
+    and Hessian in (u = ln alpha, beta).
+
+    Sums run over each row's training increments (``mask``), whose sum is
+    ``total``; D = sum d_j, L = sum d_j ln x_j, and primes are derivatives in
+    beta.  With psi and psi' at alpha d_j:
+    g_alpha = L - D ln theta - sum d_j psi, the shape-rate solve's score;
+    g_beta = alpha (L' - D' ln theta - sum d'_j psi), its slope in beta;
+    H_alpha_alpha = D / alpha - sum d_j^2 psi';
+    H_alpha_beta = L' - D' ln theta + D' - sum d'_j psi - alpha sum d_j d'_j psi';
+    H_beta_beta = alpha (L'' - D'' ln theta + D'^2 / D - sum d''_j psi
+    - alpha sum d'_j^2 psi').  In u, g_u = alpha g_alpha,
+    H_uu = alpha^2 H_alpha_alpha + alpha g_alpha and H_u_beta = alpha H_alpha_beta.
+    A row with a training alpha d_j that is not positive and finite reads
+    stand-in terms, d = 1 and d' = d'' = 0, and gets loglik -inf.  Returns per
+    row (loglik, theta, g_u, g_beta, H_uu, H_u_beta, H_beta_beta).
+    """
+    log_x = series.log_x
+    d, d1, d2 = (v * mask for v in series.curvature(beta))
+    hole = 1.0 - mask  # held-out columns see shape 1 with weight 0
+    shape = alpha[:, None] * d + hole
+    usable = (np.isfinite(shape) & (shape > 0)).all(axis=1)
+    if not usable.all():
+        keep = usable[:, None]
+        d, d1, d2 = np.where(keep, d, mask), np.where(keep, d1, 0.0), np.where(keep, d2, 0.0)
+        shape = alpha[:, None] * d + hole
+    sum_d, sum_d1 = d.sum(axis=1), d1.sum(axis=1)
+    theta = total / sum_d / alpha
+    log_theta = np.log(theta)
+    digamma, trigamma = psi(shape), _trigamma(shape)
+    g_alpha = d @ log_x - sum_d * log_theta - (d * digamma).sum(axis=1)
+    partial = d1 @ log_x - sum_d1 * log_theta - (d1 * digamma).sum(axis=1)
+    h_aa = sum_d / alpha - (d * d * trigamma).sum(axis=1)
+    h_ab = partial + sum_d1 - alpha * (d * d1 * trigamma).sum(axis=1)
+    h_bb = alpha * (
+        d2 @ log_x
+        - d2.sum(axis=1) * log_theta
+        + sum_d1 * sum_d1 / sum_d
+        - (d2 * digamma).sum(axis=1)
+        - alpha * (d1 * d1 * trigamma).sum(axis=1)
+    )
+    ll = _gamma_loglik(series.deltas, shape, theta[:, None], mask, log_x)
+    ll = np.where(usable, ll, NEG_INF)
+    g_u = alpha * g_alpha
+    return ll, theta, g_u, alpha * partial, alpha * alpha * h_aa + g_u, alpha * h_ab, h_bb
+
+
+def _seeded_nonhomog_gamma_rows(series: _SeriesTerms, mask: np.ndarray, start: Mapping) -> list:
+    """The non-homogeneous gamma fit of each row of ``mask`` by Newton's
+    method on the joint log-likelihood in (ln alpha, beta) (Nocedal & Wright
+    2006, ch. 3), every row from the whole-series fit's ``start`` parameters.
+
+    A fold's optimum lies within a few percent of the whole series', where
+    Newton's method converges quadratically.  Each step is halved until the
+    log-likelihood does not fall; an iterate is clipped to ``BETA_BOUNDS`` and
+    the shape-rate bounds.  A row stops once a full step moves beta by less
+    than ``_BETA_STEP`` and ln alpha by less than ``_LOG_ALPHA_STEP``, at the
+    point that step starts from.  A row falls back to its unseeded fit, the
+    profile search (``_nonhomog_gamma_rows``), where it starts from a
+    non-finite log-likelihood, meets a Hessian that is not negative definite,
+    accepts an iterate on a bound, or is still running after ``_NEWTON_CAP``
+    evaluations.
+    """
+    rows = mask.shape[0]
+    total = mask @ series.deltas
+    bounds_u = (math.log(SHAPE_MIN), math.log(SHAPE_MAX))
+    fits: list = [None] * rows  # None: falls back
+    # Per running row (``idx``): the trial point (u, beta); the last accepted
+    # point (u, beta) with alpha, theta and loglik there; the Newton step from
+    # it, its predicted gain, and the share of the step the trial takes.
+    idx = np.arange(rows)
+    u = np.full(rows, math.log(start["alpha"])).clip(*bounds_u)
+    beta = np.full(rows, start["beta"]).clip(*BETA_BOUNDS)
+    at_u, at_beta, at_alpha, at_theta = u, beta, np.exp(u), np.ones(rows)
+    at_ll, gain = np.full(rows, NEG_INF), np.full(rows, math.inf)
+    step_u, step_beta, share = np.zeros(rows), np.zeros(rows), np.ones(rows)
+    for it in range(1, _NEWTON_CAP + 1):
+        alpha = np.exp(u)
+        ll, theta, g_u, g_b, h_uu, h_ub, h_bb = _joint_terms(
+            series, total[idx], alpha, beta, mask[idx]
+        )
+        # The trial did not lower the loglik, or its step gains too little to tell.
+        unresolved = gain < _LL_RESOLUTION * np.maximum(1.0, np.abs(at_ll))
+        up = np.isfinite(ll) & ((ll >= at_ll) | unresolved)
+        at_u, at_beta = np.where(up, u, at_u), np.where(up, beta, at_beta)
+        at_alpha, at_theta = np.where(up, alpha, at_alpha), np.where(up, theta, at_theta)
+        at_ll = np.where(up, ll, at_ll)
+        det = h_uu * h_bb - h_ub * h_ub
+        curved = (h_uu < 0.0) & (det > 0.0) & np.isfinite(det + g_u + g_b)
+        det = np.where(curved, det, 1.0)
+        step_u = np.where(up, (h_ub * g_b - h_bb * g_u) / det, step_u)
+        step_beta = np.where(up, (h_ub * g_u - h_uu * g_b) / det, step_beta)
+        gain = np.where(up, 0.5 * (g_u * step_u + g_b * step_beta), gain)
+        share = np.where(up, 1.0, 0.5 * share)
+        on_bound = (at_beta == BETA_BOUNDS[0]) | (at_beta == BETA_BOUNDS[1])
+        on_bound |= (at_u == bounds_u[0]) | (at_u == bounds_u[1])
+        failed = (up & (~curved | on_bound)) | ((it == 1) & ~up)
+        small = (np.abs(step_u) < _LOG_ALPHA_STEP) & (np.abs(step_beta) < _BETA_STEP)
+        done = up & ~failed & small
+        for k in np.flatnonzero(done):
+            a, t, b = (float(v[k]) for v in (at_alpha, at_theta, at_beta))
+            fits[idx[k]] = FitResult(
+                {"alpha": a, "theta": t, "beta": b}, float(at_ll[k]), _inside(a, True), it
+            )
+        keep = ~(done | failed)
+        if not keep.any():
+            break
+        idx, at_u, at_beta, at_alpha, at_theta, at_ll, gain, step_u, step_beta, share = (
+            v[keep]
+            for v in (idx, at_u, at_beta, at_alpha, at_theta, at_ll, gain, step_u, step_beta, share)
+        )
+        u = (at_u + share * step_u).clip(*bounds_u)
+        beta = (at_beta + share * step_beta).clip(*BETA_BOUNDS)
+    if None in fits:
+        # The unseeded batch of every row: a subset of rows would round its
+        # matrix-vector products differently from the unseeded folds.
+        unseeded = _nonhomog_gamma_rows(series, mask)
+        fits = [ref if fit is None else fit for fit, ref in zip(fits, unseeded)]
+    return fits
+
+
 # Per (family, trend): the fitter's name, its fewest increments, and the
 # function that fits each row of a training mask (None: the whole series)
 # to a series' increments.
@@ -771,21 +916,33 @@ def fit_model(model: CandidateModel, inc: IncrementSeries) -> FitResult:
     return _fit_series((model.family, model.trend), inc)
 
 
-def fit_folds(model: CandidateModel, inc: IncrementSeries, bounds: np.ndarray) -> list[FitResult]:
+def fit_folds(
+    model: CandidateModel,
+    inc: IncrementSeries,
+    bounds: np.ndarray,
+    start: Optional[FitResult] = None,
+) -> list[FitResult]:
     """Fit ``model`` once per fold f, to the increments outside ``bounds[f]:bounds[f + 1]``.
 
     The folds are one batched problem: rows of a training mask over the whole
     series, so each training increment keeps its interval around the held-out
     gap.  Each fold's training increments pass the fitter's checks before any
     fold is fitted; the first fold that fails raises its FitError, naming it.
+    ``start``, the whole-series fit of a non-homogeneous gamma ``model``,
+    seeds its folds' joint Newton solve (``_seeded_nonhomog_gamma_rows``);
+    without it every model's folds are fitted as its whole series is.
     """
     key = (model.family, model.trend)
+    if start is not None and key != (Family.GAMMA, Trend.NONLINEAR):
+        raise ValueError(f"only non-homogeneous gamma folds take a start, not {model.id}")
     x, t0, t1 = inc.arrays
     cols = np.arange(x.size)
     train = (cols < bounds[:-1, None]) | (cols >= bounds[1:, None])
     checks = [_training_error(key, x[keep], t0[keep], t1[keep]) for keep in train]
     if any(checks):
         outcomes = checks
+    elif start is not None:
+        outcomes = _seeded_nonhomog_gamma_rows(inc._terms, train.astype(float), start.params)
     else:
         outcomes = _ROW_FITTERS[key][2](inc._terms, train.astype(float))
     for f, out in enumerate(outcomes):

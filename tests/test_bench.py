@@ -21,10 +21,13 @@ from degselect.bench import (
     wrong_context,
 )
 from degselect.cli import main as cli_main
-from degselect.criteria import Criterion
+from degselect.criteria import INF, Criterion, FitTable, score
+from degselect.fitting import NonPositiveIncrementError
 from degselect.model_space import Family
 from degselect.pipeline import Case, InferenceInput
 from degselect.simulate import SimKind, Trajectory, load_trajectories
+
+from conftest import make_path
 
 
 def parse_report_csv(path):
@@ -235,6 +238,48 @@ class TestSharedFits:
         monkeypatch.setattr(crit, "fit_model", counted)
         run_experiment(self.CASE2_SMALL, bank=bank)
         assert requests and set(requests.values()) == {1}
+
+    def test_each_fold_batch_fitted_once_across_methods(self, bank, monkeypatch):
+        import degselect.criteria as crit
+
+        batches = Counter()
+        fit_folds = crit.fit_folds
+
+        def counted(model, inc, bounds, start=None):
+            batches[(model.id, inc)] += 1
+            return fit_folds(model, inc, bounds, start)
+
+        monkeypatch.setattr(crit, "fit_folds", counted)
+        run_experiment(self.CASE2_SMALL, bank=bank)
+        assert {model for model, _ in batches} == set(Case.CASE2.candidates.ids())
+        assert set(batches.values()) == {1}
+
+    def test_a_second_cv_scoring_fits_nothing(self, monkeypatch):
+        import degselect.criteria as crit
+
+        table = FitTable(make_path(SimKind.NONHOMOG_GAMMA, seed=8, n_percent=70))
+        first = {m.id: score(m, table, Criterion.CV) for m in Case.CASE2.candidates}
+
+        def refuse(*args):
+            raise AssertionError("a table's second CV scoring fitted a model")
+
+        monkeypatch.setattr(crit, "fit_folds", refuse)
+        monkeypatch.setattr(crit, "fit_model", refuse)
+        assert {m.id: score(m, table, Criterion.CV) for m in Case.CASE2.candidates} == first
+        assert all(v < INF for v in first.values())
+
+    def test_a_failed_fold_batch_is_re_raised_not_refitted(self, monkeypatch):
+        import degselect.criteria as crit
+
+        table = FitTable(make_path(SimKind.LINEAR_WIENER, seed=21, n_percent=70))
+        (gamma,) = [m for m in Case.CASE2.candidates if m.id == "homog_gamma"]
+        notes = []
+        assert score(gamma, table, Criterion.CV, notes) == INF
+        monkeypatch.setattr(crit, "fit_folds", lambda *a: pytest.fail("refitted a failed batch"))
+        with pytest.raises(NonPositiveIncrementError) as again:
+            table.folds(gamma)
+        assert notes == [f"homog_gamma: {again.value}"]
+        assert str(again.value).startswith("fold ")
 
     def test_baselines_ignore_a_perturbed_proposed_input(self, bank):
         clean = run_experiment(self.CASE2_SMALL, bank=bank)

@@ -1520,6 +1520,105 @@ class TestSearchRowsAreReused:
             assert abs(got - fit.loglik) <= 1e-12 * abs(fit.loglik), (got, fit.loglik)
 
 
+@st.composite
+def fold_inputs(draw):
+    """``positive_shape_series`` of 10-299 increments on unit or irregular
+    grids from 0 or an offset start, its stamps rescaled or not."""
+    inc = draw(positive_shape_series())
+    assume(len(inc) >= 10)
+    scale = draw(st.sampled_from([1.0, 1e-3, 0.37, 250.0]))
+    x, t0, t1 = inc.arrays
+    return IncrementSeries(x, t0 * scale, t1 * scale)
+
+
+def bound_fold_series():
+    """20 gamma increments whose shape grows as t^4.6 on a unit grid from 0.
+    The whole series' exponent is fitted at about 3.3, inside its bounds; the
+    first fold's, fitted to the later increments, at the upper bound 5."""
+    rng = np.random.default_rng(0)
+    t = np.arange(21.0)
+    d = t[1:] ** 4.6 - t[:-1] ** 4.6
+    return IncrementSeries(rng.gamma(d * 0.5 / (20.0**4.6 / 20) * 4, 1.0) + 1e-9, t[:-1], t[1:])
+
+
+class TestSeededFolds:
+    """``fit_folds`` with the whole-series non-homogeneous gamma fit as its
+    start solves the folds by Newton's method from it: each fold's
+    log-likelihood is at least its unseeded profile search's, and a fold the
+    solve leaves, as it does one whose exponent is fitted at a bound, is that
+    unseeded fit bit for bit."""
+
+    MODEL = next(m for m in CASE2 if m.id == "nonhomog_gamma")
+
+    def seeded_and_unseeded(self, inc):
+        bounds = fold_training_mask(len(inc), 5)[0]
+        whole = fit_nonhomog_gamma(inc)
+        return fit_folds(self.MODEL, inc, bounds, whole), fit_folds(self.MODEL, inc, bounds)
+
+    @settings(max_examples=100, deadline=None)
+    @given(inc=fold_inputs())
+    @example(inc=bound_fold_series())
+    def test_each_fold_is_at_least_its_unseeded_fit(self, inc):
+        try:
+            seeded, unseeded = self.seeded_and_unseeded(inc)
+        except FitError:
+            assume(False)
+        for got, ref in zip(seeded, unseeded):
+            assert got.loglik >= ref.loglik - 1e-9 * max(1.0, abs(ref.loglik)), (got, ref)
+            if ref.params["beta"] in BETA_BOUNDS:
+                assert got == ref
+
+    @pytest.mark.parametrize("kind", [SimKind.HOMOG_GAMMA, SimKind.NONHOMOG_GAMMA])
+    def test_gradient_and_hessian_match_central_differences(self, kind):
+        from degselect.fitting import _joint_terms
+
+        inc = increments(truncate_at_progress(generate(default_params(kind, seed=3)).trajectory, 70))
+        mask = fold_training_mask(len(inc), 5)[1].astype(float)
+        terms, total = _SeriesTerms(*inc.arrays), mask @ inc.arrays[0]
+        fit = fit_nonhomog_gamma(inc)
+        u = np.full(5, math.log(fit.params["alpha"])) + np.linspace(-0.2, 0.2, 5)
+        beta = np.full(5, fit.params["beta"]) + np.linspace(0.1, -0.1, 5)
+
+        def at(du=0.0, db=0.0):
+            return _joint_terms(terms, total, np.exp(u + du), beta + db, mask)
+
+        ll, _, g_u, g_b, h_uu, h_ub, h_bb = at()
+        h = 1e-5
+        for got, plus, minus in (
+            (g_u, at(du=h)[0], at(du=-h)[0]),
+            (g_b, at(db=h)[0], at(db=-h)[0]),
+            (h_uu, at(du=h)[2], at(du=-h)[2]),
+            (h_ub, at(db=h)[2], at(db=-h)[2]),
+            (h_ub, at(du=h)[3], at(du=-h)[3]),
+            (h_bb, at(db=h)[3], at(db=-h)[3]),
+        ):
+            want = (plus - minus) / (2 * h)
+            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6 * np.abs(ll).max())
+
+    def test_a_fold_fitted_at_a_bound_falls_back_to_its_unseeded_fit(self, monkeypatch):
+        import degselect.fitting as fitting
+
+        inc = bound_fold_series()
+        whole = fit_nonhomog_gamma(inc)
+        assert BETA_BOUNDS[0] < whole.params["beta"] < BETA_BOUNDS[1]
+        bounds = fold_training_mask(len(inc), 5)[0]
+        unseeded = fit_folds(self.MODEL, inc, bounds)
+        batches = []  # the profile searches of fold batches
+        search = fitting._nonhomog_gamma_rows
+
+        def recorded(series, mask):
+            if mask is not None:
+                batches.append(mask.shape[0])
+            return search(series, mask)
+
+        monkeypatch.setattr(fitting, "_nonhomog_gamma_rows", recorded)
+        seeded = fit_folds(self.MODEL, inc, bounds, whole)
+        assert batches == [5]  # the fallback: the unseeded search of the whole batch
+        assert unseeded[0].params["beta"] == BETA_BOUNDS[1]
+        assert seeded[0] == unseeded[0]
+        assert all(BETA_BOUNDS[0] < f.params["beta"] < BETA_BOUNDS[1] for f in seeded[1:])
+
+
 def interval_slope(t0, t1, beta):
     """d'_j = t1_j^beta ln t1_j - t0_j^beta ln t0_j from each interval's own
     ends, with ln t = 0 at t <= 0: as the kernels took it on every call

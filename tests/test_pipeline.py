@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degselect.bench import correct_context
-from degselect.criteria import Criterion, FitTable, NoApplicableModelError
+from degselect.criteria import Criterion, FitTable, NoApplicableModelError, score
 from degselect.decisions import Answer, HeuristicProvider, ProviderPair, default_providers
 from degselect.model_space import CandidateSet, Family, Hierarchy, Trend, Uncertain
 from degselect.pipeline import (
@@ -428,6 +428,13 @@ class TestSinglePass:
         sizes = {len(traj), len(traj) - 1}
         assert not [a.shape for a in reachable_arrays(vars(out.fits)) if a.size in sizes]
         assert not [k for k, v in vars(traj).items() if isinstance(v, np.ndarray)]
+        # The same after the table has scored CV, and keeps each model's
+        # folds or fold error.
+        for model in Case.CASE2.candidates:
+            score(model, out.fits, Criterion.CV)
+        out.fits.release_increments()
+        assert len(out.fits._folds) == len(Case.CASE2.candidates)
+        assert not [a.shape for a in reachable_arrays(vars(out.fits)) if a.size in sizes]
 
     @settings(max_examples=40, deadline=None)
     @given(traj=integer_time_paths(), contrary=st.booleans())
