@@ -7,7 +7,7 @@ import os
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .simulate import (
     Trajectory,
     default_params,
     generate,
-    split_dataset,
+    split_positions,
     truncate_at_progress,
 )
 
@@ -98,6 +98,9 @@ class MethodMetrics:
     criterion (AIC) for the other fits the baselines need, and CV for its
     own fold fits.  CV's non-homogeneous gamma folds start from that
     model's whole-series fit, which AIC or the proposed method has made.
+    In a robustness sweep ``WRONG_BOTH`` takes each unit's ``WRONG_HI``
+    input and swaps only its context, so it does not pay for building the
+    substitute trajectory.
     """
 
     accuracy: float
@@ -148,36 +151,67 @@ def compute_metrics(
     )
 
 
-def generate_dataset(case: Case, per_class_count: int, seed: int) -> list[Trajectory]:
-    """Labeled run-to-failure trajectories, one independent stream per unit.
+class _Unit(NamedTuple):
+    """One unit of a dataset: its kind's position in ``CASE_KINDS``, its
+    index within the kind, and its label."""
 
-    A case-2 unit is labelled with its kind's model, a case-1 unit with the
-    case-1 model of that model's family.
-    """
-    trajs = []
+    kind_idx: int
+    index: int
+    label: str
+
+
+def _dataset_units(case: Case, per_class_count: int) -> list[_Unit]:
+    """The units of a dataset, in dataset order: each kind's units in turn,
+    labelled as ``generate_dataset`` describes."""
+    units = []
     for kind_idx, kind in enumerate(CASE_KINDS[case]):
         label = kind.value
         if case is Case.CASE1:
             (label,) = condition(case.candidates, {Hierarchy.FAMILY: _FAMILY_BY_ID[label]}).ids()
-        for unit in range(per_class_count):
-            base = seed + 1_000_003 * kind_idx + 97 * unit
-            result = None
-            for retry in range(CENSOR_RETRIES + 1):
-                result = generate(
-                    default_params(kind, seed=base + 10_000_019 * retry),
-                    unit_id=f"{kind.value}-{unit:04d}",
-                )
-                if not result.censored:
-                    break
-            if result.censored:
-                raise RuntimeError(
-                    f"unit {kind.value}-{unit} censored after {CENSOR_RETRIES} retries"
-                )
-            traj = result.trajectory
-            if traj.true_model_id != label:
-                traj = replace(traj, true_model_id=label)
-            trajs.append(traj)
-    return trajs
+        units.extend(_Unit(kind_idx, index, label) for index in range(per_class_count))
+    return units
+
+
+def _simulate_unit(case: Case, unit: _Unit, seed: int) -> Trajectory:
+    """The unit's run-to-failure trajectory, from its own seed stream; a
+    censored path is drawn again from the next stream, up to
+    ``CENSOR_RETRIES`` times."""
+    kind = CASE_KINDS[case][unit.kind_idx]
+    base = seed + 1_000_003 * unit.kind_idx + 97 * unit.index
+    for retry in range(CENSOR_RETRIES + 1):
+        result = generate(
+            default_params(kind, seed=base + 10_000_019 * retry),
+            unit_id=f"{kind.value}-{unit.index:04d}",
+        )
+        if not result.censored:
+            break
+    else:
+        raise RuntimeError(
+            f"unit {kind.value}-{unit.index} censored after {CENSOR_RETRIES} retries"
+        )
+    traj = result.trajectory
+    return traj if traj.true_model_id == unit.label else replace(traj, true_model_id=unit.label)
+
+
+def generate_dataset(case: Case, per_class_count: int, seed: int) -> list[Trajectory]:
+    """Labeled run-to-failure trajectories, one independent stream per unit,
+    ``per_class_count`` of each of the case's kinds in turn.
+
+    A case-2 unit is labelled with its kind's model, a case-1 unit with the
+    case-1 model of that model's family.  An experiment reads only this
+    dataset's test split, and simulates only those units (``_test_units``):
+    the same trajectories, since a unit's seed stream depends on its place in
+    the dataset, not on the other units.
+    """
+    return [_simulate_unit(case, unit, seed) for unit in _dataset_units(case, per_class_count)]
+
+
+def _test_units(case: Case, per_class_count: int, seed: int) -> list[Trajectory]:
+    """``split_dataset(generate_dataset(case, per_class_count, seed), seed).test``,
+    simulating only the test units: the split reads labels, not paths."""
+    units = _dataset_units(case, per_class_count)
+    _, _, test = split_positions([unit.label for unit in units], seed)
+    return [_simulate_unit(case, units[i], seed) for i in test]
 
 
 def correct_context(traj: Trajectory) -> str:
@@ -199,7 +233,14 @@ def perturb_input(
     pool: Sequence[Trajectory] = (),
     rng_seed: int = 0,
 ) -> InferenceInput:
-    """Substitute the trajectory and/or context with opposite-family versions."""
+    """Substitute the trajectory and/or context with opposite-family versions.
+
+    The substitute is a unit of ``pool`` picked by ``rng_seed``, cut to the
+    input's length and carrying its label.  ``WRONG_BOTH`` is ``WRONG_HI``
+    followed by ``WRONG_CONTEXT``, so a caller holding the ``WRONG_HI`` input
+    gets the same result from ``perturb_input(that, WRONG_CONTEXT)``, as the
+    robustness sweep does, without building the substitute again.
+    """
     if mode is Perturbation.NONE:
         return input
     out = input
@@ -234,29 +275,36 @@ def _make_providers(cfg: ExperimentConfig) -> ProviderPair:
 def _proposed_by_window(
     cfg: ExperimentConfig, bank: Optional[EvidenceBank], modes: Sequence[Perturbation]
 ):
-    """Build the dataset once; for each window n, yield the truncated test
-    units and, under each perturbation mode, the proposed pipeline's metrics
-    and each unit's fit table."""
+    """Simulate the test units once; for each window n, yield the truncated
+    test units and, under each perturbation mode, the proposed pipeline's
+    metrics and each unit's fit table."""
     bank = bank or default_bank()
     providers = _make_providers(cfg)
     pipe_cfg = PipelineConfig(criterion=cfg.criterion)
     classes = cfg.case.candidates.ids()
     per_class = cfg.per_class_count or DEFAULT_PER_CLASS[cfg.case]
-    split = split_dataset(generate_dataset(cfg.case, per_class, cfg.seed), seed=cfg.seed)
+    units = _test_units(cfg.case, per_class, cfg.seed)
     for n in cfg.n_values:
-        test = [truncate_at_progress(t, n) for t in split.test]
+        test = [truncate_at_progress(t, n) for t in units]
         true_labels = [t.true_model_id for t in test]
         # Substitute pools: the units of the other family, in test order.
         opposite = {fam: [t for t in test if _family_of(t) is not fam] for fam in Family}
         by_mode, fits = {}, {}
+        wrong_hi = []  # each unit's WRONG_HI input, once that mode has run
         for mode in modes:
             start = time.perf_counter()
             predictions, fits[mode] = [], []
             for idx, traj in enumerate(test):
-                inp = InferenceInput.for_case(cfg.case, traj, correct_context(traj))
-                if mode is not Perturbation.NONE:
-                    pool = opposite[_family_of(traj)]
-                    inp = perturb_input(inp, mode, pool, rng_seed=cfg.seed + idx)
+                if mode is Perturbation.WRONG_BOTH and wrong_hi:
+                    # The same substitute as WRONG_HI; only the context changes.
+                    inp = perturb_input(wrong_hi[idx], Perturbation.WRONG_CONTEXT)
+                else:
+                    inp = InferenceInput.for_case(cfg.case, traj, correct_context(traj))
+                    if mode is not Perturbation.NONE:
+                        pool = opposite[_family_of(traj)]
+                        inp = perturb_input(inp, mode, pool, rng_seed=cfg.seed + idx)
+                if mode is Perturbation.WRONG_HI:
+                    wrong_hi.append(inp)
                 result = run_inference(inp, bank, providers, pipe_cfg)
                 predictions.append(result.chosen.id)
                 fits[mode].append(result.fits)

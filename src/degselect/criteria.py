@@ -56,7 +56,8 @@ class FitTable:
 
     Calls that score the same trajectory share one table.  It holds each
     model's whole-series fit (``fit``) and its cross-validation fold fits
-    (``folds``); a failed fit or fold batch is remembered and re-raised.
+    (``folds``); a failed fit or fold batch is remembered, and each later
+    request raises a fresh copy of its error.
     The non-homogeneous gamma folds start from that model's whole-series
     fit, made first if no other call has made it.
     """
@@ -86,7 +87,7 @@ class FitTable:
                 # Kept without the fitter's frames, which hold its arrays.
                 self._fits[key] = exc.with_traceback(None)
         if isinstance(self._fits[key], FitError):
-            raise self._fits[key]
+            raise _copy(self._fits[key])
         return self._fits[key]
 
     def folds(self, model: CandidateModel) -> list[FitResult]:
@@ -106,8 +107,15 @@ class FitTable:
             except FitError as exc:
                 self._folds[key] = exc.with_traceback(None)
         if isinstance(self._folds[key], FitError):
-            raise self._folds[key]
+            raise _copy(self._folds[key])
         return self._folds[key]
+
+
+def _copy(exc: FitError) -> FitError:
+    """A new error of the same type and message.  Raising the kept error
+    itself would attach each raise's frames to it, and a kept table would
+    pin its callers' locals through them."""
+    return type(exc)(*exc.args)
 
 
 def _fold_bounds(n: int) -> np.ndarray:
@@ -124,7 +132,7 @@ def _cv_score(model: CandidateModel, fits: FitTable) -> float:
     FitError, naming the fold, when one cannot be fitted or scores a
     non-finite held-out likelihood.
     """
-    folds = fits.folds(model)  # first: a kept fold error's frames hold no increments
+    folds = fits.folds(model)
     inc = fits.inc
     bounds = _fold_bounds(len(inc))
     fold_means = []

@@ -105,21 +105,45 @@ class SimResult:
     censored: bool  # threshold not reached within max_steps
 
 
+# Steps in the first chunk of increments ``generate`` draws; each later chunk
+# is twice the one before.  The default paths fail near step 100.
+FIRST_CHUNK = 128
+
+
 def generate(params: SimParams, unit_id: str = "unit") -> SimResult:
-    """Simulate one run-to-failure trajectory, deterministic given the seed."""
+    """Simulate one run-to-failure trajectory, deterministic given the seed.
+
+    The increments and their running sum are drawn in chunks of
+    ``FIRST_CHUNK``, then twice as many steps each time, up to the chunk
+    that holds the first crossing (or to ``max_steps``).  A chunk takes the
+    next draws of the seed's stream, and its running sum continues from the
+    last value in the same order of additions, so the path is bit for bit the
+    one a draw of all ``max_steps`` increments would give.
+    """
     rng = np.random.default_rng(params.seed)
     n = params.max_steps
     t = np.arange(n + 1.0)
-    d = time_transform(t[:-1], t[1:], params.beta)  # all ones for the linear kinds
-    if params.kind in (SimKind.LINEAR_WIENER, SimKind.NONLINEAR_WIENER):
-        deltas = rng.normal(params.m * d, params.s)
-    else:
-        deltas = rng.gamma(shape=params.alpha * d, scale=params.theta)
-
-    x = np.concatenate([[0.0], np.cumsum(deltas)])
-    crossed = np.nonzero(x >= params.failure_threshold)[0]
-    censored = not crossed.size
-    end = n if censored else int(crossed[0])
+    # At beta = 1 every d_j is 1, and scalar parameters draw the same numbers
+    # as arrays of them, at a fraction of numpy's per-call cost.
+    d = None if params.beta == 1.0 else time_transform(t[:-1], t[1:], params.beta)
+    wiener = params.kind in (SimKind.LINEAR_WIENER, SimKind.NONLINEAR_WIENER)
+    x = np.zeros(n + 1)
+    lo, size, end = 0, FIRST_CHUNK, None
+    while end is None and lo < n:
+        hi = min(lo + size, n)
+        d_chunk = 1.0 if d is None else d[lo:hi]
+        if wiener:
+            x[lo + 1 : hi + 1] = rng.normal(params.m * d_chunk, params.s, size=hi - lo)
+        else:
+            x[lo + 1 : hi + 1] = rng.gamma(params.alpha * d_chunk, params.theta, size=hi - lo)
+        np.cumsum(x[lo : hi + 1], out=x[lo : hi + 1])  # x[lo] is the sum so far
+        crossed = np.nonzero(x[lo + 1 : hi + 1] >= params.failure_threshold)[0]
+        if crossed.size:
+            end = lo + 1 + int(crossed[0])
+        lo, size = hi, 2 * size
+    censored = end is None
+    if censored:
+        end = n
     traj = Trajectory(
         unit_id=unit_id,
         times=tuple(t[: end + 1].tolist()),
@@ -164,36 +188,44 @@ class DatasetSplit:
     test: tuple[Trajectory, ...]
 
 
-def split_dataset(trajs: Sequence[Trajectory], seed: int) -> DatasetSplit:
-    """Deterministic 60/20/20 trajectory-level split.
+def split_positions(
+    labels: Sequence[Optional[str]], seed: int
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Positions of the train, validation and test units of a 60/20/20 split
+    of units with these labels, as ``split_dataset`` takes them.
 
-    Stratified by true_model_id when every trajectory carries a label;
-    train receives the rounding remainder.
+    Stratified by label when every unit carries one; each stratum, in label
+    order, gives the first fifth of a seeded permutation to test, the next
+    fifth to validation and the rounding remainder to train.
     """
-    if len(trajs) < 5:
-        raise ValueError(f"need at least 5 trajectories, got {len(trajs)}")
+    if len(labels) < 5:
+        raise ValueError(f"need at least 5 trajectories, got {len(labels)}")
     rng = np.random.default_rng(seed)
-    if all(t.true_model_id is not None for t in trajs):
-        groups: dict[str, list[Trajectory]] = {}
-        for t in trajs:
-            groups.setdefault(t.true_model_id, []).append(t)
+    if all(label is not None for label in labels):
+        groups: dict[str, list[int]] = {}
+        for i, label in enumerate(labels):
+            groups.setdefault(label, []).append(i)
         strata = [groups[k] for k in sorted(groups)]
     else:
-        strata = [list(trajs)]
+        strata = [list(range(len(labels)))]
 
-    train: list[Trajectory] = []
-    val: list[Trajectory] = []
-    test: list[Trajectory] = []
+    train: list[int] = []
+    val: list[int] = []
+    test: list[int] = []
     for group in strata:
-        order = rng.permutation(len(group))
-        shuffled = [group[i] for i in order]
-        n = len(group)
-        n_val = n // 5
-        n_test = n // 5
-        test.extend(shuffled[:n_test])
-        val.extend(shuffled[n_test : n_test + n_val])
-        train.extend(shuffled[n_test + n_val :])
-    return DatasetSplit(tuple(train), tuple(val), tuple(test))
+        shuffled = [group[i] for i in rng.permutation(len(group))]
+        fifth = len(group) // 5
+        test.extend(shuffled[:fifth])
+        val.extend(shuffled[fifth : 2 * fifth])
+        train.extend(shuffled[2 * fifth :])
+    return tuple(train), tuple(val), tuple(test)
+
+
+def split_dataset(trajs: Sequence[Trajectory], seed: int) -> DatasetSplit:
+    """Deterministic 60/20/20 trajectory-level split at ``split_positions``
+    of the trajectories' labels (``true_model_id``)."""
+    positions = split_positions([t.true_model_id for t in trajs], seed)
+    return DatasetSplit(*(tuple(trajs[i] for i in part) for part in positions))
 
 
 def save_trajectories(path, trajs: Sequence[Trajectory]) -> None:

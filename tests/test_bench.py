@@ -4,7 +4,10 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import degselect.bench as bench
 from degselect.bench import (
     CONTEXT_BY_FAMILY,
     ExperimentConfig,
@@ -22,10 +25,17 @@ from degselect.bench import (
 )
 from degselect.cli import main as cli_main
 from degselect.criteria import INF, Criterion, FitTable, score
+from degselect.decisions import default_providers
 from degselect.fitting import NonPositiveIncrementError
 from degselect.model_space import Family
-from degselect.pipeline import Case, InferenceInput
-from degselect.simulate import SimKind, Trajectory, load_trajectories
+from degselect.pipeline import Case, InferenceInput, PipelineConfig, run_inference
+from degselect.simulate import (
+    SimKind,
+    Trajectory,
+    load_trajectories,
+    split_dataset,
+    truncate_at_progress,
+)
 
 from conftest import make_path
 
@@ -109,6 +119,30 @@ class TestGenerateDataset:
     def test_units_are_independent(self):
         trajs = generate_dataset(Case.CASE1, 5, seed=3)
         assert trajs[0].values != trajs[1].values
+
+
+class TestTestSplitOnly:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=st.sampled_from(list(Case)),
+        per_class=st.sampled_from([5, 6, 9, 20, 60]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_test_units_are_the_split_of_the_dataset(self, case, per_class, seed):
+        full = split_dataset(generate_dataset(case, per_class, seed), seed)
+        assert bench._test_units(case, per_class, seed) == list(full.test)
+
+    def test_a_sweep_simulates_only_the_test_units(self, bank, monkeypatch):
+        calls = []
+        generate = bench.generate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "generate", counted)
+        run_robustness(ExperimentConfig(case=Case.CASE1, per_class_count=60), bank=bank)
+        assert len(calls) == 24  # 2 kinds x 60 units, a fifth of each in the test split
 
 
 class TestContextsAndPerturbations:
@@ -314,6 +348,50 @@ class TestRunRobustness:
     def test_a_named_perturbation_is_refused(self, bank, mode):
         with pytest.raises(ValueError, match=mode.value):
             run_robustness(replace(SMALL, perturbation=mode), bank=bank)
+
+
+def single_draw_sweep(cfg, bank):
+    """Each window's confusion matrix per mode, from the whole dataset
+    simulated and split, and each mode's inputs perturbed on their own."""
+    classes = cfg.case.candidates.ids()
+    split = split_dataset(generate_dataset(cfg.case, cfg.per_class_count, cfg.seed), cfg.seed)
+    out = {}
+    for n in cfg.n_values:
+        test = [truncate_at_progress(t, n) for t in split.test]
+        true_labels = [t.true_model_id for t in test]
+        opposite = {f: [t for t in test if bench._family_of(t) is not f] for f in Family}
+        for mode in Perturbation:
+            predictions = []
+            for idx, traj in enumerate(test):
+                inp = InferenceInput.for_case(cfg.case, traj, correct_context(traj))
+                if mode is not Perturbation.NONE:
+                    pool = opposite[bench._family_of(traj)]
+                    inp = perturb_input(inp, mode, pool, rng_seed=cfg.seed + idx)
+                result = run_inference(
+                    inp, bank, default_providers(), PipelineConfig(criterion=cfg.criterion)
+                )
+                predictions.append(result.chosen.id)
+            out[(n, mode.value)] = compute_metrics(true_labels, predictions, classes).confusion
+    return out
+
+
+class TestSharedSubstitute:
+    SWEEPS = [SMALL, ExperimentConfig(case=Case.CASE2, per_class_count=10, seed=5)]
+
+    @pytest.mark.parametrize("cfg", SWEEPS, ids=lambda c: c.case.value)
+    def test_wrong_both_reuses_the_wrong_hi_trajectory(self, bank, cfg):
+        modes = tuple(Perturbation)
+        for _, test, _, fits in bench._proposed_by_window(cfg, bank, modes):
+            hi, both = fits[Perturbation.WRONG_HI], fits[Perturbation.WRONG_BOTH]
+            assert len(hi) == len(both) == len(test)
+            assert all(a.traj is b.traj for a, b in zip(hi, both))
+            assert all(a.traj is not t for a, t in zip(hi, test))
+
+    @pytest.mark.parametrize("cfg", SWEEPS, ids=lambda c: c.case.value)
+    def test_confusions_match_the_single_draw_sweep(self, bank, cfg):
+        report = run_robustness(cfg, bank=bank)
+        confusions = {key: m.confusion for key, m in report.entries.items()}
+        assert confusions == single_draw_sweep(cfg, bank)
 
 
 class TestExperimentConfig:

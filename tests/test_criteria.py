@@ -290,6 +290,23 @@ class TestFitTable:
                 tb = tb.tb_next
             assert "fitting.py" not in files
 
+    @pytest.mark.parametrize("request_name,kept", [("fit", "_fits"), ("folds", "_folds")])
+    def test_a_kept_error_is_raised_as_a_fresh_copy(
+        self, case2_set, wiener_path, request_name, kept
+    ):
+        # Raising the kept error itself would chain each raise's frames onto it.
+        fits = FitTable(wiener_path)
+        gamma = by_id(case2_set, "homog_gamma")
+        raised = []
+        for _ in range(5):
+            with pytest.raises(FitError) as info:
+                getattr(fits, request_name)(gamma)
+            raised.append(info.value)
+        (stored,) = getattr(fits, kept).values()
+        assert stored.__traceback__ is None
+        assert len({id(stored), *map(id, raised)}) == 6
+        assert {(type(e), str(e)) for e in raised} == {(type(stored), str(stored))}
+
     def test_released_increments_are_formed_again(self, case2_set, gamma_path):
         fits = FitTable(gamma_path)
         first = fits.fit(by_id(case2_set, "homog_gamma"))

@@ -2,8 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from dataclasses import replace
 
 from degselect.simulate import (
+    FIRST_CHUNK,
     SimKind,
     SimParams,
     Trajectory,
@@ -157,6 +162,44 @@ class TestAgainstReferenceLoops:
                 out = truncate_at_progress(traj, pct)
                 assert (out.times, out.values) == reference_truncate(times, values, pct)
                 assert all(type(v) is float for v in out.times + out.values)
+
+
+# First-crossing steps: the first, each side of the ends of ``generate``'s
+# first two chunks (steps 128 and 384), the horizon, or None for a censored path.
+SEAM_STEPS = (
+    1,
+    *(end + k for end in (FIRST_CHUNK, 3 * FIRST_CHUNK) for k in (-1, 0, 1)),
+    "horizon",
+    None,
+)
+
+
+class TestChunkSeams:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(list(SimKind)),
+        seed=st.integers(0, 2**32 - 1),
+        max_steps=st.integers(1, 3000),
+        crossing=st.sampled_from(SEAM_STEPS),
+    )
+    def test_matches_the_single_draw(self, kind, seed, max_steps, crossing):
+        params = default_params(kind, seed=seed, max_steps=max_steps, failure_threshold=math.inf)
+        _, path, _ = reference_generate(params)
+        if crossing is None:
+            threshold = float(np.nextafter(max(path), math.inf))
+        else:
+            step = max_steps if crossing == "horizon" else min(crossing, max_steps)
+            # The threshold is the path's value at the step: reached there first
+            # when that value exceeds every earlier one.
+            assume(path[step] > max(path[:step]))
+            threshold = path[step]
+        params = replace(params, failure_threshold=threshold)
+        result = generate(params)
+        times, values, censored = reference_generate(params)
+        assert (crossing is None) == censored
+        traj = result.trajectory
+        assert (traj.times, traj.values, result.censored) == (times, values, censored)
+        assert all(type(v) is float for v in traj.times + traj.values)
 
 
 class TestTrajectoryType:
