@@ -123,19 +123,16 @@ def generate(params: SimParams, unit_id: str = "unit") -> SimResult:
     rng = np.random.default_rng(params.seed)
     n = params.max_steps
     t = np.arange(n + 1.0)
-    # At beta = 1 every d_j is 1, and scalar parameters draw the same numbers
-    # as arrays of them, at a fraction of numpy's per-call cost.
-    d = None if params.beta == 1.0 else time_transform(t[:-1], t[1:], params.beta)
+    d = time_transform(t[:-1], t[1:], params.beta)
     wiener = params.kind in (SimKind.LINEAR_WIENER, SimKind.NONLINEAR_WIENER)
     x = np.zeros(n + 1)
     lo, size, end = 0, FIRST_CHUNK, None
     while end is None and lo < n:
         hi = min(lo + size, n)
-        d_chunk = 1.0 if d is None else d[lo:hi]
         if wiener:
-            x[lo + 1 : hi + 1] = rng.normal(params.m * d_chunk, params.s, size=hi - lo)
+            x[lo + 1 : hi + 1] = rng.normal(params.m * d[lo:hi], params.s)
         else:
-            x[lo + 1 : hi + 1] = rng.gamma(params.alpha * d_chunk, params.theta, size=hi - lo)
+            x[lo + 1 : hi + 1] = rng.gamma(params.alpha * d[lo:hi], params.theta)
         np.cumsum(x[lo : hi + 1], out=x[lo : hi + 1])  # x[lo] is the sum so far
         crossed = np.nonzero(x[lo + 1 : hi + 1] >= params.failure_threshold)[0]
         if crossed.size:
