@@ -8,10 +8,11 @@ selection rule can reject them naturally.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -79,36 +80,37 @@ class FitTable:
         vars(self).pop("inc", None)
 
     def fit(self, model: CandidateModel) -> FitResult:
-        key = (model.family, model.trend)
-        if key not in self._fits:
-            try:
-                self._fits[key] = fit_model(model, self.inc)
-            except FitError as exc:
-                # Kept without the fitter's frames, which hold its arrays.
-                self._fits[key] = exc.with_traceback(None)
-        if isinstance(self._fits[key], FitError):
-            raise _copy(self._fits[key])
-        return self._fits[key]
+        return _kept(self._fits, model, lambda: fit_model(model, self.inc))
 
     def folds(self, model: CandidateModel) -> list[FitResult]:
         """The model's fit to the training increments of each of the
         ``CV_FOLDS`` contiguous folds (``_fold_bounds``), made once."""
-        key = (model.family, model.trend)
-        if key not in self._folds:
-            try:
-                bounds = _fold_bounds(len(self.inc))
-                start = None
-                if key == (Family.GAMMA, Trend.NONLINEAR):
-                    try:
-                        start = self.fit(model)
-                    except FitError:
-                        pass  # the folds are fitted unseeded
-                self._folds[key] = fit_folds(model, self.inc, bounds, start)
-            except FitError as exc:
-                self._folds[key] = exc.with_traceback(None)
-        if isinstance(self._folds[key], FitError):
-            raise _copy(self._folds[key])
-        return self._folds[key]
+
+        def make() -> list[FitResult]:
+            bounds = _fold_bounds(len(self.inc))
+            start = None
+            if (model.family, model.trend) == (Family.GAMMA, Trend.NONLINEAR):
+                with suppress(FitError):  # else the folds are fitted unseeded
+                    start = self.fit(model)
+            return fit_folds(model, self.inc, bounds, start)
+
+        return _kept(self._folds, model, make)
+
+
+def _kept(store: dict, model: CandidateModel, make: Callable):
+    """``store``'s entry for the model's (family, trend), made by ``make`` at
+    the first request.  A FitError that ``make`` raises is kept in its place,
+    and each request raises a fresh copy of it."""
+    key = (model.family, model.trend)
+    if key not in store:
+        try:
+            store[key] = make()
+        except FitError as exc:
+            # Kept without the fitter's frames, which hold its arrays.
+            store[key] = exc.with_traceback(None)
+    if isinstance(store[key], FitError):
+        raise _copy(store[key])
+    return store[key]
 
 
 def _copy(exc: FitError) -> FitError:

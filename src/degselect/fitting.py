@@ -3,13 +3,14 @@
 All fitters consume increments over their real inspection intervals.  There
 is one kernel per family, which fits at given exponents of the time transform
 d_j = t_j^beta - t_{j-1}^beta: the Wiener kernel is closed-form, the gamma
-kernel solves the shape score equation by Newton iteration.  What depends
-only on the series is done once per series (``_SeriesTerms``): the time
-stamps and their logarithms, and the increments' logarithms; a kernel row
-takes t^beta once per stamp.  The linear fits are these kernels at the
-fixed exponent 1, where d_j = t_j - t_{j-1}.  The two nonlinear fits
-profile the exponent on [0.2, 5], evaluated as row blocks of
-one exponents-by-increments array, from a grid that holds 1.  Both kernels
+kernel solves the shape score equation by one Newton step, then secant
+steps.  What depends only on the series is done once per series
+(``_SeriesTerms``): the time stamps and their logarithms, and the
+increments' logarithms; a kernel row takes t^beta once per stamp.  The
+linear fits are these kernels at the fixed exponent 1, where
+d_j = t_j - t_{j-1}.  The two nonlinear fits profile the exponent on
+[0.2, 5], evaluated as row blocks of one exponents-by-increments array,
+from a grid that holds 1.  Both kernels
 return the profile's slope in the exponent with its value, and both fits
 find the exponent at a zero of that slope by one search (``_search``): from
 the best exponent evaluated, it steps the way the slope points, asking for a
@@ -38,12 +39,16 @@ off on either side in a few steps, and evaluate trigamma once per solve.
 Each solve is warm-started from the rates already solved for the same
 problem (``_warm_start``).  The fit at the chosen exponent is the search's
 own row there: its iterations and converged flag describe that solve.
-Above ``PROFILE_BLOCK // 2`` increments a whole-series search's first row,
-at beta = 1, is the homogeneous fit's solve, made once per series for both.
+This solve and the joint Newton solve read the gamma log-likelihood, its
+score and its derivatives from one set of terms (``_GammaTerms``), which
+holds the sums that do not depend on alpha.  Above ``PROFILE_BLOCK // 2``
+increments a whole-series search's first row, at beta = 1, is the
+homogeneous fit's solve, made once per series for both.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -60,12 +65,13 @@ def _trigamma(x: np.ndarray) -> np.ndarray:
     """Vectorized trigamma via six recurrence steps + asymptotic series.
 
     scipy's polygamma(1, .) is ~15x slower than psi on large arrays; this
-    stays within 1e-12.  The shape-rate solve calls it once, for its first
-    (Newton) step; its later steps are secant steps.  Every element takes
-    all six steps, with no mask.  Measured on a 2-core x86 host (Python
-    3.11, numpy 2.4, scipy 1.17): 39 us for the 7 x 50 block of a short
-    window's gamma exponent grid (polygamma 131 us, psi 7 us) and 278 us
-    for 10,000 elements (polygamma 3.8 ms, psi 225 us).
+    stays within 1e-12.  Its one caller, ``_GammaTerms.score``, runs it once
+    per shape-rate solve, for the first (Newton) step, whose later steps are
+    secant steps, and once per evaluation of the joint Newton solve, for its
+    Hessian.  Every element takes all six steps, with no mask.  Measured on
+    a 2-core x86 host (Python 3.11, numpy 2.4, scipy 1.17): 39 us for the
+    7 x 50 block of a short window's gamma exponent grid (polygamma 131 us,
+    psi 7 us) and 278 us for 10,000 elements (polygamma 3.8 ms, psi 225 us).
     """
     z = np.asarray(x, dtype=float)
     # Shift past 6 with psi'(z) = psi'(z+1) + 1/z^2, then the series in 1/z.
@@ -424,6 +430,14 @@ def _linear_wiener_rows(series: _SeriesTerms, mask) -> list:
     ]
 
 
+def _drift(deltas: np.ndarray, d: np.ndarray, mask) -> tuple:
+    """Per row of the masked ``d``, the least-squares drift m of ``deltas`` on
+    d, the masked residuals x_j - m d_j and the sum of their squares."""
+    m_hat = (d @ deltas) / (d * d).sum(axis=1)
+    resid = _masked(deltas - m_hat[:, None] * d, mask)
+    return m_hat, resid, (resid * resid).sum(axis=1)
+
+
 def _wiener_profile_rows(
     series: _SeriesTerms, betas: np.ndarray, mask: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -437,11 +451,8 @@ def _wiener_profile_rows(
     """
     deltas = series.deltas
     d, d_beta = series.transform(betas, slope=True)
-    d = _masked(d, mask)
     count = _counts(deltas.size, mask)
-    m_hat = (d @ deltas) / (d * d).sum(axis=1)
-    resid = _masked(deltas - m_hat[:, None] * d, mask)
-    sum_sq = (resid * resid).sum(axis=1)
+    m_hat, resid, sum_sq = _drift(deltas, _masked(d, mask), mask)
     s2 = np.maximum(sum_sq / count, VARIANCE_FLOOR)  # noise-free data stays scorable
     slope = m_hat * np.einsum("ij,ij->i", resid, d_beta) / s2
     return m_hat, s2, _normal_loglik(sum_sq, s2, count), slope
@@ -469,6 +480,64 @@ def _gamma_loglik(
     log_x = np.log(deltas) if log_x is None else log_x
     terms = (shape - 1.0) * log_x - deltas / scale - shape * np.log(scale) - gammaln(shape)
     return _masked(terms, mask).sum(axis=-1)
+
+
+class _GammaTerms:
+    """The gamma log-likelihood of rows of increments, each at its own
+    exponent, with shape alpha d_j and the scale theta profiled out, and its
+    derivatives: the one place both gamma solves form them.
+
+    Built once per set of rows from the masked d and d' (and d'', for the
+    second derivatives in beta), the training ``mask`` (None: every increment
+    trains) and each row's training sum ``total``, it holds the sums that do
+    not depend on alpha.  Over each row's training increments, D = sum d_j,
+    L = sum d_j ln x_j and c = total / D, so that theta = c / alpha at the
+    optimum; primes are derivatives in beta.  With psi and psi' at alpha d_j:
+    g_alpha = L - D ln theta - sum d_j psi, the score in alpha;
+    g_beta = alpha (L' - D' ln theta - sum d'_j psi), the slope in beta;
+    H_alpha_alpha = D / alpha - sum d_j^2 psi';
+    H_alpha_beta = L' - D' ln theta + D' - sum d'_j psi - alpha sum d_j d'_j psi';
+    H_beta_beta = alpha (L'' - D'' ln theta + D'^2 / D - sum d''_j psi
+    - alpha sum d'_j^2 psi').
+    Held-out columns see shape 1 with weight 0: finite psi, psi' and gammaln.
+    """
+
+    def __init__(self, series: _SeriesTerms, d, d1, mask, total, d2=None) -> None:
+        self.series, self.mask, self.d, self.d1, self.d2 = series, mask, d, d1, d2
+        self.hole = np.zeros((d.shape[0], 1)) if mask is None else 1.0 - mask
+        self.D, self.D1 = d.sum(axis=1), d1.sum(axis=1)
+        self.L, self.L1 = d @ series.log_x, d1 @ series.log_x
+        self.c = total / self.D
+
+    def score(self, alpha: np.ndarray, curvature: bool = False) -> list:
+        """[g_alpha, g_beta] at each row's ``alpha``; with ``curvature``, then
+        H_alpha_alpha and, given d'', H_alpha_beta and H_beta_beta."""
+        d, d1, d2 = self.d, self.d1, self.d2
+        shape = alpha[:, None] * d + self.hole
+        digamma, log_theta = psi(shape), np.log(self.c / alpha)
+        partial = self.L1 - self.D1 * log_theta - (d1 * digamma).sum(axis=1)
+        out = [self.L - self.D * log_theta - (d * digamma).sum(axis=1), alpha * partial]
+        if curvature:
+            trigamma = _trigamma(shape)
+            out.append(self.D / alpha - (d * d * trigamma).sum(axis=1))
+        if curvature and d2 is not None:
+            out.append(partial + self.D1 - alpha * (d * d1 * trigamma).sum(axis=1))
+            inner = d2 @ self.series.log_x - d2.sum(axis=1) * log_theta + self.D1 * self.D1 / self.D
+            inner -= (d2 * digamma).sum(axis=1)
+            out.append(alpha * (inner - alpha * (d1 * d1 * trigamma).sum(axis=1)))
+        return out
+
+    def loglik(self, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(theta, loglik) of each row at its ``alpha``, theta = c / alpha."""
+        theta, series = self.c / alpha, self.series
+        shape = alpha[:, None] * self.d + self.hole
+        return theta, _gamma_loglik(series.deltas, shape, theta[:, None], self.mask, series.log_x)
+
+    def take(self, rows: np.ndarray) -> "_GammaTerms":
+        """These terms of ``rows`` only, as row indices or a row mask."""
+        out = copy.copy(self)
+        vars(out).update((k, v[rows]) for k, v in vars(self).items() if isinstance(v, np.ndarray))
+        return out
 
 
 def _homog_gamma_solve(series: _SeriesTerms, mask) -> tuple[np.ndarray, tuple]:
@@ -532,58 +601,45 @@ def _gamma_profile_rows(
     1 = training) fits each row to its own training increments.
 
     Each row also gets the profile loglik's slope in the exponent.  By the
-    envelope theorem it is the partial derivative at the solved (alpha,
-    theta), alpha * sum_j d'_j (log x_j - log theta - psi(alpha d_j)) with
-    d'_j = dd_j/dbeta; each iteration sums d'_j psi from the psi it
-    evaluates, and a row's slope is extrapolated from its last two iterates
-    to the rate it returns.  Returns
+    envelope theorem it is the partial derivative g_beta at the solved
+    (alpha, theta) (``_GammaTerms``, whose score and loglik the solve
+    evaluates); a row's slope is extrapolated from its last two iterates to
+    the rate it returns.  Returns
     per-row (shape rate, scale, loglik, iterations, converged before the
     100-iteration cap, slope in beta).
     """
-    deltas, log_x = series.deltas, series.log_x
+    deltas = series.deltas
     d, d_beta = (_masked(v, mask) for v in series.transform(betas, slope=True))
-    # Held-out columns see shape 1 with weight 0: finite psi, trigamma, gammaln.
-    hole = np.zeros((betas.size, 1)) if mask is None else 1.0 - mask
-    sum_d, sum_d_beta = d.sum(axis=1), d_beta.sum(axis=1)
-    sum_dlog, sum_d_beta_log = d @ log_x, d_beta @ log_x
-    c = (deltas.sum() if mask is None else mask @ deltas) / sum_d  # = alpha * theta at the optimum
+    total = deltas.sum() if mask is None else mask @ deltas
+    terms = full = _GammaTerms(series, d, d_beta, mask, total)
 
     alpha = np.full(betas.size, math.nan) if init is None else np.asarray(init, dtype=float)
     fresh = np.isnan(alpha)
     if fresh.any():
         # Moment init: slope ~ alpha*theta, residual scale ~ alpha*theta^2.
-        a_mom = (d @ deltas) / (d * d).sum(axis=1)
-        resid = _masked(deltas - a_mom[:, None] * d, mask)
-        w = (resid * resid).sum(axis=1) / sum_d
+        a_mom, _, sum_sq = _drift(deltas, d, mask)
+        w = sum_sq / full.D
         with np.errstate(divide="ignore", invalid="ignore"):
             alpha = np.where(fresh, np.where(w > 0, a_mom * a_mom / w, SHAPE_MAX), alpha)
     alpha = np.clip(alpha, SHAPE_MIN, SHAPE_MAX)
 
     rows = betas.size
     out_alpha, out_slope = np.empty(rows), np.empty(rows)
-    iterations = np.full(rows, 100)
-    converged = np.zeros(rows, dtype=bool)
+    iterations, converged = np.full(rows, 100), np.zeros(rows, dtype=bool)
     # The loop runs on the rows not yet converged; ``idx`` maps them back.
-    idx = np.arange(rows)
-    lo, hi = np.full(rows, SHAPE_MIN), np.full(rows, SHAPE_MAX)
-    dd, hh, sd, sdl, cc = d, hole, sum_d, sum_dlog, c
-    db, sdb, sdbl = d_beta, sum_d_beta, sum_d_beta_log
+    idx, lo, hi = np.arange(rows), np.full(rows, SHAPE_MIN), np.full(rows, SHAPE_MAX)
     # A zero or NaN slope gives a step to 0 or NaN, which the bracket test
     # rejects.
     with np.errstate(divide="ignore", invalid="ignore"):
         for it in range(1, 101):
-            shape = alpha[:, None] * dd + hh
-            digamma, log_theta = psi(shape), np.log(cc / alpha)
-            g = sdl - sd * log_theta - (dd * digamma).sum(axis=1)
-            s = alpha * (sdbl - sdb * log_theta - (db * digamma).sum(axis=1))
+            # The first iteration also reads H_alpha_alpha: the solve's one trigamma.
+            g, s, *h = terms.score(alpha, curvature=it == 1)
             # score decreases in alpha: keep a shrinking root bracket as safeguard
             up = g > 0
-            lo = np.where(up, alpha, lo)
-            hi = np.where(up, hi, alpha)
+            lo, hi = np.where(up, alpha, lo), np.where(up, hi, alpha)
             if it == 1:
-                # One Newton step in 1/alpha, the solve's one trigamma.
-                h = sd / alpha - (dd * dd * _trigamma(shape)).sum(axis=1)
-                nxt = alpha / (1.0 + g / (alpha * h))
+                # One Newton step in 1/alpha.
+                nxt = alpha / (1.0 + g / (alpha * h[0]))
             else:
                 # A secant step in 1/alpha through the last two iterates,
                 # written so that g = 0 returns alpha itself.
@@ -600,19 +656,15 @@ def _gamma_profile_rows(
             alpha_prev, g_prev, s_prev, alpha = alpha, g, s, nxt
             if done.any():
                 out_alpha[idx[done]] = alpha[done]
-                iterations[idx[done]] = it
-                converged[idx[done]] = True
+                iterations[idx[done]], converged[idx[done]] = it, True
                 keep = ~done
                 idx, alpha, lo, hi = idx[keep], alpha[keep], lo[keep], hi[keep]
                 alpha_prev, g_prev, s_prev = alpha_prev[keep], g_prev[keep], s_prev[keep]
-                dd, hh, db = dd[keep], hh[keep], db[keep]
-                sd, sdl, cc, sdb, sdbl = sd[keep], sdl[keep], cc[keep], sdb[keep], sdbl[keep]
                 if not idx.size:
                     break
+                terms = terms.take(keep)
     out_alpha[idx] = alpha
-    theta = c / out_alpha
-    ll = _gamma_loglik(deltas, out_alpha[:, None] * d + hole, theta[:, None], mask, log_x)
-    return out_alpha, theta, ll, iterations, converged, out_slope
+    return (out_alpha, *full.loglik(out_alpha), iterations, converged, out_slope)
 
 
 def _warm_start(betas: np.ndarray, known_b: list, known_a: list) -> np.ndarray:
@@ -696,50 +748,27 @@ _LL_RESOLUTION = 1e-12
 def _joint_terms(series: _SeriesTerms, total, alpha, beta, mask) -> tuple:
     """The non-homogeneous gamma log-likelihood at each row's (alpha, beta),
     with the scale theta = sum x / (alpha D) profiled out, and its gradient
-    and Hessian in (u = ln alpha, beta).
+    and Hessian in (u = ln alpha, beta), from ``_GammaTerms`` of each row's
+    training increments (``mask``), whose sum is ``total``.
 
-    Sums run over each row's training increments (``mask``), whose sum is
-    ``total``; D = sum d_j, L = sum d_j ln x_j, and primes are derivatives in
-    beta.  With psi and psi' at alpha d_j:
-    g_alpha = L - D ln theta - sum d_j psi, the shape-rate solve's score;
-    g_beta = alpha (L' - D' ln theta - sum d'_j psi), its slope in beta;
-    H_alpha_alpha = D / alpha - sum d_j^2 psi';
-    H_alpha_beta = L' - D' ln theta + D' - sum d'_j psi - alpha sum d_j d'_j psi';
-    H_beta_beta = alpha (L'' - D'' ln theta + D'^2 / D - sum d''_j psi
-    - alpha sum d'_j^2 psi').  In u, g_u = alpha g_alpha,
-    H_uu = alpha^2 H_alpha_alpha + alpha g_alpha and H_u_beta = alpha H_alpha_beta.
-    A row with a training alpha d_j that is not positive and finite reads
-    stand-in terms, d = 1 and d' = d'' = 0, and gets loglik -inf.  Returns per
-    row (loglik, theta, g_u, g_beta, H_uu, H_u_beta, H_beta_beta).
+    In u, g_u = alpha g_alpha, H_uu = alpha^2 H_alpha_alpha + alpha g_alpha
+    and H_u_beta = alpha H_alpha_beta.  A row with a training alpha d_j that
+    is not positive and finite reads stand-in terms, d = 1 and
+    d' = d'' = 0, and gets loglik -inf.  Returns per row (loglik, theta,
+    g_u, g_beta, H_uu, H_u_beta, H_beta_beta).
     """
-    log_x = series.log_x
     d, d1, d2 = (v * mask for v in series.curvature(beta))
-    hole = 1.0 - mask  # held-out columns see shape 1 with weight 0
-    shape = alpha[:, None] * d + hole
+    shape = alpha[:, None] * d + (1.0 - mask)
     usable = (np.isfinite(shape) & (shape > 0)).all(axis=1)
     if not usable.all():
         keep = usable[:, None]
         d, d1, d2 = np.where(keep, d, mask), np.where(keep, d1, 0.0), np.where(keep, d2, 0.0)
-        shape = alpha[:, None] * d + hole
-    sum_d, sum_d1 = d.sum(axis=1), d1.sum(axis=1)
-    theta = total / sum_d / alpha
-    log_theta = np.log(theta)
-    digamma, trigamma = psi(shape), _trigamma(shape)
-    g_alpha = d @ log_x - sum_d * log_theta - (d * digamma).sum(axis=1)
-    partial = d1 @ log_x - sum_d1 * log_theta - (d1 * digamma).sum(axis=1)
-    h_aa = sum_d / alpha - (d * d * trigamma).sum(axis=1)
-    h_ab = partial + sum_d1 - alpha * (d * d1 * trigamma).sum(axis=1)
-    h_bb = alpha * (
-        d2 @ log_x
-        - d2.sum(axis=1) * log_theta
-        + sum_d1 * sum_d1 / sum_d
-        - (d2 * digamma).sum(axis=1)
-        - alpha * (d1 * d1 * trigamma).sum(axis=1)
-    )
-    ll = _gamma_loglik(series.deltas, shape, theta[:, None], mask, log_x)
-    ll = np.where(usable, ll, NEG_INF)
+    terms = _GammaTerms(series, d, d1, mask, total, d2)
+    g_alpha, g_beta, h_aa, h_ab, h_bb = terms.score(alpha, curvature=True)
+    theta, ll = terms.loglik(alpha)
     g_u = alpha * g_alpha
-    return ll, theta, g_u, alpha * partial, alpha * alpha * h_aa + g_u, alpha * h_ab, h_bb
+    h_uu = alpha * alpha * h_aa + g_u
+    return np.where(usable, ll, NEG_INF), theta, g_u, g_beta, h_uu, alpha * h_ab, h_bb
 
 
 def _seeded_nonhomog_gamma_rows(series: _SeriesTerms, mask: np.ndarray, start: Mapping) -> list:

@@ -1568,6 +1568,24 @@ class TestSeededFolds:
             if ref.params["beta"] in BETA_BOUNDS:
                 assert got == ref
 
+    @settings(max_examples=100, deadline=None)
+    @given(inc=fold_inputs())
+    def test_joint_loglik_is_the_shape_rate_solves_loglik(self, inc):
+        # The joint solve and the shape-rate solve read one set of gamma
+        # terms: at the rate a shape-rate row returns, the joint loglik is
+        # that row's, bit for bit.  Their scores are not compared: the
+        # shape-rate solve stops by an absolute step rule (ROADMAP item 4).
+        from degselect.fitting import _joint_terms
+
+        terms, x = _SeriesTerms(*inc.arrays), inc.arrays[0]
+        betas = _BETA_GRID[::4]
+        beta = np.tile(betas, 5)
+        mask = np.repeat(fold_training_mask(len(inc), 5)[1].astype(float), betas.size, axis=0)
+        alpha, _, ll, *_ = _gamma_profile_rows(terms, beta, None, mask)
+        joint = _joint_terms(terms, mask @ x, alpha, beta, mask)[0]
+        finite = np.isfinite(ll)
+        assert joint[finite].tolist() == ll[finite].tolist()
+
     @pytest.mark.parametrize("kind", [SimKind.HOMOG_GAMMA, SimKind.NONHOMOG_GAMMA])
     def test_gradient_and_hessian_match_central_differences(self, kind):
         from degselect.fitting import _joint_terms
