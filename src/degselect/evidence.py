@@ -2,7 +2,9 @@
 
 The bank is a line-delimited file of proposition records with provenance.
 Retrieval is purely lexical (BM25 over lowercased tokens) so results are
-deterministic and fully offline.
+deterministic and fully offline.  A query's text is a fixed template plus
+the context, so few texts recur: each bank keeps the sets it retrieved, and
+each trajectory the feature summary its first query took.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .simulate import Trajectory
 BM25_K1 = 1.2
 BM25_B = 0.75
 DEFAULT_TOP_K = 8
+RETRIEVAL_MEMO_SIZE = 64  # retrieved sets a bank keeps; the experiments ask at most 24 texts
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -60,6 +63,9 @@ class EvidenceRecord:
 @dataclass(frozen=True)
 class RetrievedSet:
     items: tuple[tuple[EvidenceRecord, float], ...]
+    # The evidence blend's hint vote per hierarchy, filled at its first use:
+    # a bank hands the same set to every inference that asks the same query.
+    votes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -75,7 +81,9 @@ class EvidenceBank:
     """Immutable proposition store with a BM25 impact index.
 
     No BM25 term weight depends on the query, so each (term, record) weight
-    is computed here, once, and a query only adds up stored weights.
+    is computed here, once, and a query only adds up stored weights.  Up to
+    ``RETRIEVAL_MEMO_SIZE`` retrieved sets are kept, one per distinct (query
+    text, k) pair (``retrieve_top_k``).
     """
 
     def __init__(self, records: Sequence[EvidenceRecord]):
@@ -104,6 +112,7 @@ class EvidenceBank:
             self._impacts[term] = [
                 (pos, idf * tf * (BM25_K1 + 1.0) / (tf + norms[pos])) for pos, tf in tfs.items()
             ]
+        self._retrieved: dict[tuple[str, int], RetrievedSet] = {}
 
     def __len__(self) -> int:
         return len(self.records)
@@ -228,11 +237,19 @@ def feature_summary(traj: Trajectory) -> FeatureSummary:
 
 
 CURVATURE_NONLINEAR = 0.25
+_FEATURES = "_feature_summary"  # where a trajectory keeps its summary
 
 
 def build_query(traj: Trajectory, context: str = "") -> Query:
-    """Fixed template turning trajectory features plus context into a query."""
-    feats = feature_summary(traj)
+    """Fixed template turning trajectory features plus context into a query.
+
+    The feature pass runs once per trajectory object: its summary is kept in
+    the instance dict, as ``functools.cached_property`` keeps a value on a
+    frozen dataclass.  A copy or a prefix is a new object with its own pass.
+    """
+    feats = vars(traj).get(_FEATURES)
+    if feats is None:
+        feats = vars(traj)[_FEATURES] = feature_summary(traj)
     phrases = []
     if feats.monotone:
         phrases.append("monotonic increase of the health indicator")
@@ -253,11 +270,26 @@ def build_query(traj: Trajectory, context: str = "") -> Query:
 def retrieve_top_k(
     bank: EvidenceBank, query: Query, k: int = DEFAULT_TOP_K
 ) -> RetrievedSet:
-    """Top-k BM25 matches; zero-score records excluded, ties by id."""
+    """Top-k BM25 matches; zero-score records excluded, ties by id.
+
+    The set is a function of the query text and k alone, so the bank keeps
+    it: an equal text and k get the same ``RetrievedSet`` object back.  A
+    bank holding ``RETRIEVAL_MEMO_SIZE`` sets drops them all before it keeps
+    the next, so that no step of the memo can fail if threads share the bank.
+    """
     if k < 1:
         raise ValueError("k must be positive")
+    key = (query.text, k)
+    memo = bank._retrieved
+    out = memo.get(key)
+    if out is not None:
+        return out
     scores = bank._scores(tokenize(query.text))
     ranked = [pos for pos, s in enumerate(scores) if s > 0.0]
     # Positions ascend with id and the sort is stable: ties stay in id order.
     ranked.sort(key=scores.__getitem__, reverse=True)
-    return RetrievedSet(items=tuple((bank._id_order[pos], scores[pos]) for pos in ranked[:k]))
+    out = RetrievedSet(items=tuple((bank._id_order[pos], scores[pos]) for pos in ranked[:k]))
+    if len(memo) >= RETRIEVAL_MEMO_SIZE:
+        memo.clear()
+    memo[key] = out
+    return out

@@ -504,16 +504,25 @@ class _GammaTerms:
 
     def __init__(self, series: _SeriesTerms, d, d1, mask, total, d2=None) -> None:
         self.series, self.mask, self.d, self.d1, self.d2 = series, mask, d, d1, d2
-        self.hole = np.zeros((d.shape[0], 1)) if mask is None else 1.0 - mask
         self.D, self.D1 = d.sum(axis=1), d1.sum(axis=1)
         self.L, self.L1 = d @ series.log_x, d1 @ series.log_x
         self.c = total / self.D
 
-    def score(self, alpha: np.ndarray, curvature: bool = False) -> list:
+    @cached_property
+    def hole(self) -> np.ndarray:
+        """1 at each held-out column: the shape it reads."""
+        return np.zeros((self.d.shape[0], 1)) if self.mask is None else 1.0 - self.mask
+
+    def shape(self, alpha: np.ndarray) -> np.ndarray:
+        """The gamma shape alpha d_j of each row's increments (1 where held out)."""
+        return alpha[:, None] * self.d + self.hole
+
+    def score(self, alpha: np.ndarray, curvature: bool = False, shape=None) -> list:
         """[g_alpha, g_beta] at each row's ``alpha``; with ``curvature``, then
-        H_alpha_alpha and, given d'', H_alpha_beta and H_beta_beta."""
+        H_alpha_alpha and, given d'', H_alpha_beta and H_beta_beta.  ``shape``,
+        when given, is ``self.shape(alpha)``."""
         d, d1, d2 = self.d, self.d1, self.d2
-        shape = alpha[:, None] * d + self.hole
+        shape = self.shape(alpha) if shape is None else shape
         digamma, log_theta = psi(shape), np.log(self.c / alpha)
         partial = self.L1 - self.D1 * log_theta - (d1 * digamma).sum(axis=1)
         out = [self.L - self.D * log_theta - (d * digamma).sum(axis=1), alpha * partial]
@@ -527,10 +536,11 @@ class _GammaTerms:
             out.append(alpha * (inner - alpha * (d1 * d1 * trigamma).sum(axis=1)))
         return out
 
-    def loglik(self, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(theta, loglik) of each row at its ``alpha``, theta = c / alpha."""
+    def loglik(self, alpha: np.ndarray, shape=None) -> tuple[np.ndarray, np.ndarray]:
+        """(theta, loglik) of each row at its ``alpha``, theta = c / alpha;
+        ``shape``, when given, is ``self.shape(alpha)``."""
         theta, series = self.c / alpha, self.series
-        shape = alpha[:, None] * self.d + self.hole
+        shape = self.shape(alpha) if shape is None else shape
         return theta, _gamma_loglik(series.deltas, shape, theta[:, None], self.mask, series.log_x)
 
     def take(self, rows: np.ndarray) -> "_GammaTerms":
@@ -758,14 +768,17 @@ def _joint_terms(series: _SeriesTerms, total, alpha, beta, mask) -> tuple:
     g_u, g_beta, H_uu, H_u_beta, H_beta_beta).
     """
     d, d1, d2 = (v * mask for v in series.curvature(beta))
-    shape = alpha[:, None] * d + (1.0 - mask)
+    hole = 1.0 - mask
+    shape = alpha[:, None] * d + hole
     usable = (np.isfinite(shape) & (shape > 0)).all(axis=1)
     if not usable.all():
         keep = usable[:, None]
         d, d1, d2 = np.where(keep, d, mask), np.where(keep, d1, 0.0), np.where(keep, d2, 0.0)
+        shape = alpha[:, None] * d + hole
+    # The terms read this shape, so they never form their own hole.
     terms = _GammaTerms(series, d, d1, mask, total, d2)
-    g_alpha, g_beta, h_aa, h_ab, h_bb = terms.score(alpha, curvature=True)
-    theta, ll = terms.loglik(alpha)
+    g_alpha, g_beta, h_aa, h_ab, h_bb = terms.score(alpha, curvature=True, shape=shape)
+    theta, ll = terms.loglik(alpha, shape)
     g_u = alpha * g_alpha
     h_uu = alpha * alpha * h_aa + g_u
     return np.where(usable, ll, NEG_INF), theta, g_u, g_beta, h_uu, alpha * h_ab, h_bb

@@ -1,4 +1,6 @@
 import os
+from contextlib import ExitStack, contextmanager
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -60,6 +62,25 @@ def gamma_path():
 @pytest.fixture(scope="session")
 def wiener_path():
     return make_path(SimKind.LINEAR_WIENER, seed=11)
+
+
+@contextmanager
+def counting_feature_passes():
+    """Count ``feature_summary`` calls through ``evidence`` and, if bound
+    there, ``decisions``."""
+    import degselect.decisions as dec
+    import degselect.evidence as ev
+
+    calls = []
+    with ExitStack() as stack:
+        for module in (ev, dec):
+            summary = getattr(module, "feature_summary", None)
+            if summary is not None:
+                stack.enter_context(patch.object(
+                    module, "feature_summary",
+                    lambda traj, summary=summary: calls.append(traj) or summary(traj),
+                ))
+        yield calls
 
 
 @st.composite

@@ -1,5 +1,7 @@
 import json
 import math
+from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from degselect.bench import CONTEXT_BY_FAMILY
+import degselect.evidence as evidence
+from degselect.decisions import Observation
 from degselect.evidence import (
     CURVATURE_NONLINEAR,
     EPS,
@@ -24,9 +28,9 @@ from degselect.evidence import (
 )
 from degselect.model_space import Family, Hierarchy, Trend, structural_label
 from degselect.pipeline import Case, InferenceInput, run_inference
-from degselect.simulate import SimKind, Trajectory, truncate_at_progress
+from degselect.simulate import SimKind, Trajectory, WindowTooShortError, truncate_at_progress
 
-from conftest import make_path, shape_paths
+from conftest import counting_feature_passes, make_path, shape_paths
 
 
 def bm25_scores(bank, query_tokens):
@@ -311,6 +315,59 @@ class TestRetrieval:
         assert hints.count(Family.GAMMA) > hints.count(Family.WIENER)
 
 
+# (query tokens, k) requests, with repeats.
+memo_requests = st.lists(st.tuples(random_queries, st.integers(1, 14)), min_size=1, max_size=30)
+
+
+def ranking(out):
+    return [(r.id, s) for r, s in out]
+
+
+class TestRetrievalMemo:
+    """A bank keeps each (query text, k) pair's retrieved set: a repeat gets
+    the same object, equal to a fresh bank's retrieval, scores bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(records=random_banks(), requests=memo_requests)
+    def test_memoized_sets_equal_a_fresh_banks(self, records, requests):
+        bank = EvidenceBank(records)
+        first = {}
+        for tokens, k in requests:
+            text = " ".join(tokens)
+            out = retrieve_top_k(bank, Query(text, None), k=k)
+            assert out is first.setdefault((text, k), out)
+            fresh = retrieve_top_k(EvidenceBank(records), Query(text, None), k=k)
+            assert out == fresh and ranking(out) == ranking(fresh)
+
+    @settings(max_examples=100, deadline=None)
+    @given(records=random_banks(), requests=memo_requests, bound=st.integers(1, 5))
+    def test_memo_never_exceeds_its_bound(self, records, requests, bound):
+        bank = EvidenceBank(records)
+        with patch.object(evidence, "RETRIEVAL_MEMO_SIZE", bound):
+            for tokens, k in requests:
+                query = Query(" ".join(tokens), None)
+                out = retrieve_top_k(bank, query, k=k)
+                assert len(bank._retrieved) <= bound
+                assert bank._retrieved[(query.text, k)] is out
+                assert ranking(out) == ranking(retrieve_top_k(EvidenceBank(records), query, k=k))
+
+    def test_default_bound_on_many_texts(self, bank):
+        bank = EvidenceBank(bank.records)
+        for i in range(2 * evidence.RETRIEVAL_MEMO_SIZE + 1):
+            retrieve_top_k(bank, Query(f"wear {i}", None))
+            assert 0 < len(bank._retrieved) <= evidence.RETRIEVAL_MEMO_SIZE
+
+    def test_scores_run_once_per_text_and_k(self, bank):
+        bank = EvidenceBank(bank.records)
+        calls = []
+        scores = bank._scores
+        bank._scores = lambda tokens: calls.append(tokens) or scores(tokens)
+        for text in experiment_query_texts() * 3:
+            for k in (1, 8):
+                retrieve_top_k(bank, Query(text, None), k=k)
+        assert len(calls) == 2 * len(set(experiment_query_texts()))
+
+
 class TestFeatureSummary:
     def test_monotone_gamma_path(self):
         traj = make_path(SimKind.HOMOG_GAMMA, seed=11)
@@ -392,6 +449,35 @@ class TestFeaturePass:
         traj = Trajectory("f", (0.0, 1.0, 2.0, 3.0), (2.0, 2.0, 2.0, 2.0))
         feats = feature_summary(traj)
         assert feats.flat and feats.monotone and not feats.strictly_increasing
+
+
+class TestFeaturePassPerTrajectory:
+    @settings(max_examples=100, deadline=None)
+    @given(traj=shape_paths(), context=st.sampled_from(["", "pipeline corrosion"]))
+    def test_one_pass_per_trajectory_object(self, traj, context):
+        with counting_feature_passes() as calls:
+            first = build_query(traj)
+            queries = [build_query(traj, context), Observation.of(traj, context).query]
+        assert len(calls) == 1 and calls[0] is traj
+        assert all(q.features is first.features for q in queries)
+        assert first.features == feature_summary(traj)
+
+    @settings(max_examples=100, deadline=None)
+    @given(traj=shape_paths(), pct=st.integers(1, 100))
+    def test_copy_and_prefix_get_their_own_summary(self, traj, pct):
+        build_query(traj)
+        # An equal copy, a relabelled one and a prefix: each a new object.
+        others = [replace(traj), replace(traj, unit_id="copy")]
+        try:
+            prefix = truncate_at_progress(traj, pct)
+        except WindowTooShortError:
+            prefix = None
+        if prefix is not None and len(prefix) >= 3:
+            others.append(prefix)
+        with counting_feature_passes() as calls:
+            got = [build_query(t).features for t in others]
+        assert [id(t) for t in calls] == [id(t) for t in others]
+        assert got == [feature_summary(t) for t in others]
 
 
 class TestBuildQuery:

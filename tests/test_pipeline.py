@@ -34,7 +34,7 @@ from degselect.simulate import (
     truncate_at_progress,
 )
 
-from conftest import make_path
+from conftest import counting_feature_passes, make_path
 
 
 class FixedProvider:
@@ -303,25 +303,6 @@ def counting_fits():
                     patch.object(dec, fitter.__name__, counted_fitter(fitter, key))
                 )
         yield counts
-
-
-@contextmanager
-def counting_feature_passes():
-    """Count ``feature_summary`` calls through ``evidence`` and, if bound
-    there, ``decisions``."""
-    import degselect.decisions as dec
-    import degselect.evidence as ev
-
-    calls = []
-    with ExitStack() as stack:
-        for module in (ev, dec):
-            summary = getattr(module, "feature_summary", None)
-            if summary is not None:
-                stack.enter_context(patch.object(
-                    module, "feature_summary",
-                    lambda traj, summary=summary: calls.append(traj) or summary(traj),
-                ))
-        yield calls
 
 
 @st.composite
