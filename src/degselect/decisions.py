@@ -173,21 +173,6 @@ class HeuristicProvider:
 _SIGN = {Family.WIENER: 1.0, Family.GAMMA: -1.0, Trend.NONLINEAR: 1.0, Trend.LINEAR: -1.0}
 
 
-def _hint_vote(evidence: RetrievedSet, hierarchy: Hierarchy) -> Optional[float]:
-    """The score-weighted mean sign of the records' ``hierarchy`` hints, None
-    without one; computed once per retrieved set and hierarchy."""
-    if hierarchy not in evidence.votes:
-        weights, votes = [], []
-        for record, s in evidence:
-            hint = structural_label(record.hint, hierarchy) if record.hint else None
-            if hint is None:
-                continue
-            weights.append(s)
-            votes.append(s * _SIGN[hint])
-        evidence.votes[hierarchy] = sum(votes) / sum(weights) if weights else None
-    return evidence.votes[hierarchy]
-
-
 class EvidenceBlendProvider:
     """Blends retrieved evidence hints with the observation's heuristic answer."""
 
@@ -196,8 +181,17 @@ class EvidenceBlendProvider:
     ) -> Answer:
         base = obs.heuristic(hierarchy)
         f = _SIGN[base.label] * (2.0 * base.confidence - 1.0)
-        vote = _hint_vote(evidence, hierarchy) if evidence else None
-        u = f if vote is None else 0.5 * vote + 0.5 * f
+        weights, votes = [], []
+        for record, s in evidence or ():
+            hint = structural_label(record.hint, hierarchy) if record.hint else None
+            if hint is None:
+                continue
+            weights.append(s)
+            votes.append(s * _SIGN[hint])
+        if weights:
+            u = 0.5 * (sum(votes) / sum(weights)) + 0.5 * f
+        else:
+            u = f
         if u == 0.0:
             label = base.label
         else:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from typing import Optional, Sequence
@@ -63,9 +63,6 @@ class EvidenceRecord:
 @dataclass(frozen=True)
 class RetrievedSet:
     items: tuple[tuple[EvidenceRecord, float], ...]
-    # The evidence blend's hint vote per hierarchy, filled at its first use:
-    # a bank hands the same set to every inference that asks the same query.
-    votes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.items)

@@ -517,12 +517,11 @@ class _GammaTerms:
         """The gamma shape alpha d_j of each row's increments (1 where held out)."""
         return alpha[:, None] * self.d + self.hole
 
-    def score(self, alpha: np.ndarray, curvature: bool = False, shape=None) -> list:
-        """[g_alpha, g_beta] at each row's ``alpha``; with ``curvature``, then
-        H_alpha_alpha and, given d'', H_alpha_beta and H_beta_beta.  ``shape``,
-        when given, is ``self.shape(alpha)``."""
+    def score(self, alpha: np.ndarray, shape: np.ndarray, curvature: bool = False) -> list:
+        """[g_alpha, g_beta] at each row's ``alpha``, whose ``shape`` is
+        ``self.shape(alpha)``; with ``curvature``, then H_alpha_alpha and,
+        given d'', H_alpha_beta and H_beta_beta."""
         d, d1, d2 = self.d, self.d1, self.d2
-        shape = self.shape(alpha) if shape is None else shape
         digamma, log_theta = psi(shape), np.log(self.c / alpha)
         partial = self.L1 - self.D1 * log_theta - (d1 * digamma).sum(axis=1)
         out = [self.L - self.D * log_theta - (d * digamma).sum(axis=1), alpha * partial]
@@ -536,11 +535,10 @@ class _GammaTerms:
             out.append(alpha * (inner - alpha * (d1 * d1 * trigamma).sum(axis=1)))
         return out
 
-    def loglik(self, alpha: np.ndarray, shape=None) -> tuple[np.ndarray, np.ndarray]:
-        """(theta, loglik) of each row at its ``alpha``, theta = c / alpha;
-        ``shape``, when given, is ``self.shape(alpha)``."""
+    def loglik(self, alpha: np.ndarray, shape: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(theta, loglik) of each row at its ``alpha``, whose ``shape`` is
+        ``self.shape(alpha)``; theta = c / alpha."""
         theta, series = self.c / alpha, self.series
-        shape = self.shape(alpha) if shape is None else shape
         return theta, _gamma_loglik(series.deltas, shape, theta[:, None], self.mask, series.log_x)
 
     def take(self, rows: np.ndarray) -> "_GammaTerms":
@@ -643,7 +641,7 @@ def _gamma_profile_rows(
     with np.errstate(divide="ignore", invalid="ignore"):
         for it in range(1, 101):
             # The first iteration also reads H_alpha_alpha: the solve's one trigamma.
-            g, s, *h = terms.score(alpha, curvature=it == 1)
+            g, s, *h = terms.score(alpha, terms.shape(alpha), curvature=it == 1)
             # score decreases in alpha: keep a shrinking root bracket as safeguard
             up = g > 0
             lo, hi = np.where(up, alpha, lo), np.where(up, hi, alpha)
@@ -674,7 +672,8 @@ def _gamma_profile_rows(
                     break
                 terms = terms.take(keep)
     out_alpha[idx] = alpha
-    return (out_alpha, *full.loglik(out_alpha), iterations, converged, out_slope)
+    theta, ll = full.loglik(out_alpha, full.shape(out_alpha))
+    return out_alpha, theta, ll, iterations, converged, out_slope
 
 
 def _warm_start(betas: np.ndarray, known_b: list, known_a: list) -> np.ndarray:
@@ -777,7 +776,7 @@ def _joint_terms(series: _SeriesTerms, total, alpha, beta, mask) -> tuple:
         shape = alpha[:, None] * d + hole
     # The terms read this shape, so they never form their own hole.
     terms = _GammaTerms(series, d, d1, mask, total, d2)
-    g_alpha, g_beta, h_aa, h_ab, h_bb = terms.score(alpha, curvature=True, shape=shape)
+    g_alpha, g_beta, h_aa, h_ab, h_bb = terms.score(alpha, shape, curvature=True)
     theta, ll = terms.loglik(alpha, shape)
     g_u = alpha * g_alpha
     h_uu = alpha * alpha * h_aa + g_u

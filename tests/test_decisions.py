@@ -3,14 +3,12 @@ import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
-from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import degselect.decisions as dec
 from degselect.decisions import (
     CONF_CAP,
     CONF_FLOOR,
@@ -35,9 +33,7 @@ from degselect.evidence import (
     EvidenceRecord,
     RetrievedSet,
 )
-from degselect.model_space import (
-    Family, Hierarchy, Trend, Uncertain, label_hierarchy, structural_label,
-)
+from degselect.model_space import Family, Hierarchy, Trend, Uncertain
 from degselect.pipeline import Case, InferenceInput, run_inference
 from degselect.simulate import SimKind, Trajectory
 
@@ -301,57 +297,6 @@ class TestEvidenceBlendProvider:
             for h in Hierarchy:
                 out = self.p.decide(h, Observation.of(traj), evidence=retrieved())
                 assert 0.0 <= out.confidence <= 0.99
-
-
-SIGN = {Family.WIENER: 1.0, Family.GAMMA: -1.0, Trend.NONLINEAR: 1.0, Trend.LINEAR: -1.0}
-
-
-def plain_blend(hierarchy, obs, evidence):
-    """The evidence blend as one loop over the records per call."""
-    base = HeuristicProvider().decide(hierarchy, obs)
-    f = SIGN[base.label] * (2.0 * base.confidence - 1.0)
-    weights, votes = [], []
-    for record, s in evidence:
-        hint = structural_label(record.hint, hierarchy) if record.hint else None
-        if hint is not None:
-            weights.append(s)
-            votes.append(s * SIGN[hint])
-    u = 0.5 * (sum(votes) / sum(weights)) + 0.5 * f if weights else f
-    if u == 0.0:
-        return Answer(base.label, 0.5 + 0.49 * abs(u))
-    labels = [x for x in SIGN if label_hierarchy(x) is hierarchy]
-    label = next(x for x in labels if (SIGN[x] > 0.0) == (u > 0.0))
-    return Answer(label, 0.5 + 0.49 * abs(u))
-
-
-hints = st.sampled_from(
-    [None, EvidenceHint()]
-    + [EvidenceHint(family=f) for f in Family]
-    + [EvidenceHint(trend=t) for t in Trend]
-    + [EvidenceHint(family=f, trend=t) for f in Family for t in Trend]
-)
-
-
-class TestHintVoteMemo:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        traj=shape_paths(),
-        pairs=st.lists(st.tuples(hints, st.floats(1e-3, 20.0)), max_size=8),
-    )
-    def test_memoized_vote_equals_plain_loop(self, traj, pairs):
-        ev = retrieved(*pairs)
-        provider = EvidenceBlendProvider()
-        for h in Hierarchy:
-            want = plain_blend(h, Observation.of(traj), ev)
-            # The first call fills the set's vote, the second reads it.
-            got = [provider.decide(h, Observation.of(traj), ev) for _ in range(2)]
-            assert got == [want, want]
-        calls = []
-        label = dec.structural_label
-        with patch.object(dec, "structural_label", lambda *a: calls.append(a) or label(*a)):
-            for h in Hierarchy:
-                provider.decide(h, Observation.of(traj), ev)
-        assert not calls
 
 
 class _StubHandler(BaseHTTPRequestHandler):
