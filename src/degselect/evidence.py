@@ -202,7 +202,7 @@ def feature_summary(traj: Trajectory) -> FeatureSummary:
     """Shape features of the observed trajectory, from one differencing."""
     if len(traj) < 3:
         raise ValueError("feature summary needs at least 3 observations")
-    times, values = (np.asarray(v, dtype=float) for v in (traj.times, traj.values))
+    times, values = traj.times, traj.values
     deltas = np.diff(values)
     n = len(deltas)
     lo, hi = float(deltas.min()), float(deltas.max())

@@ -225,8 +225,8 @@ class FitResult:
 
 def increments(traj: Trajectory) -> IncrementSeries:
     """Successive differences of the trajectory, each over its inspection interval."""
-    times, values = (np.asarray(v, dtype=float) for v in (traj.times, traj.values))
-    return IncrementSeries(np.diff(values), times[:-1], times[1:])
+    times = traj.times
+    return IncrementSeries(np.diff(traj.values), times[:-1], times[1:])
 
 
 def _block_rows(n: int) -> int:

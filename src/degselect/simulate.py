@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional, Sequence
@@ -27,26 +26,63 @@ class SimKind(Enum):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One unit's time-ordered health-indicator observations."""
+    """One unit's time-ordered health-indicator observations.
+
+    ``times`` and ``values`` are held as 1-D read-only float64 arrays.  Input
+    that already is one, over memory nothing can write (a slice of another
+    trajectory's arrays), is held as it is; anything else is copied once.
+    Trajectories with equal fields are equal and hash alike.
+    """
 
     unit_id: str
-    times: tuple[float, ...]
-    values: tuple[float, ...]
+    times: np.ndarray
+    values: np.ndarray
     true_model_id: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if len(self.times) != len(self.values):
+        t, x = (_frozen(v) for v in (self.times, self.values))
+        object.__setattr__(self, "times", t)
+        object.__setattr__(self, "values", x)
+        if t.ndim != 1 or x.ndim != 1:
+            raise ValueError("times and values must be 1-D")
+        if t.size != x.size:
             raise ValueError("times and values must have equal length")
-        if len(self.times) < 2:
+        if t.size < 2:
             raise ValueError("trajectory needs at least 2 observations")
-        t = np.asarray(self.times)
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(self.values))):
+        if not (np.isfinite(t).all() and np.isfinite(x).all()):
             raise ValueError("times and values must be finite")
-        if np.any(np.diff(t) <= 0):
+        if (t[1:] <= t[:-1]).any():
             raise ValueError("times must be strictly increasing")
 
     def __len__(self) -> int:
-        return len(self.times)
+        return self.times.size
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Trajectory):
+            return NotImplemented
+        return (
+            (self.unit_id, self.true_model_id) == (other.unit_id, other.true_model_id)
+            and np.array_equal(self.times, other.times)
+            and np.array_equal(self.values, other.values)
+        )
+
+    def __hash__(self) -> int:
+        arrays = ((a + 0.0).tobytes() for a in (self.times, self.values))  # + 0.0: -0.0 == 0.0
+        return hash((self.unit_id, self.true_model_id, *arrays))
+
+
+def _frozen(v) -> np.ndarray:
+    """``v`` as a read-only float64 array: itself if it already is one over
+    memory that no array can write, else a read-only copy."""
+    if isinstance(v, np.ndarray) and v.dtype == np.float64:
+        owner = v
+        while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+            owner = owner.base
+        if owner is None:
+            return v
+    out = np.array(v, dtype=np.float64)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -115,24 +151,25 @@ def generate(params: SimParams, unit_id: str = "unit") -> SimResult:
 
     The increments and their running sum are drawn in chunks of
     ``FIRST_CHUNK``, then twice as many steps each time, up to the chunk
-    that holds the first crossing (or to ``max_steps``).  A chunk takes the
-    next draws of the seed's stream, and its running sum continues from the
-    last value in the same order of additions, so the path is bit for bit the
-    one a draw of all ``max_steps`` increments would give.
+    that holds the first crossing (or to ``max_steps``).  A chunk takes d_j
+    of its own intervals only and the next draws of the seed's stream, and
+    its running sum continues from the last value in the same order of
+    additions, so the path is bit for bit the one a draw of all
+    ``max_steps`` increments would give.
     """
     rng = np.random.default_rng(params.seed)
     n = params.max_steps
     t = np.arange(n + 1.0)
-    d = time_transform(t[:-1], t[1:], params.beta)
     wiener = params.kind in (SimKind.LINEAR_WIENER, SimKind.NONLINEAR_WIENER)
     x = np.zeros(n + 1)
     lo, size, end = 0, FIRST_CHUNK, None
     while end is None and lo < n:
         hi = min(lo + size, n)
+        d = time_transform(t[lo:hi], t[lo + 1 : hi + 1], params.beta)
         if wiener:
-            x[lo + 1 : hi + 1] = rng.normal(params.m * d[lo:hi], params.s)
+            x[lo + 1 : hi + 1] = rng.normal(params.m * d, params.s)
         else:
-            x[lo + 1 : hi + 1] = rng.gamma(params.alpha * d[lo:hi], params.theta)
+            x[lo + 1 : hi + 1] = rng.gamma(params.alpha * d, params.theta)
         np.cumsum(x[lo : hi + 1], out=x[lo : hi + 1])  # x[lo] is the sum so far
         crossed = np.nonzero(x[lo + 1 : hi + 1] >= params.failure_threshold)[0]
         if crossed.size:
@@ -143,8 +180,8 @@ def generate(params: SimParams, unit_id: str = "unit") -> SimResult:
         end = n
     traj = Trajectory(
         unit_id=unit_id,
-        times=tuple(t[: end + 1].tolist()),
-        values=tuple(x[: end + 1].tolist()),
+        times=t[: end + 1],
+        values=x[: end + 1],
         true_model_id=params.kind.value,
     )
     return SimResult(trajectory=traj, censored=censored)
@@ -152,10 +189,8 @@ def generate(params: SimParams, unit_id: str = "unit") -> SimResult:
 
 def first_hitting_time(traj: Trajectory, threshold: float) -> Optional[float]:
     """Smallest observation time whose value reaches the threshold."""
-    for t, y in zip(traj.times, traj.values):
-        if y >= threshold:
-            return t
-    return None
+    hits = np.flatnonzero(traj.values >= threshold)
+    return float(traj.times[hits[0]]) if hits.size else None
 
 
 class WindowTooShortError(ValueError):
@@ -172,7 +207,7 @@ def truncate_at_progress(traj: Trajectory, n_percent: int) -> Trajectory:
     if not 0 < n_percent <= 100:
         raise ValueError(f"n_percent must be in (0, 100], got {n_percent}")
     cutoff = math.ceil(n_percent / 100.0 * traj.times[-1])
-    keep = bisect_right(traj.times, cutoff)  # times increase strictly
+    keep = int(np.searchsorted(traj.times, cutoff, side="right"))  # times increase strictly
     if keep < 2:
         raise WindowTooShortError(f"truncation at {n_percent}% leaves {keep} points")
     return replace(traj, times=traj.times[:keep], values=traj.values[:keep])
@@ -234,8 +269,8 @@ def save_trajectories(path, trajs: Sequence[Trajectory]) -> None:
                     {
                         "unit_id": t.unit_id,
                         "true_model_id": t.true_model_id,
-                        "times": list(t.times),
-                        "values": list(t.values),
+                        "times": t.times.tolist(),
+                        "values": t.values.tolist(),
                     }
                 )
                 + "\n"
@@ -255,8 +290,8 @@ def load_trajectories(path) -> list[Trajectory]:
                 out.append(
                     Trajectory(
                         unit_id=str(rec["unit_id"]),
-                        times=tuple(float(x) for x in rec["times"]),
-                        values=tuple(float(x) for x in rec["values"]),
+                        times=rec["times"],
+                        values=rec["values"],
                         true_model_id=rec.get("true_model_id"),
                     )
                 )

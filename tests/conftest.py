@@ -100,3 +100,19 @@ def shape_paths(draw):
     else:
         times = start + np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 4.0, size=n - 1))])
     return Trajectory("shape", tuple(times.tolist()), tuple(values.tolist()))
+
+
+@st.composite
+def integer_time_paths(draw):
+    """4-200 points at times 0, 1, 2, ...: mixed-sign or positive steps
+    interleaved with flat runs."""
+    n = draw(st.integers(3, 199))
+    low = draw(st.sampled_from([-1.0, 1e-3]))
+    deltas: list[float] = []
+    while len(deltas) < n:
+        if draw(st.booleans()):
+            deltas += [0.0] * draw(st.integers(1, 10))
+        else:
+            deltas += draw(st.lists(st.floats(low, 2.0), min_size=1, max_size=30))
+    values = np.concatenate([[1.0], 1.0 + np.cumsum(deltas[:n])])
+    return Trajectory("u", tuple(float(t) for t in range(n + 1)), tuple(map(float, values)))

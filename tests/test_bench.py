@@ -3,6 +3,7 @@ import json
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -114,11 +115,11 @@ class TestGenerateDataset:
     def test_deterministic(self):
         a = generate_dataset(Case.CASE1, 5, seed=3)
         b = generate_dataset(Case.CASE1, 5, seed=3)
-        assert all(x.values == y.values for x, y in zip(a, b))
+        assert all(np.array_equal(x.values, y.values) for x, y in zip(a, b))
 
     def test_units_are_independent(self):
         trajs = generate_dataset(Case.CASE1, 5, seed=3)
-        assert trajs[0].values != trajs[1].values
+        assert not np.array_equal(trajs[0].values, trajs[1].values)
 
 
 class TestTestSplitOnly:
@@ -188,7 +189,7 @@ class TestContextsAndPerturbations:
         pool = [t for t in trajs if t.true_model_id == "wiener_family"]
         inp = InferenceInput.for_case(Case.CASE1, target, correct_context(target))
         out = perturb_input(inp, Perturbation.WRONG_HI, pool, rng_seed=4)
-        assert out.trajectory.values != target.values
+        assert not np.array_equal(out.trajectory.values, target.values)
         assert out.trajectory.true_model_id == "gamma_family"
         assert len(out.trajectory) <= len(target)
         assert out.context == inp.context
@@ -205,7 +206,7 @@ class TestContextsAndPerturbations:
         pool = [t for t in trajs if t.true_model_id == "wiener_family"]
         inp = InferenceInput.for_case(Case.CASE1, target, correct_context(target))
         out = perturb_input(inp, Perturbation.WRONG_BOTH, pool, rng_seed=4)
-        assert out.trajectory.values != target.values
+        assert not np.array_equal(out.trajectory.values, target.values)
         assert out.context == wrong_context(target)
 
 

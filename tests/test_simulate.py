@@ -7,6 +7,11 @@ from hypothesis import strategies as st
 
 from dataclasses import replace
 
+from degselect.bench import Perturbation, perturb_input
+from degselect.criteria import NoApplicableModelError
+from degselect.evidence import feature_summary
+from degselect.fitting import increments
+from degselect.pipeline import Case, InferenceInput, run_inference
 from degselect.simulate import (
     FIRST_CHUNK,
     SimKind,
@@ -22,6 +27,8 @@ from degselect.simulate import (
     time_transform,
     truncate_at_progress,
 )
+
+from conftest import integer_time_paths, shape_paths
 
 
 class TestTimeTransform:
@@ -71,12 +78,12 @@ class TestGenerate:
         p = default_params(SimKind.NONHOMOG_GAMMA, seed=42)
         a = generate(p).trajectory
         b = generate(p).trajectory
-        assert a.values == b.values and a.times == b.times
+        assert np.array_equal(a.values, b.values) and np.array_equal(a.times, b.times)
 
     def test_different_seeds_differ(self):
         a = generate(default_params(SimKind.LINEAR_WIENER, seed=1)).trajectory
         b = generate(default_params(SimKind.LINEAR_WIENER, seed=2)).trajectory
-        assert a.values != b.values
+        assert not np.array_equal(a.values, b.values)
 
     def test_censored_flag_when_threshold_unreachable(self):
         params = SimParams(
@@ -149,6 +156,16 @@ def reference_truncate(times, values, n_percent):
     return tuple(times[k] for k in keep), tuple(values[k] for k in keep)
 
 
+def as_tuples(traj):
+    """The trajectory's times and values as tuples of Python floats, exact."""
+    return tuple(traj.times.tolist()), tuple(traj.values.tolist())
+
+
+def assert_read_only_float64(traj):
+    for a in (traj.times, traj.values):
+        assert a.dtype == np.float64 and not a.flags.writeable
+
+
 class TestAgainstReferenceLoops:
     @pytest.mark.parametrize("kind", list(SimKind))
     def test_generate_and_truncate_bit_identical(self, kind):
@@ -157,11 +174,11 @@ class TestAgainstReferenceLoops:
             result = generate(params)
             times, values, censored = reference_generate(params)
             traj = result.trajectory
-            assert (traj.times, traj.values, result.censored) == (times, values, censored)
+            assert (*as_tuples(traj), result.censored) == (times, values, censored)
             for pct in (30, 50, 70, 100):
                 out = truncate_at_progress(traj, pct)
-                assert (out.times, out.values) == reference_truncate(times, values, pct)
-                assert all(type(v) is float for v in out.times + out.values)
+                assert as_tuples(out) == reference_truncate(times, values, pct)
+                assert_read_only_float64(out)
 
 
 # First-crossing steps: the first, each side of the ends of ``generate``'s
@@ -198,8 +215,8 @@ class TestChunkSeams:
         times, values, censored = reference_generate(params)
         assert (crossing is None) == censored
         traj = result.trajectory
-        assert (traj.times, traj.values, result.censored) == (times, values, censored)
-        assert all(type(v) is float for v in traj.times + traj.values)
+        assert (*as_tuples(traj), result.censored) == (times, values, censored)
+        assert_read_only_float64(traj)
 
 
 class TestTrajectoryType:
@@ -218,6 +235,18 @@ class TestTrajectoryType:
     @pytest.mark.parametrize(
         "times,values",
         [
+            (((0.0, 1.0), (2.0, 3.0)), ((0.0, 1.0), (2.0, 3.0))),
+            (np.arange(4.0).reshape(2, 2), (0.0, 1.0)),
+            (0.0, 1.0),
+        ],
+    )
+    def test_rejects_non_1d(self, times, values):
+        with pytest.raises(ValueError, match="1-D"):
+            Trajectory("u", times, values)
+
+    @pytest.mark.parametrize(
+        "times,values",
+        [
             ((0.0, 1.0, 2.0), (0.0, math.nan, 1.0)),
             ((0.0, 1.0, 2.0), (0.0, 0.5, math.inf)),
             ((0.0, 1.0, math.inf), (0.0, 0.5, 1.0)),
@@ -227,6 +256,95 @@ class TestTrajectoryType:
     def test_rejects_non_finite(self, times, values):
         with pytest.raises(ValueError, match="finite"):
             Trajectory("u", times, values)
+
+
+any_paths = st.one_of(integer_time_paths(), shape_paths())
+FORMS = ("tuples", "lists", "arrays")
+
+
+def rebuilt(traj, form):
+    """A trajectory of ``traj``'s fields passed in as tuples, lists or
+    writeable arrays."""
+    convert = {"tuples": lambda a: tuple(a.tolist()), "lists": np.ndarray.tolist, "arrays": np.array}
+    return replace(traj, times=convert[form](traj.times), values=convert[form](traj.values))
+
+
+def outcome(traj, bank):
+    """The case-2 inference's pick, retained ids and each hierarchy's two
+    answers (labels and confidences) and final decision, or its error."""
+    try:
+        out = run_inference(InferenceInput.for_case(Case.CASE2, traj), bank)
+    except NoApplicableModelError as exc:
+        return type(exc), str(exc)
+    answers = {h: (r.internal, r.contextual, r.final) for h, r in out.decisions.items()}
+    return out.chosen.id, out.retained.ids(), answers
+
+
+class TestArrayFields:
+    @settings(max_examples=100, deadline=None)
+    @given(traj=any_paths, form=st.sampled_from(FORMS))
+    def test_every_form_gives_equal_read_only_float64_fields(self, traj, form):
+        other = rebuilt(traj, form)
+        assert other == traj and hash(other) == hash(traj)
+        assert other.times.tolist() == traj.times.tolist()
+        assert other.values.tolist() == traj.values.tolist()
+        for a in (other.times, other.values):
+            assert a.dtype == np.float64 and a.ndim == 1 and not a.flags.writeable
+        assert replace(traj, unit_id="other") != traj
+
+    @settings(max_examples=100, deadline=None)
+    @given(traj=any_paths)
+    def test_held_arrays_and_copies(self, traj):
+        # Read-only arrays over memory nothing can write are held as they are.
+        same = Trajectory("v", traj.times, traj.values)
+        assert same.times is traj.times and same.values is traj.values
+        # A writeable array, or a read-only view of one, is copied once.
+        times, values = traj.times.copy(), traj.values.copy()
+        view = values[:]
+        view.flags.writeable = False
+        held = Trajectory("w", times, view)
+        assert not np.shares_memory(held.times, times)
+        assert not np.shares_memory(held.values, values)
+        times += 1.0
+        values[:] = 0.0
+        assert np.array_equal(held.times, traj.times)
+        assert np.array_equal(held.values, traj.values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(traj=any_paths, pool_unit=any_paths, pct=st.integers(1, 100))
+    def test_windows_and_substitutes_are_views(self, traj, pool_unit, pct):
+        try:
+            window = truncate_at_progress(traj, pct)
+        except WindowTooShortError:
+            window = None
+        if window is not None:
+            for part, whole in ((window.times, traj.times), (window.values, traj.values)):
+                assert np.shares_memory(part, whole) and not part.flags.writeable
+                assert np.array_equal(part, whole[: len(window)])
+        inp = InferenceInput.for_case(Case.CASE2, replace(traj, true_model_id="homog_gamma"))
+        sub = perturb_input(inp, Perturbation.WRONG_HI, [pool_unit]).trajectory
+        npts = min(len(traj), len(pool_unit))
+        assert sub.true_model_id == "homog_gamma" and len(sub) == npts
+        for part, whole in ((sub.times, pool_unit.times), (sub.values, pool_unit.values)):
+            assert np.shares_memory(part, whole) and not part.flags.writeable
+            assert np.array_equal(part, whole[:npts])
+
+    @settings(max_examples=40, deadline=None)
+    @given(traj=any_paths, pct=st.sampled_from([30, 50, 70, 100]))
+    def test_results_do_not_depend_on_the_form(self, bank, traj, pct):
+        # A window (a view) against the same points passed in each form.
+        try:
+            window = truncate_at_progress(traj, pct)
+        except WindowTooShortError:
+            window = traj
+        assume(len(window) >= 4)
+        want_inc = increments(window).arrays
+        want = feature_summary(window), outcome(window, bank)
+        for form in FORMS:
+            other = rebuilt(window, form)
+            got_inc = increments(other).arrays
+            assert all((a == b).all() for a, b in zip(got_inc, want_inc))
+            assert (feature_summary(other), outcome(other, bank)) == want
 
 
 class TestFirstHittingTime:
@@ -257,7 +375,7 @@ class TestTruncate:
     def test_full_percentage_is_identity(self):
         traj = self._ramp(50)
         out = truncate_at_progress(traj, 100)
-        assert out.times == traj.times
+        assert np.array_equal(out.times, traj.times)
 
     def test_ceil_rule_small_fht(self):
         # 30% of FHT 10 -> cutoff ceil(3.0) = 3 -> points t = 0, 1, 2, 3.
@@ -274,8 +392,8 @@ class TestTruncate:
         traj = generate(default_params(SimKind.HOMOG_GAMMA, seed=9)).trajectory
         t30 = truncate_at_progress(traj, 30)
         t70 = truncate_at_progress(traj, 70)
-        assert t70.times[: len(t30)] == t30.times
-        assert t70.values[: len(t30)] == t30.values
+        assert np.array_equal(t70.times[: len(t30)], t30.times)
+        assert np.array_equal(t70.values[: len(t30)], t30.values)
 
 
 class TestSplit:
@@ -331,5 +449,5 @@ def test_trajectory_file_roundtrip(tmp_path):
     save_trajectories(path, trajs)
     loaded = load_trajectories(path)
     assert [t.unit_id for t in loaded] == [t.unit_id for t in trajs]
-    assert loaded[0].values == trajs[0].values
+    assert np.array_equal(loaded[0].values, trajs[0].values)
     assert loaded[0].true_model_id == "linear_wiener"
